@@ -18,19 +18,11 @@ import numpy as np
 from . import detector as detector_mod
 from . import nn_core
 from .detector import DetectorConfig, load_detector, save_detector, score
-from .harness import CellConfig, GridSpec, export, run_cell, run_grid
+from .harness import GridSpec, export, run_grid
 from .nn_core import ModelConfig, TrainConfig
-from .poisoning import (
-    PoisonConfig,
-    TrainCache,
-    init_poison,
-    poison_backgrad,
-    poison_interp,
-    poison_span,
-    train_test,
-)
+from .poisoning import PoisonConfig, poison_span, run_pipeline
 from .signals import AttackSpec, SignalSpec, generate, inject_attack
-from .timeseries import NormStats, SeriesMatrix, WindowConfig, export_csv, ingest_csv, normalize, subsample
+from .timeseries import NormStats, WindowConfig, export_csv, ingest_csv, normalize, subsample
 
 _SCHEMAS = {
     "signal": "aepoison/signal/v1",
@@ -137,23 +129,8 @@ def _cmd_poison(args: argparse.Namespace) -> int:
         max_iters=args.max_iters,
     )
     span = poison_span(attack.length, attack_range, cfg.window.length, period)
-    cache = TrainCache()
-    record_traj = args.algo == "backgrad"
-    fit_cfg = TrainConfig(
-        train_cfg.learning_rate, train_cfg.max_epochs, train_cfg.stop_loss, record_traj
-    )
-    baseline = train_test(
-        train_series, val, attack, [], None,
-        detector_cfg=cfg, train_cfg=fit_cfg, poison_cfg=poison_cfg, cache=cache,
-    )
-    y0 = init_poison(
-        train_series, attack, baseline.params, poison_cfg,
-        detector_cfg=cfg, span=span, clean=clean,
-    )
-    algo = poison_backgrad if args.algo == "backgrad" else poison_interp
-    result = algo(
-        train_series, val, attack, y0, poison_cfg,
-        detector_cfg=cfg, train_cfg=fit_cfg, clean=clean, cache=cache,
+    _, result = run_pipeline(
+        train_series, val, attack, clean, span, args.algo, poison_cfg, detector_cfg=cfg, train_cfg=train_cfg
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,9 +249,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    # grid output dir comes from the global flag
-    if getattr(args, "fn", None) is _cmd_grid or getattr(args, "fn", None) is _cmd_poison:
-        args.out_dir = args.out_dir
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -29,7 +29,6 @@ __all__ = [
     "score",
     "series_loss",
     "series_objective_grad",
-    "series_hvp_input",
     "save_detector",
     "load_detector",
 ]
@@ -104,11 +103,15 @@ def _window_starts(series_len: int, cfg: DetectorConfig) -> np.ndarray:
     return np.arange(count) * cfg.window.stride
 
 
-def _coverage(series_len: int, cfg: DetectorConfig) -> np.ndarray:
-    cover = np.zeros(series_len)
-    for start in _window_starts(series_len, cfg):
-        cover[start : start + cfg.window.length] += 1.0
-    return cover
+def _scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
+    """Sum per-window rows back onto the series rows each window was cut
+    from; a row covered by several windows gets their sum, added in window
+    order."""
+    blocks = grad_batch.reshape(-1, cfg.window.length, cfg.num_features)
+    rows = _window_starts(series_len, cfg)[:, None] + np.arange(cfg.window.length)
+    out = np.zeros((series_len, cfg.num_features))
+    np.add.at(out, rows, blocks)
+    return out
 
 
 def reconstruct_series(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> SeriesMatrix:
@@ -118,17 +121,10 @@ def reconstruct_series(params: ModelParams, series: SeriesMatrix, cfg: DetectorC
     gets the mean of their predictions (points near the edges are covered by
     fewer windows and use the mean over those that exist).
     """
-    _check_series(series, cfg)
-    batch = window_batch(series, cfg)
-    preds = nn_core.forward(params, batch).reshape(-1, cfg.window.length, cfg.num_features)
-    total = np.zeros_like(series.values)
-    for k, start in enumerate(_window_starts(series.length, cfg)):
-        total[start : start + cfg.window.length] += preds[k]
-    cover = _coverage(series.length, cfg)
-    uncovered = cover == 0
-    combined = total / np.where(uncovered, 1.0, cover)[:, None]
-    combined[uncovered] = series.values[uncovered]
-    return series.with_values(combined)
+    preds = nn_core.forward(params, window_batch(series, cfg))
+    total = _scatter_windows(preds, series.length, cfg)
+    cover = _scatter_windows(np.ones_like(preds), series.length, cfg)
+    return series.with_values(np.where(cover > 0, total / np.maximum(cover, 1.0), series.values))
 
 
 def score(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> AlertReport:
@@ -156,37 +152,15 @@ def series_loss(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) 
     return nn_core.loss(params, window_batch(series, cfg))
 
 
-def _scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
-    blocks = grad_batch.reshape(-1, cfg.window.length, cfg.num_features)
-    out = np.zeros((series_len, cfg.num_features))
-    for k, start in enumerate(_window_starts(series_len, cfg)):
-        out[start : start + cfg.window.length] += blocks[k]
-    return out
-
-
-def series_objective_grad(
-    params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig, objective: str = "reconstruction-loss"
-) -> np.ndarray:
+def series_objective_grad(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> np.ndarray:
     """Gradient of :func:`series_loss` with respect to every series cell.
 
     A cell belonging to k windows accumulates the contributions of all k:
     the windowing is a linear gather, so the chain rule is a scatter-add of
     the per-window input gradients.
     """
-    if objective != "reconstruction-loss":
-        raise ValueError(f"unknown objective {objective!r}")
-    _check_series(series, cfg)
     gx = nn_core.grad_x(params, window_batch(series, cfg))
     return _scatter_windows(gx, series.length, cfg)
-
-
-def series_hvp_input(
-    params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig, v: np.ndarray
-) -> np.ndarray:
-    """d/d(series) of <grad_w series_loss, v>, scattered like the gradient."""
-    _check_series(series, cfg)
-    _, r_gx = nn_core.hvp_both(params, window_batch(series, cfg), v)
-    return _scatter_windows(r_gx, series.length, cfg)
 
 
 def save_detector(params: ModelParams, cfg: DetectorConfig, path: str | Path) -> None:

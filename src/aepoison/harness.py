@@ -18,30 +18,19 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectorConfig, score
+from .detector import DetectorConfig
 from .nn_core import ModelConfig, TrainConfig
-from .poisoning import (
-    PoisonConfig,
-    PoisonPoint,
-    PoisonResult,
-    TrainCache,
-    init_poison,
-    poison_backgrad,
-    poison_interp,
-    poison_span,
-    train_test,
-)
+from .poisoning import PoisonConfig, PoisonResult, poison_span, run_pipeline
 from .signals import AttackSpec, SignalSpec, anchor_index, generate, inject_attack
 from .timeseries import SeriesMatrix, WindowConfig
 
@@ -156,12 +145,11 @@ class CellConfig:
             residual_mode=self.residual_mode,
         )
 
-    def train_config(self, record_trajectory: bool = False) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.learning_rate,
             max_epochs=self.train_iterations,
             stop_loss=self.stop_loss,
-            record_trajectory=record_trajectory,
         )
 
     def poison_config(self) -> PoisonConfig:
@@ -297,41 +285,16 @@ def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
     data: ExperimentData | None = None
     try:
         data = build_experiment(cell)
-        detector_cfg = cell.detector_config()
-        poison_cfg = cell.poison_config()
-        train_cfg = cell.train_config(record_trajectory=cell.algorithm == "backgrad")
-        cache = TrainCache()
-        baseline = train_test(
+        baseline, result = run_pipeline(
             data.train,
             data.val,
             data.attack,
-            [],
-            None,
-            detector_cfg=detector_cfg,
+            data.clean,
+            data.span,
+            cell.algorithm,
+            cell.poison_config(),
+            detector_cfg=cell.detector_config(),
             train_cfg=cell.train_config(),
-            poison_cfg=poison_cfg,
-            cache=cache,
-        )
-        y0 = init_poison(
-            data.train,
-            data.attack,
-            baseline.params,
-            poison_cfg,
-            detector_cfg=detector_cfg,
-            span=data.span,
-            clean=data.clean,
-        )
-        algo = poison_backgrad if cell.algorithm == "backgrad" else poison_interp
-        result = algo(
-            data.train,
-            data.val,
-            data.attack,
-            y0,
-            poison_cfg,
-            detector_cfg=detector_cfg,
-            train_cfg=train_cfg,
-            clean=data.clean,
-            cache=cache,
         )
         record = MetricsRecord(
             cell=cell.to_dict(),
@@ -355,7 +318,7 @@ def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
             clean_pads=0,
             optimization_iterations=0,
             achieved_magnitude=0.0,
-            termination="over-poison-unrecoverable",
+            termination="error",
             wall_time_s=time.perf_counter() - t0,
             error=f"{type(exc).__name__}: {exc}",
         )

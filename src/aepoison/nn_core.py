@@ -13,7 +13,6 @@ layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,6 +125,10 @@ class ModelConfig:
         return cls(**data)
 
 
+def _flatten(layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Per-layer (W, b) pairs; flattenable to one parameter vector."""
@@ -153,7 +156,7 @@ class ModelParams:
         object.__setattr__(self, "layers", tuple(frozen))
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in self.layers])
+        return _flatten(self.layers)
 
     @classmethod
     def from_flat(cls, config: ModelConfig, vec: np.ndarray) -> "ModelParams":
@@ -270,10 +273,6 @@ def _backward(
     return grads, gx, deltas
 
 
-def _flatten_layer_grads(cfg: ModelConfig, grads: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-
-
 def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`loss` with respect to the flat parameters."""
     x = _as_batch(params.config, batch)
@@ -281,7 +280,7 @@ def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
         raise ValueError("empty batch")
     acts = _forward_acts(params, x)
     grads, _, _ = _backward(params, acts)
-    return _flatten_layer_grads(params.config, grads)
+    return _flatten(grads)
 
 
 def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -355,7 +354,7 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
     w0, _ = params.layers[0]
     vw0, _ = vparams.layers[0]
     r_gx = r_deltas[0] @ w0.T + deltas[0] @ vw0.T - scale * r_acts[-1]
-    return _flatten_layer_grads(cfg, r_grads), r_gx
+    return _flatten(r_grads), r_gx
 
 
 def hvp_ww(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -382,11 +381,7 @@ def train(
     if x.shape[0] == 0:
         raise ValueError("empty training batch")
     layers = [(w.copy(), b.copy()) for w, b in params.layers]
-
-    def snapshot() -> np.ndarray:
-        return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
-
-    checkpoints: list[np.ndarray] | None = [snapshot()] if cfg.record_trajectory else None
+    checkpoints: list[np.ndarray] | None = [_flatten(layers)] if cfg.record_trajectory else None
     steps = 0
     current = ModelParams(model_cfg, tuple(layers))
     cur_loss = loss(current, x)
@@ -402,7 +397,7 @@ def train(
                 for (w, b), (gw, gb) in zip(layers, grads)
             ]
             steps += 1
-            new_flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
+            new_flat = _flatten(layers)
             if not np.isfinite(new_flat).all():
                 raise TrainingDiverged(f"loss diverged at step {steps}")
             current = ModelParams(model_cfg, tuple(layers))

@@ -26,14 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn_core
-from .detector import (
-    DetectorConfig,
-    score,
-    series_loss,
-    series_objective_grad,
-    series_hvp_input,
-    window_batch,
-)
+from .detector import DetectorConfig, _scatter_windows, score, series_loss, series_objective_grad, window_batch
 from .nn_core import ModelParams, TrainConfig, TrainTrajectory
 from .timeseries import SeriesMatrix
 
@@ -50,6 +43,7 @@ __all__ = [
     "poison_backgrad",
     "poison_interp",
     "init_poison",
+    "run_pipeline",
 ]
 
 _RETRAIN_MODES = ("append", "reservoir")
@@ -381,17 +375,6 @@ def get_poison_grad(
     if steps == 0:
         return dyc
 
-    win_len = detector_cfg.window.length
-    n_feat = detector_cfg.num_features
-    starts = np.arange(pois_batch.shape[0]) * detector_cfg.window.stride
-
-    def scatter(grad_batch: np.ndarray) -> np.ndarray:
-        blocks = grad_batch.reshape(-1, win_len, n_feat)
-        out = np.zeros_like(poison.values)
-        for k, s in enumerate(starts):
-            out[s : s + win_len] += blocks[k]
-        return out
-
     # The reverse recursion multiplies dw by (I - alpha*H) each step; when
     # training ran at a rate where some |1 - alpha*h| > 1 this product grows
     # exponentially. Rescaling dw and dyc together is lossless downstream
@@ -408,7 +391,7 @@ def get_poison_grad(
             for t in range(steps, 0, -1):
                 w_prev = ModelParams.from_flat(model_cfg, trajectory.checkpoints[t - 1])
                 r_gw, r_gx = nn_core.hvp_both(w_prev, pois_batch, dw)
-                dyc = dyc - alpha * scatter(r_gx)
+                dyc = dyc - alpha * _scatter_windows(r_gx, poison_series.length, detector_cfg)
                 dw = dw - alpha * r_gw
                 dw, dyc = rescale(dw, dyc)
         else:
@@ -416,7 +399,7 @@ def get_poison_grad(
             for _ in range(steps, 0, -1):
                 params_cur = ModelParams.from_flat(model_cfg, w_cur)
                 r_gw, r_gx = nn_core.hvp_both(params_cur, pois_batch, dw)
-                dyc = dyc - alpha * scatter(r_gx)
+                dyc = dyc - alpha * _scatter_windows(r_gx, poison_series.length, detector_cfg)
                 dw = dw - alpha * r_gw
                 dw, dyc = rescale(dw, dyc)
                 w_cur = w_cur + alpha * nn_core.grad_w(params_cur, pois_batch)
@@ -497,7 +480,7 @@ class _RunState:
         )
 
 
-def _effective_magnitude(attack: SeriesMatrix, clean: SeriesMatrix | None, span: tuple[int, int]) -> float:
+def _effective_magnitude(attack: SeriesMatrix, clean: SeriesMatrix | None) -> float:
     if clean is None:
         return 0.0
     return float(np.max(np.abs(attack.values - clean.values)))
@@ -566,7 +549,7 @@ def poison_backgrad(
         cache if cache is not None else TrainCache(),
         np.random.default_rng([cfg.seed, 0xADD]),
     )
-    achieved = _effective_magnitude(attack, clean, y_c0.span)
+    achieved = _effective_magnitude(attack, clean)
 
     baseline_params, _, _ = state.cache.fit(
         _training_batch(train_seqs, [], None, detector_cfg, cfg, train_seqs[0]), detector_cfg, train_cfg
@@ -657,7 +640,7 @@ def poison_interp(
         cache if cache is not None else TrainCache(),
         np.random.default_rng([cfg.seed, 0xADD]),
     )
-    achieved = _effective_magnitude(attack, clean, y_c0.span)
+    achieved = _effective_magnitude(attack, clean)
     template = train_seqs[0]
     span = y_c0.span
     target = attack.values[span[0] : span[1]]
@@ -779,3 +762,56 @@ def init_poison(
     if clean is not None:
         return benign("attack-init-fallback-benign")
     raise ValueError("attack-based initialization failed and no clean series was given for fallback")
+
+
+def run_pipeline(
+    train: SeriesMatrix | Sequence[SeriesMatrix],
+    val: SeriesMatrix,
+    attack: SeriesMatrix,
+    clean: SeriesMatrix,
+    span: tuple[int, int],
+    algorithm: str,
+    poison_cfg: PoisonConfig,
+    *,
+    detector_cfg: DetectorConfig,
+    train_cfg: TrainConfig,
+) -> tuple[TrainTestResult, PoisonResult]:
+    """One poisoning experiment: fit the detector on the clean training set,
+    choose the initial poison under that baseline, then run `algorithm`
+    ("interp" or "backgrad") against the retrained detector.
+
+    All fits share one TrainCache. Backgrad reverses its fits, so every fit
+    of a backgrad run records its trajectory, the baseline included; its
+    own baseline check then reuses the baseline fit.
+    """
+    if algorithm not in ("interp", "backgrad"):
+        raise ValueError(f"algorithm must be interp or backgrad, got {algorithm!r}")
+    train_cfg = replace(train_cfg, record_trajectory=algorithm == "backgrad")
+    cache = TrainCache()
+    baseline = train_test(
+        train,
+        val,
+        attack,
+        [],
+        None,
+        detector_cfg=detector_cfg,
+        train_cfg=train_cfg,
+        poison_cfg=poison_cfg,
+        cache=cache,
+    )
+    y0 = init_poison(
+        train, attack, baseline.params, poison_cfg, detector_cfg=detector_cfg, span=span, clean=clean
+    )
+    algo = poison_backgrad if algorithm == "backgrad" else poison_interp
+    result = algo(
+        train,
+        val,
+        attack,
+        y0,
+        poison_cfg,
+        detector_cfg=detector_cfg,
+        train_cfg=train_cfg,
+        clean=clean,
+        cache=cache,
+    )
+    return baseline, result

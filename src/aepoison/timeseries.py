@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -74,11 +74,6 @@ class SeriesMatrix:
 
     def with_values(self, values: np.ndarray) -> "SeriesMatrix":
         return SeriesMatrix(values, self.feature_names, self.dt)
-
-    def slice_rows(self, start: int, stop: int) -> "SeriesMatrix":
-        if not (0 <= start < stop <= self.length):
-            raise ValueError(f"bad row slice [{start}, {stop}) for length {self.length}")
-        return SeriesMatrix(self.values[start:stop], self.feature_names, self.dt)
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,6 @@ def subsample(series: SeriesMatrix, factor: int) -> SeriesMatrix:
 def ingest_csv(
     path: str | Path,
     feature_selection: Sequence[str] | None = None,
-    header_policy: str = "require",
     dt: float = 1.0,
 ) -> SeriesMatrix:
     """Read a comma-separated file into a SeriesMatrix.
@@ -182,8 +176,6 @@ def ingest_csv(
     One header row of feature names, one data row per time step. Columns not
     in `feature_selection` are dropped; selection order is preserved.
     """
-    if header_policy != "require":
-        raise ValueError(f"unsupported header policy {header_policy!r}")
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)

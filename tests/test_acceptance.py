@@ -434,7 +434,7 @@ class TestAC8DeterminismAndReversal:
         # checkpointed reversal: retraining reproduces every recorded w_t bit-exactly
         data = build_experiment(cell)
         dcfg = cell.detector_config()
-        tcfg = cell.train_config(record_trajectory=True)
+        tcfg = replace(cell.train_config(), record_trajectory=True)
         batch = np.concatenate([window_batch(s, dcfg) for s in data.train])
         _, traj1, _ = nn_core.train(nn_core.init_params(dcfg.model), batch, tcfg)
         _, traj2, _ = nn_core.train(nn_core.init_params(dcfg.model), batch, tcfg)

@@ -142,6 +142,26 @@ def test_gen_attack_train_score_poison_pipeline(tmp_path, signal_json, detector_
     assert result["schema"] == "aepoison/poison-result/v1"
     assert (out_dir / "poison_points.csv").exists()
 
+    backgrad_dir = tmp_path / "poison_backgrad_out"
+    rc = main(
+        [
+            "--out-dir", str(backgrad_dir),
+            "poison",
+            "--algo", "backgrad",
+            "--train", *train_paths,
+            "--val", str(val_csv),
+            "--attack", str(attacked_csv),
+            "--clean", str(clean_csv),
+            "--attack-range", str(range_json),
+            "--detector", str(detector_json),
+            "--max-iters", "2",
+        ]
+    )
+    assert rc == 0
+    result = json.loads((backgrad_dir / "poison_result.json").read_text())
+    assert result["algorithm"] == "backgrad"
+    assert result["iterations"] <= 2
+
 
 def test_grid_command(tmp_path):
     grid_json = tmp_path / "grid.json"

@@ -5,6 +5,7 @@ from aepoison import nn_core
 from aepoison.detector import (
     AlertReport,
     DetectorConfig,
+    _scatter_windows,
     load_detector,
     reconstruct_series,
     save_detector,
@@ -210,10 +211,21 @@ class TestSeriesObjectiveGrad:
             total[i : i + 2] += per_win.reshape(2, 1)
         assert np.max(np.abs(g - total)) < 1e-12
 
-    def test_unknown_objective_rejected(self):
-        params, dcfg = zero_model()
-        with pytest.raises(ValueError, match="objective"):
-            series_objective_grad(params, series_1d([1.0, 2.0]), dcfg, objective="profit")
+
+class TestScatterWindows:
+    @pytest.mark.parametrize(
+        "length,features,stride,rows", [(2, 2, 1, 48), (100, 1, 1, 100), (3, 2, 2, 50), (4, 1, 3, 40)]
+    )
+    def test_matches_loop_reference_bit_for_bit(self, length, features, stride, rows):
+        size = length * features
+        cfg = ModelConfig(input_size=size, code_size=max(1, size // 2))
+        dcfg = DetectorConfig(model=cfg, window=WindowConfig(length, stride), threshold=0.2)
+        count = (rows - length) // stride + 1
+        grad_batch = np.random.default_rng(rows).normal(size=(count, size)) * 1e3
+        expected = np.zeros((rows, features))
+        for k in range(count):
+            expected[k * stride : k * stride + length] += grad_batch[k].reshape(length, features)
+        assert np.array_equal(_scatter_windows(grad_batch, rows, dcfg), expected)
 
 
 class TestOverlapConsistency:

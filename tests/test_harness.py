@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from aepoison import nn_core
 from aepoison.harness import (
     CellConfig,
     GridSpec,
@@ -106,6 +107,22 @@ class TestRunCell:
         rec = run_cell(fast_cell(learning_rate=500.0))
         assert rec.error is not None
         assert not rec.success
+        assert rec.termination == "error"
+
+    def test_backgrad_cell_trains_no_batch_twice(self, monkeypatch):
+        # the baseline fit and backgrad's own baseline check share one fit
+        seen = []
+        real_train = nn_core.train
+
+        def counting_train(params, data, cfg):
+            seen.append((params.flatten().tobytes(), np.ascontiguousarray(data).tobytes()))
+            return real_train(params, data, cfg)
+
+        monkeypatch.setattr(nn_core, "train", counting_train)
+        rec = run_cell(fast_cell(algorithm="backgrad", attack_magnitude=0.2, adversarial_iterations=3))
+        assert rec.error is None
+        assert len(seen) >= 2
+        assert len(set(seen)) == len(seen)
 
 
 class TestGridSpec:
