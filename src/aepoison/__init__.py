@@ -21,8 +21,6 @@ from .nn_core import (
     forward,
     grad_w,
     grad_x,
-    hvp_ww,
-    hvp_xw,
     init_params,
     loss,
     train,

@@ -242,36 +242,11 @@ class MetricsRecord:
         return (json.dumps(self.cell, sort_keys=True), self.repetition)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "aepoison/metrics-record/v1",
-            "cell": self.cell,
-            "repetition": self.repetition,
-            "success": self.success,
-            "baseline_attack_alerts": self.baseline_attack_alerts,
-            "poison_point_count": self.poison_point_count,
-            "clean_pads": self.clean_pads,
-            "optimization_iterations": self.optimization_iterations,
-            "achieved_magnitude": self.achieved_magnitude,
-            "termination": self.termination,
-            "wall_time_s": self.wall_time_s,
-            "error": self.error,
-        }
+        return {"schema": "aepoison/metrics-record/v1", **dataclasses.asdict(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricsRecord":
-        return cls(
-            cell=data["cell"],
-            repetition=data["repetition"],
-            success=data["success"],
-            baseline_attack_alerts=data["baseline_attack_alerts"],
-            poison_point_count=data["poison_point_count"],
-            clean_pads=data["clean_pads"],
-            optimization_iterations=data["optimization_iterations"],
-            achieved_magnitude=data["achieved_magnitude"],
-            termination=data["termination"],
-            wall_time_s=data["wall_time_s"],
-            error=data.get("error"),
-        )
+        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls) if f.name in data})
 
 
 def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
@@ -477,37 +452,11 @@ def export(records: Sequence[MetricsRecord], out_dir: str | Path, formats: Seque
         p = out_path / "records.csv"
         with p.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                cell_keys
-                + [
-                    "repetition",
-                    "success",
-                    "baseline_attack_alerts",
-                    "poison_point_count",
-                    "clean_pads",
-                    "optimization_iterations",
-                    "achieved_magnitude",
-                    "termination",
-                    "wall_time_s",
-                    "error",
-                ]
-            )
+            names = [f.name for f in dataclasses.fields(MetricsRecord) if f.name != "cell"]
+            writer.writerow(cell_keys + names)
             for rec in records:
-                writer.writerow(
-                    [rec.cell.get(k) for k in cell_keys]
-                    + [
-                        rec.repetition,
-                        rec.success,
-                        rec.baseline_attack_alerts,
-                        rec.poison_point_count,
-                        rec.clean_pads,
-                        rec.optimization_iterations,
-                        rec.achieved_magnitude,
-                        rec.termination,
-                        rec.wall_time_s,
-                        rec.error or "",
-                    ]
-                )
+                values = [rec.error or "" if name == "error" else getattr(rec, name) for name in names]
+                writer.writerow([rec.cell.get(k) for k in cell_keys] + values)
         written.append(p)
     if "json" in formats:
         p = out_path / "records.json"

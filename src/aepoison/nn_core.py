@@ -14,7 +14,7 @@ layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -31,8 +31,6 @@ __all__ = [
     "loss",
     "grad_w",
     "grad_x",
-    "hvp_ww",
-    "hvp_xw",
     "hvp_both",
     "train",
     "save_checkpoint",
@@ -85,48 +83,58 @@ class ModelConfig:
                 raise ValueError(f"unknown activation {act!r}; have {sorted(_ACTIVATIONS)}")
         if self.init_scale < 0:
             raise ValueError("init_scale must be >= 0")
-
-    @property
-    def inflated_size(self) -> int:
-        return self.inflation_factor * self.input_size
-
-    def layer_dims(self) -> list[tuple[int, int]]:
+        # derived once; plain attributes, not fields, so repr/eq/hash/to_dict
+        # still see only the nine fields above
         enc = np.linspace(self.inflated_size, self.code_size, self.encoder_layers + 1)
         dec = np.linspace(self.code_size, self.inflated_size, self.decoder_layers + 1)
         sizes = [self.input_size]
         sizes.extend(max(1, int(round(s))) for s in enc)
         sizes.extend(max(1, int(round(s))) for s in dec[1:])
         sizes.append(self.input_size)
-        return list(zip(sizes[:-1], sizes[1:]))
+        dims = tuple(zip(sizes[:-1], sizes[1:]))
+        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_acts", (self.activation,) * (len(dims) - 1) + (self.output_activation,))
+        object.__setattr__(self, "_num_params", sum(nin * nout + nout for nin, nout in dims))
 
-    def layer_activations(self) -> list[str]:
-        n_layers = len(self.layer_dims())
-        return [self.activation] * (n_layers - 1) + [self.output_activation]
+    @property
+    def inflated_size(self) -> int:
+        return self.inflation_factor * self.input_size
+
+    def layer_dims(self) -> tuple[tuple[int, int], ...]:
+        return self._dims
+
+    def layer_activations(self) -> tuple[str, ...]:
+        return self._acts
 
     @property
     def num_params(self) -> int:
-        return sum(nin * nout + nout for nin, nout in self.layer_dims())
+        return self._num_params
 
     def to_dict(self) -> dict:
-        return {
-            "input_size": self.input_size,
-            "code_size": self.code_size,
-            "inflation_factor": self.inflation_factor,
-            "encoder_layers": self.encoder_layers,
-            "decoder_layers": self.decoder_layers,
-            "activation": self.activation,
-            "output_activation": self.output_activation,
-            "init_seed": self.init_seed,
-            "init_scale": self.init_scale,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         return cls(**data)
 
 
-def _flatten(layers: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+_Layers = Sequence[tuple[np.ndarray, np.ndarray]]
+
+
+def _flatten(layers: _Layers) -> np.ndarray:
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
+
+
+def _unflatten(cfg: ModelConfig, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-layer (W, b) views into a flat vector of cfg.num_params entries."""
+    layers = []
+    pos = 0
+    for nin, nout in cfg.layer_dims():
+        w = vec[pos : pos + nin * nout].reshape(nin, nout)
+        pos += nin * nout
+        layers.append((w, vec[pos : pos + nout]))
+        pos += nout
+    return tuple(layers)
 
 
 @dataclass(frozen=True)
@@ -163,15 +171,7 @@ class ModelParams:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (config.num_params,):
             raise ValueError(f"expected {config.num_params} parameters, got {vec.shape}")
-        layers = []
-        pos = 0
-        for nin, nout in config.layer_dims():
-            w = vec[pos : pos + nin * nout].reshape(nin, nout)
-            pos += nin * nout
-            b = vec[pos : pos + nout]
-            pos += nout
-            layers.append((w, b))
-        return cls(config, tuple(layers))
+        return cls(config, _unflatten(config, vec))
 
 
 @dataclass(frozen=True)
@@ -222,64 +222,72 @@ def _as_batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_acts(params: ModelParams, x: np.ndarray) -> list[np.ndarray]:
+def _nonempty_batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
+    x = _as_batch(cfg, x)
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    return x
+
+
+# The private passes below take the config and raw (W, b) layers; the
+# public functions check their batch once and pass params.layers down.
+
+
+def _forward_acts(cfg: ModelConfig, layers: _Layers, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
-    names = params.config.layer_activations()
-    for (w, b), act_name in zip(params.layers, names):
+    for (w, b), act_name in zip(layers, cfg.layer_activations()):
         f = _ACTIVATIONS[act_name][0]
         acts.append(f(acts[-1] @ w + b))
     return acts
+
+
+def _mse(out: np.ndarray, x: np.ndarray) -> float:
+    return float(np.mean((out - x) ** 2))
 
 
 def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
     """Reconstruction of a flattened window (or batch of windows)."""
     arr = np.asarray(window, dtype=np.float64)
     single = arr.ndim == 1
-    out = _forward_acts(params, _as_batch(params.config, arr))[-1]
+    out = _forward_acts(params.config, params.layers, _as_batch(params.config, arr))[-1]
     return out[0] if single else out
 
 
 def loss(params: ModelParams, batch: np.ndarray) -> float:
     """Mean squared reconstruction error over all batch entries."""
-    x = _as_batch(params.config, batch)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    out = _forward_acts(params, x)[-1]
-    return float(np.mean((out - x) ** 2))
+    x = _nonempty_batch(params.config, batch)
+    return _mse(_forward_acts(params.config, params.layers, x)[-1], x)
 
 
 def _backward(
-    params: ModelParams, acts: list[np.ndarray]
+    cfg: ModelConfig, layers: _Layers, acts: list[np.ndarray]
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, list[np.ndarray]]:
     """Reverse pass; returns per-layer gradients, grad wrt input, deltas."""
-    cfg = params.config
     names = cfg.layer_activations()
     x = acts[0]
     err = acts[-1] - x
     scale = 2.0 / err.size
-    n_layers = len(params.layers)
+    n_layers = len(layers)
     deltas: list[np.ndarray] = [np.empty(0)] * n_layers
     g_out = scale * err
     deltas[-1] = g_out * _ACTIVATIONS[names[-1]][1](acts[-1])
     for i in range(n_layers - 1, 0, -1):
-        w, _ = params.layers[i]
+        w, _ = layers[i]
         g = deltas[i] @ w.T
         deltas[i - 1] = g * _ACTIVATIONS[names[i - 1]][1](acts[i])
     grads = []
     for i in range(n_layers):
         grads.append((acts[i].T @ deltas[i], deltas[i].sum(axis=0)))
     # input enters the loss twice: as network input and as the target
-    gx = deltas[0] @ params.layers[0][0].T - scale * err
+    gx = deltas[0] @ layers[0][0].T - scale * err
     return grads, gx, deltas
 
 
 def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`loss` with respect to the flat parameters."""
-    x = _as_batch(params.config, batch)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    acts = _forward_acts(params, x)
-    grads, _, _ = _backward(params, acts)
+    cfg, layers = params.config, params.layers
+    acts = _forward_acts(cfg, layers, _nonempty_batch(cfg, batch))
+    grads, _, _ = _backward(cfg, layers, acts)
     return _flatten(grads)
 
 
@@ -289,13 +297,11 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     Includes both roles of the input (network input and reconstruction
     target), so it matches finite differences of loss(params, batch).
     """
+    cfg, layers = params.config, params.layers
     arr = np.asarray(batch, dtype=np.float64)
     single = arr.ndim == 1
-    x = _as_batch(params.config, arr)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    acts = _forward_acts(params, x)
-    _, gx, _ = _backward(params, acts)
+    acts = _forward_acts(cfg, layers, _nonempty_batch(cfg, arr))
+    _, gx, _ = _backward(cfg, layers, acts)
     return gx[0] if single else gx
 
 
@@ -305,29 +311,27 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
     The tangent direction v lives in parameter space; the second result is
     the derivative of <grad_w, v> with respect to the batch entries.
     """
-    cfg = params.config
-    x = _as_batch(cfg, batch)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
+    cfg, layers = params.config, params.layers
+    x = _nonempty_batch(cfg, batch)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (cfg.num_params,):
         raise ValueError(f"direction must have length {cfg.num_params}, got {v.shape}")
-    vparams = ModelParams.from_flat(cfg, v)
+    vlayers = _unflatten(cfg, v)
     names = cfg.layer_activations()
-    n_layers = len(params.layers)
+    n_layers = len(layers)
 
-    acts = _forward_acts(params, x)
+    acts = _forward_acts(cfg, layers, x)
     # tangent forward sweep: r_acts[i] = directional derivative of acts[i]
     r_acts: list[np.ndarray] = [np.zeros_like(x)]
     r_zs: list[np.ndarray] = [np.empty(0)] * n_layers
     for i in range(n_layers):
-        w, _ = params.layers[i]
-        vw, vb = vparams.layers[i]
+        w, _ = layers[i]
+        vw, vb = vlayers[i]
         rz = acts[i] @ vw + r_acts[i] @ w + vb
         r_zs[i] = rz
         r_acts.append(_ACTIVATIONS[names[i]][1](acts[i + 1]) * rz)
 
-    grads, gx, deltas = _backward(params, acts)
+    grads, gx, deltas = _backward(cfg, layers, acts)
     err = acts[-1] - x
     scale = 2.0 / err.size
 
@@ -339,8 +343,8 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
     r_g = scale * r_acts[-1]
     r_deltas[-1] = r_g * d1 + g_out * d2 * r_zs[-1]
     for i in range(n_layers - 1, 0, -1):
-        w, _ = params.layers[i]
-        vw, _ = vparams.layers[i]
+        w, _ = layers[i]
+        vw, _ = vlayers[i]
         g = deltas[i] @ w.T
         r_g = r_deltas[i] @ w.T + deltas[i] @ vw.T
         d1 = _ACTIVATIONS[names[i - 1]][1](acts[i])
@@ -351,20 +355,10 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
     for i in range(n_layers):
         r_gw = r_acts[i].T @ deltas[i] + acts[i].T @ r_deltas[i]
         r_grads.append((r_gw, r_deltas[i].sum(axis=0)))
-    w0, _ = params.layers[0]
-    vw0, _ = vparams.layers[0]
+    w0, _ = layers[0]
+    vw0, _ = vlayers[0]
     r_gx = r_deltas[0] @ w0.T + deltas[0] @ vw0.T - scale * r_acts[-1]
     return _flatten(r_grads), r_gx
-
-
-def hvp_ww(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Weight-space Hessian-vector product of the loss."""
-    return hvp_both(params, batch, v)[0]
-
-
-def hvp_xw(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Mixed second derivative applied to v: d/dx of <grad_w(x, w), v>."""
-    return hvp_both(params, batch, v)[1]
 
 
 def train(
@@ -374,24 +368,22 @@ def train(
 
     Stops on the first epoch whose loss is already below stop_loss, or after
     max_epochs steps. Deterministic; raises TrainingDiverged on non-finite
-    loss.
+    loss. Each epoch runs one forward pass: it gives the stop-test loss and
+    feeds the next weight update.
     """
     model_cfg = params.config
-    x = _as_batch(model_cfg, data)
-    if x.shape[0] == 0:
-        raise ValueError("empty training batch")
-    layers = [(w.copy(), b.copy()) for w, b in params.layers]
-    checkpoints: list[np.ndarray] | None = [_flatten(layers)] if cfg.record_trajectory else None
+    x = _nonempty_batch(model_cfg, data)
+    layers = params.layers
+    checkpoints: list[np.ndarray] | None = [params.flatten()] if cfg.record_trajectory else None
     steps = 0
-    current = ModelParams(model_cfg, tuple(layers))
-    cur_loss = loss(current, x)
+    acts = _forward_acts(model_cfg, layers, x)
+    cur_loss = _mse(acts[-1], x)
     if not np.isfinite(cur_loss):
         raise TrainingDiverged(f"initial loss is not finite: {cur_loss}")
     # overflow on a diverging run is the signal we detect, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while steps < cfg.max_epochs and cur_loss >= cfg.stop_loss:
-            acts = _forward_acts(current, x)
-            grads, _, _ = _backward(current, acts)
+            grads, _, _ = _backward(model_cfg, layers, acts)
             layers = [
                 (w - cfg.learning_rate * gw, b - cfg.learning_rate * gb)
                 for (w, b), (gw, gb) in zip(layers, grads)
@@ -400,16 +392,16 @@ def train(
             new_flat = _flatten(layers)
             if not np.isfinite(new_flat).all():
                 raise TrainingDiverged(f"loss diverged at step {steps}")
-            current = ModelParams(model_cfg, tuple(layers))
             if checkpoints is not None:
                 checkpoints.append(new_flat)
-            cur_loss = loss(current, x)
+            acts = _forward_acts(model_cfg, layers, x)
+            cur_loss = _mse(acts[-1], x)
             if not np.isfinite(cur_loss):
                 raise TrainingDiverged(f"loss diverged at step {steps}")
     trajectory = (
         TrainTrajectory(tuple(checkpoints), steps, cfg.learning_rate) if checkpoints is not None else None
     )
-    return current, trajectory, cur_loss
+    return ModelParams(model_cfg, tuple(layers)), trajectory, cur_loss
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

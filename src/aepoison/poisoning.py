@@ -48,7 +48,6 @@ __all__ = [
 
 _RETRAIN_MODES = ("append", "reservoir")
 _INIT_MODES = ("benign-data", "attack-based")
-_ROLLBACK_MODES = ("checkpointed", "literal")
 _TERMINATIONS = ("goal-met", "lambda-floor", "iter-budget", "over-poison-unrecoverable")
 
 
@@ -62,7 +61,6 @@ class PoisonConfig:
     clean_pad_budget: int | None = None
     retrain_mode: str = "append"
     init_mode: str = "benign-data"
-    rollback_mode: str = "checkpointed"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,8 +78,6 @@ class PoisonConfig:
             raise ValueError(f"retrain_mode must be one of {_RETRAIN_MODES}")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}")
-        if self.rollback_mode not in _ROLLBACK_MODES:
-            raise ValueError(f"rollback_mode must be one of {_ROLLBACK_MODES}")
 
 
 @dataclass(frozen=True)
@@ -344,7 +340,6 @@ def get_poison_grad(
     attack_series: SeriesMatrix,
     poison: PoisonPoint,
     detector_cfg: DetectorConfig,
-    rollback_mode: str = "checkpointed",
 ) -> np.ndarray:
     """Gradient of the attack's reconstruction loss with respect to the
     poison sequence, obtained by reversing the training run.
@@ -352,14 +347,9 @@ def get_poison_grad(
     Starting from the trained endpoint's weight gradient on the attack, each
     reverse step accumulates the poison's influence through that step's
     weight update via one mixed and one weight-space Hessian-vector product
-    of the loss on the poison alone. Checkpointed mode walks the recorded
-    trajectory and evaluates at the pre-step weights (the exact adjoint of
-    the unrolled training loop); literal mode re-derives the previous
-    weights from the gradient at the current ones, the cheaper first-order
-    reversal.
+    of the loss on the poison alone, evaluated at the recorded pre-step
+    weights: the exact adjoint of the unrolled training loop.
     """
-    if rollback_mode not in _ROLLBACK_MODES:
-        raise ValueError(f"rollback_mode must be one of {_ROLLBACK_MODES}")
     if alpha is None:
         alpha = trajectory.learning_rate
     model_cfg = detector_cfg.model
@@ -387,22 +377,12 @@ def get_poison_grad(
         return dw, dyc
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if rollback_mode == "checkpointed":
-            for t in range(steps, 0, -1):
-                w_prev = ModelParams.from_flat(model_cfg, trajectory.checkpoints[t - 1])
-                r_gw, r_gx = nn_core.hvp_both(w_prev, pois_batch, dw)
-                dyc = dyc - alpha * _scatter_windows(r_gx, poison_series.length, detector_cfg)
-                dw = dw - alpha * r_gw
-                dw, dyc = rescale(dw, dyc)
-        else:
-            w_cur = trajectory.checkpoints[-1].copy()
-            for _ in range(steps, 0, -1):
-                params_cur = ModelParams.from_flat(model_cfg, w_cur)
-                r_gw, r_gx = nn_core.hvp_both(params_cur, pois_batch, dw)
-                dyc = dyc - alpha * _scatter_windows(r_gx, poison_series.length, detector_cfg)
-                dw = dw - alpha * r_gw
-                dw, dyc = rescale(dw, dyc)
-                w_cur = w_cur + alpha * nn_core.grad_w(params_cur, pois_batch)
+        for t in range(steps, 0, -1):
+            w_prev = ModelParams.from_flat(model_cfg, trajectory.checkpoints[t - 1])
+            r_gw, r_gx = nn_core.hvp_both(w_prev, pois_batch, dw)
+            dyc = dyc - alpha * _scatter_windows(r_gx, poison_series.length, detector_cfg)
+            dw = dw - alpha * r_gw
+            dw, dyc = rescale(dw, dyc)
     if not np.isfinite(dyc).all():
         raise FloatingPointError("training reversal produced a non-finite poison gradient")
     return dyc
@@ -577,7 +557,7 @@ def poison_backgrad(
             state.record(i, lam, result, True, "goal met, current poison committed")
             return _make_result(state, "backgrad", True, "goal-met", grad_iters, result, achieved)
 
-        dyc = get_poison_grad(result.trajectory, train_cfg.learning_rate, attack, y_c, detector_cfg, cfg.rollback_mode)
+        dyc = get_poison_grad(result.trajectory, train_cfg.learning_rate, attack, y_c, detector_cfg)
         grad_iters += 1
         gmax = float(np.max(np.abs(dyc)))
         if gmax < 1e-12:

@@ -219,7 +219,7 @@ class TestAC1NumericalOracles:
         report(
             "AC-1c",
             worst_hw < 1e-4 and worst_hx < 1e-4,
-            f"hvp_ww/hvp_xw vs differenced gradients over 30 probes: worst rel {worst_hw:.2e}/{worst_hx:.2e} < 1e-4",
+            f"hvp_both vs differenced gradients over 30 probes: worst rel {worst_hw:.2e}/{worst_hx:.2e} < 1e-4",
         )
 
         # unrolled bilevel oracle for the training-reversal gradient

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,6 @@ from aepoison.nn_core import (
     grad_w,
     grad_x,
     hvp_both,
-    hvp_ww,
-    hvp_xw,
     init_params,
     load_checkpoint,
     loss,
@@ -76,6 +76,20 @@ class TestInitParams:
     def test_overcomplete_code_rejected(self):
         with pytest.raises(ValueError, match="code"):
             small_cfg(input_size=4, code_size=4)
+
+    def test_layer_counts_of_the_experiment_models(self):
+        # MULTI_SEQ: 2 channels x window 2; SINGLE_SEQ: 1 channel x window 100
+        assert ModelConfig(input_size=4, code_size=2).num_params == 118
+        assert ModelConfig(input_size=100, code_size=50).num_params == 60_550
+
+    def test_config_identity_is_its_nine_fields(self):
+        cfg = small_cfg(init_seed=7, init_scale=0.3)
+        names = [f.name for f in fields(ModelConfig)]
+        assert len(names) == 9
+        assert list(cfg.to_dict()) == names
+        assert repr(cfg) == "ModelConfig(" + ", ".join(f"{k}={v!r}" for k, v in cfg.to_dict().items()) + ")"
+        again = ModelConfig.from_dict(cfg.to_dict())
+        assert again == cfg and hash(again) == hash(cfg)
 
     def test_flatten_round_trip(self):
         p = init_params(small_cfg(init_seed=5))
@@ -162,7 +176,7 @@ class TestHvp:
             grad_w(ModelParams.from_flat(cfg, flat + eps * v), batch)
             - grad_w(ModelParams.from_flat(cfg, flat - eps * v), batch)
         ) / (2 * eps)
-        assert np.max(np.abs(hvp_ww(p, batch, v) - fd)) / np.max(np.abs(fd)) < 1e-7
+        assert np.max(np.abs(hvp_both(p, batch, v)[0] - fd)) / np.max(np.abs(fd)) < 1e-7
 
     def test_hvp_linear_in_direction(self):
         p = init_params(small_cfg(init_seed=2, init_scale=0.3))
@@ -195,7 +209,7 @@ class TestHvp:
     def test_direction_length_checked(self):
         p = init_params(small_cfg())
         with pytest.raises(ValueError, match="direction"):
-            hvp_xw(p, np.zeros((2, 4)), np.zeros(3))
+            hvp_both(p, np.zeros((2, 4)), np.zeros(3))
 
 
 class TestTrain:
@@ -238,6 +252,41 @@ class TestTrain:
         a, _, _ = train(init_params(small_cfg(init_seed=2)), self.batch(), TrainConfig(0.3, 200, 1e-9))
         b, _, _ = train(init_params(small_cfg(init_seed=2)), self.batch(), TrainConfig(0.3, 200, 1e-9))
         assert np.array_equal(a.flatten(), b.flatten())
+
+    def test_matches_plain_gradient_descent_loop_bit_exact(self):
+        x = self.batch()
+        p = init_params(small_cfg(init_seed=1))
+        lr, max_epochs, stop_loss = 0.5, 3000, 0.01
+        ref = [p.flatten()]
+        while len(ref) - 1 < max_epochs and loss(p, x) >= stop_loss:
+            p = ModelParams.from_flat(p.config, p.flatten() - lr * grad_w(p, x))
+            ref.append(p.flatten())
+        out, traj, final_loss = train(
+            init_params(small_cfg(init_seed=1)), x, TrainConfig(lr, max_epochs, stop_loss, record_trajectory=True)
+        )
+        assert 0 < traj.steps < max_epochs
+        assert len(traj.checkpoints) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(traj.checkpoints, ref))
+        assert np.array_equal(out.flatten(), ref[-1])
+        assert final_loss == loss(p, x)
+
+    def test_one_forward_and_one_backward_pass_per_epoch(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(nn_core, "_forward_acts", counted("forward", nn_core._forward_acts))
+        monkeypatch.setattr(nn_core, "_backward", counted("backward", nn_core._backward))
+        _, traj, _ = train(
+            init_params(small_cfg(init_seed=1)), self.batch(), TrainConfig(0.5, 3000, 0.01, record_trajectory=True)
+        )
+        assert traj.steps > 0
+        assert calls == {"forward": traj.steps + 1, "backward": traj.steps}
 
     def test_trajectory_endpoint_is_trained_params_bit_exact(self):
         out, traj, _ = train(

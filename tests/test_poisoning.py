@@ -204,24 +204,6 @@ class TestGetPoisonGrad:
         g = get_poison_grad(traj, 0.05, tiny_series(np.ones(6)), poison, dcfg)
         assert np.all(g == 0.0)
 
-    def test_literal_mode_approximates_checkpointed(self):
-        dcfg = tiny_detector(seed=3)
-        rng = np.random.default_rng(2)
-        poison_values = rng.normal(size=6) * 0.3
-        attack = tiny_series(rng.normal(size=8) * 0.3)
-        lr, steps = 0.01, 8
-        batch = window_batch(tiny_series(poison_values), dcfg)
-        _, traj, _ = nn_core.train(
-            nn_core.init_params(dcfg.model), batch, TrainConfig(lr, steps, 1e-12, record_trajectory=True)
-        )
-        poison = PoisonPoint(poison_values[:, None], span=(0, 6))
-        g_ck = get_poison_grad(traj, lr, attack, poison, dcfg, "checkpointed")
-        g_lit = get_poison_grad(traj, lr, attack, poison, dcfg, "literal")
-        cos = np.dot(g_ck.ravel(), g_lit.ravel()) / (
-            np.linalg.norm(g_ck) * np.linalg.norm(g_lit)
-        )
-        assert cos > 0.99
-
 
 class TestInitPoison:
     def test_benign_mode_returns_pure_signal_slice(self):
