@@ -103,15 +103,23 @@ def _window_starts(series_len: int, cfg: DetectorConfig) -> np.ndarray:
     return np.arange(count) * cfg.window.stride
 
 
-def _scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
-    """Sum per-window rows back onto the series rows each window was cut
-    from; a row covered by several windows gets their sum, added in window
-    order."""
-    blocks = grad_batch.reshape(-1, cfg.window.length, cfg.num_features)
-    rows = _window_starts(series_len, cfg)[:, None] + np.arange(cfg.window.length)
-    out = np.zeros((series_len, cfg.num_features))
+def _window_rows(series_len: int, cfg: DetectorConfig) -> np.ndarray:
+    """(count, length) index of the series row behind every window row."""
+    return _window_starts(series_len, cfg)[:, None] + np.arange(cfg.window.length)
+
+
+def _scatter_rows(grad_batch: np.ndarray, rows: np.ndarray, series_len: int) -> np.ndarray:
+    """Sum per-window rows back onto the series rows ``rows`` names; a row
+    covered by several windows gets their sum, added in window order."""
+    blocks = grad_batch.reshape(*rows.shape, -1)
+    out = np.zeros((series_len, blocks.shape[-1]))
     np.add.at(out, rows, blocks)
     return out
+
+
+def _scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
+    """:func:`_scatter_rows` over the windows of a series of this length."""
+    return _scatter_rows(grad_batch, _window_rows(series_len, cfg), series_len)
 
 
 def reconstruct_series(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> SeriesMatrix:

@@ -4,8 +4,11 @@ Everything here is plain numpy with hand-written reverse-mode derivatives:
 loss gradients with respect to weights and inputs, and exact Hessian-vector
 products computed by pushing a tangent direction through the forward and
 backward passes (no Hessian is ever materialized). The trainer is plain
-full-batch gradient descent and can record its full parameter trajectory so
-the training process can be reversed step by step.
+full-batch gradient descent on one flat parameter vector: the layers are
+views into it, each epoch writes the weight gradient into one preallocated
+flat buffer and updates the vector in place, and a trajectory records a
+read-only copy of it after every step so the training process can be
+reversed step by step.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
 layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
@@ -37,15 +40,16 @@ __all__ = [
     "load_checkpoint",
 ]
 
-# activation value a = f(z); derivatives expressed in terms of a
-_ACTIVATIONS: dict[str, tuple[Callable, Callable, Callable]] = {
+# activation value a = f(z); derivatives expressed in terms of a. The linear
+# layer's slope 1 and curvature 0 are applied by skipping the multiply.
+_ACTIVATIONS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
     "tanh": (np.tanh, lambda a: 1.0 - a * a, lambda a: -2.0 * a * (1.0 - a * a)),
     "sigmoid": (
         lambda z: 1.0 / (1.0 + np.exp(-z)),
         lambda a: a * (1.0 - a),
         lambda a: a * (1.0 - a) * (1.0 - 2.0 * a),
     ),
-    "linear": (lambda z: z, lambda a: np.ones_like(a), lambda a: np.zeros_like(a)),
+    "linear": (lambda z: z, None, None),
 }
 
 
@@ -121,10 +125,6 @@ class ModelConfig:
 _Layers = Sequence[tuple[np.ndarray, np.ndarray]]
 
 
-def _flatten(layers: _Layers) -> np.ndarray:
-    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in layers])
-
-
 def _unflatten(cfg: ModelConfig, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-layer (W, b) views into a flat vector of cfg.num_params entries."""
     layers = []
@@ -164,7 +164,7 @@ class ModelParams:
         object.__setattr__(self, "layers", tuple(frozen))
 
     def flatten(self) -> np.ndarray:
-        return _flatten(self.layers)
+        return np.concatenate([a.ravel() for layer in self.layers for a in layer])
 
     @classmethod
     def from_flat(cls, config: ModelConfig, vec: np.ndarray) -> "ModelParams":
@@ -172,6 +172,15 @@ class ModelParams:
         if vec.shape != (config.num_params,):
             raise ValueError(f"expected {config.num_params} parameters, got {vec.shape}")
         return cls(config, _unflatten(config, vec))
+
+    @classmethod
+    def _trusted(cls, config: ModelConfig, vec: np.ndarray) -> "ModelParams":
+        """Views into a finite float64 vector of config.num_params entries,
+        neither copied nor checked; a read-only vector keeps them frozen."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "config", config)
+        object.__setattr__(params, "layers", _unflatten(config, vec))
+        return params
 
 
 @dataclass(frozen=True)
@@ -259,36 +268,47 @@ def loss(params: ModelParams, batch: np.ndarray) -> float:
     return _mse(_forward_acts(params.config, params.layers, x)[-1], x)
 
 
-def _backward(
+def _deltas(
     cfg: ModelConfig, layers: _Layers, acts: list[np.ndarray]
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, list[np.ndarray]]:
-    """Reverse pass; returns per-layer gradients, grad wrt input, deltas."""
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray | None]]:
+    """Reverse sweep of the loss. Per layer i: the gradient with respect to
+    its output acts[i + 1], its activation slope there (None for a linear
+    layer, whose slope is 1 and is not multiplied in), and its delta, the
+    gradient with respect to its pre-activation."""
     names = cfg.layer_activations()
-    x = acts[0]
-    err = acts[-1] - x
-    scale = 2.0 / err.size
     n_layers = len(layers)
+    outs: list[np.ndarray] = [np.empty(0)] * n_layers
+    slopes: list[np.ndarray | None] = [None] * n_layers
     deltas: list[np.ndarray] = [np.empty(0)] * n_layers
-    g_out = scale * err
-    deltas[-1] = g_out * _ACTIVATIONS[names[-1]][1](acts[-1])
-    for i in range(n_layers - 1, 0, -1):
-        w, _ = layers[i]
-        g = deltas[i] @ w.T
-        deltas[i - 1] = g * _ACTIVATIONS[names[i - 1]][1](acts[i])
-    grads = []
-    for i in range(n_layers):
-        grads.append((acts[i].T @ deltas[i], deltas[i].sum(axis=0)))
-    # input enters the loss twice: as network input and as the target
-    gx = deltas[0] @ layers[0][0].T - scale * err
-    return grads, gx, deltas
+    g = (2.0 / acts[0].size) * (acts[-1] - acts[0])
+    for i in range(n_layers - 1, -1, -1):
+        outs[i] = g
+        if names[i] == "linear":
+            deltas[i] = g
+        else:
+            slopes[i] = _ACTIVATIONS[names[i]][1](acts[i + 1])
+            deltas[i] = g * slopes[i]
+        if i:
+            g = deltas[i] @ layers[i][0].T
+    return outs, slopes, deltas
+
+
+def _backward(cfg: ModelConfig, layers: _Layers, acts: list[np.ndarray], grads: _Layers) -> None:
+    """Reverse pass: writes each layer's weight and bias gradient into the
+    matching (gW, gb) view of ``grads``."""
+    _, _, deltas = _deltas(cfg, layers, acts)
+    for a, d, (gw, gb) in zip(acts, deltas, grads):
+        np.matmul(a.T, d, out=gw)
+        d.sum(axis=0, out=gb)
 
 
 def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`loss` with respect to the flat parameters."""
     cfg, layers = params.config, params.layers
     acts = _forward_acts(cfg, layers, _nonempty_batch(cfg, batch))
-    grads, _, _ = _backward(cfg, layers, acts)
-    return _flatten(grads)
+    grad = np.empty(cfg.num_params)
+    _backward(cfg, layers, acts, _unflatten(cfg, grad))
+    return grad
 
 
 def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -301,7 +321,9 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     arr = np.asarray(batch, dtype=np.float64)
     single = arr.ndim == 1
     acts = _forward_acts(cfg, layers, _nonempty_batch(cfg, arr))
-    _, gx, _ = _backward(cfg, layers, acts)
+    outs, _, deltas = _deltas(cfg, layers, acts)
+    # input enters the loss twice: as network input and as the target
+    gx = deltas[0] @ layers[0][0].T - outs[-1]
     return gx[0] if single else gx
 
 
@@ -321,44 +343,39 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
     n_layers = len(layers)
 
     acts = _forward_acts(cfg, layers, x)
-    # tangent forward sweep: r_acts[i] = directional derivative of acts[i]
-    r_acts: list[np.ndarray] = [np.zeros_like(x)]
+    outs, slopes, deltas = _deltas(cfg, layers, acts)
+    # tangent forward sweep: r_acts[i] = directional derivative of acts[i];
+    # the input does not move along v, so r_acts[0] = 0 and its terms drop
+    r_acts: list[np.ndarray] = [np.empty(0)] * (n_layers + 1)
     r_zs: list[np.ndarray] = [np.empty(0)] * n_layers
     for i in range(n_layers):
         w, _ = layers[i]
         vw, vb = vlayers[i]
-        rz = acts[i] @ vw + r_acts[i] @ w + vb
+        rz = acts[i] @ vw + vb if i == 0 else acts[i] @ vw + r_acts[i] @ w + vb
         r_zs[i] = rz
-        r_acts.append(_ACTIVATIONS[names[i]][1](acts[i + 1]) * rz)
+        r_acts[i + 1] = rz if slopes[i] is None else slopes[i] * rz
 
-    grads, gx, deltas = _backward(cfg, layers, acts)
-    err = acts[-1] - x
-    scale = 2.0 / err.size
-
-    # tangent reverse sweep
+    # tangent reverse sweep; a linear layer has zero curvature
+    r_out = (2.0 / x.size) * r_acts[-1]
+    r_g = r_out
     r_deltas: list[np.ndarray] = [np.empty(0)] * n_layers
-    d1 = _ACTIVATIONS[names[-1]][1](acts[-1])
-    d2 = _ACTIVATIONS[names[-1]][2](acts[-1])
-    g_out = scale * err
-    r_g = scale * r_acts[-1]
-    r_deltas[-1] = r_g * d1 + g_out * d2 * r_zs[-1]
-    for i in range(n_layers - 1, 0, -1):
-        w, _ = layers[i]
-        vw, _ = vlayers[i]
-        g = deltas[i] @ w.T
-        r_g = r_deltas[i] @ w.T + deltas[i] @ vw.T
-        d1 = _ACTIVATIONS[names[i - 1]][1](acts[i])
-        d2 = _ACTIVATIONS[names[i - 1]][2](acts[i])
-        r_deltas[i - 1] = r_g * d1 + g * d2 * r_zs[i - 1]
+    for i in range(n_layers - 1, -1, -1):
+        if slopes[i] is None:
+            r_deltas[i] = r_g
+        else:
+            curv = _ACTIVATIONS[names[i]][2](acts[i + 1])
+            r_deltas[i] = r_g * slopes[i] + outs[i] * curv * r_zs[i]
+        if i:
+            r_g = r_deltas[i] @ layers[i][0].T + deltas[i] @ vlayers[i][0].T
 
-    r_grads = []
-    for i in range(n_layers):
-        r_gw = r_acts[i].T @ deltas[i] + acts[i].T @ r_deltas[i]
-        r_grads.append((r_gw, r_deltas[i].sum(axis=0)))
-    w0, _ = layers[0]
-    vw0, _ = vlayers[0]
-    r_gx = r_deltas[0] @ w0.T + deltas[0] @ vw0.T - scale * r_acts[-1]
-    return _flatten(r_grads), r_gx
+    r_grad = np.empty(cfg.num_params)
+    for i, (r_gw, r_gb) in enumerate(_unflatten(cfg, r_grad)):
+        np.matmul(acts[i].T, r_deltas[i], out=r_gw)
+        if i:
+            r_gw += r_acts[i].T @ deltas[i]
+        r_deltas[i].sum(axis=0, out=r_gb)
+    r_gx = r_deltas[0] @ layers[0][0].T + deltas[0] @ vlayers[0][0].T - r_out
+    return r_grad, r_gx
 
 
 def train(
@@ -368,13 +385,21 @@ def train(
 
     Stops on the first epoch whose loss is already below stop_loss, or after
     max_epochs steps. Deterministic; raises TrainingDiverged on non-finite
-    loss. Each epoch runs one forward pass: it gives the stop-test loss and
-    feeds the next weight update.
+    loss. The weights live in one flat vector that each epoch updates in
+    place; each epoch runs one forward pass, which gives the stop-test loss
+    and feeds the next weight update. Trajectory checkpoints are read-only
+    copies of that vector.
     """
     model_cfg = params.config
     x = _nonempty_batch(model_cfg, data)
-    layers = params.layers
-    checkpoints: list[np.ndarray] | None = [params.flatten()] if cfg.record_trajectory else None
+    theta = params.flatten()
+    layers = _unflatten(model_cfg, theta)
+    grad = np.empty_like(theta)
+    grads = _unflatten(model_cfg, grad)
+    checkpoints: list[np.ndarray] | None = None
+    if cfg.record_trajectory:
+        checkpoints = [theta.copy()]
+        checkpoints[0].setflags(write=False)
     steps = 0
     acts = _forward_acts(model_cfg, layers, x)
     cur_loss = _mse(acts[-1], x)
@@ -383,17 +408,15 @@ def train(
     # overflow on a diverging run is the signal we detect, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while steps < cfg.max_epochs and cur_loss >= cfg.stop_loss:
-            grads, _, _ = _backward(model_cfg, layers, acts)
-            layers = [
-                (w - cfg.learning_rate * gw, b - cfg.learning_rate * gb)
-                for (w, b), (gw, gb) in zip(layers, grads)
-            ]
+            _backward(model_cfg, layers, acts, grads)
+            grad *= cfg.learning_rate
+            theta -= grad
             steps += 1
-            new_flat = _flatten(layers)
-            if not np.isfinite(new_flat).all():
+            if not np.isfinite(theta).all():
                 raise TrainingDiverged(f"loss diverged at step {steps}")
             if checkpoints is not None:
-                checkpoints.append(new_flat)
+                checkpoints.append(theta.copy())
+                checkpoints[-1].setflags(write=False)
             acts = _forward_acts(model_cfg, layers, x)
             cur_loss = _mse(acts[-1], x)
             if not np.isfinite(cur_loss):
@@ -401,7 +424,8 @@ def train(
     trajectory = (
         TrainTrajectory(tuple(checkpoints), steps, cfg.learning_rate) if checkpoints is not None else None
     )
-    return ModelParams(model_cfg, tuple(layers)), trajectory, cur_loss
+    theta.setflags(write=False)
+    return ModelParams._trusted(model_cfg, theta), trajectory, cur_loss
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

@@ -26,7 +26,15 @@ from typing import Sequence
 import numpy as np
 
 from . import nn_core
-from .detector import DetectorConfig, _scatter_windows, score, series_loss, series_objective_grad, window_batch
+from .detector import (
+    DetectorConfig,
+    _scatter_rows,
+    _window_rows,
+    score,
+    series_loss,
+    series_objective_grad,
+    window_batch,
+)
 from .nn_core import ModelParams, TrainConfig, TrainTrajectory
 from .timeseries import SeriesMatrix
 
@@ -376,12 +384,19 @@ def get_poison_grad(
             return dw / peak, dyc / peak
         return dw, dyc
 
+    # checkpoints were checked finite by train and are read-only, so each
+    # step reads them through unchecked views; dw and dyc are owned here and
+    # updated in place
+    rows = _window_rows(poison_series.length, detector_cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps, 0, -1):
-            w_prev = ModelParams.from_flat(model_cfg, trajectory.checkpoints[t - 1])
+            w_prev = ModelParams._trusted(model_cfg, trajectory.checkpoints[t - 1])
             r_gw, r_gx = nn_core.hvp_both(w_prev, pois_batch, dw)
-            dyc = dyc - alpha * _scatter_windows(r_gx, poison_series.length, detector_cfg)
-            dw = dw - alpha * r_gw
+            r_gy = _scatter_rows(r_gx, rows, poison_series.length)
+            r_gy *= alpha
+            dyc -= r_gy
+            r_gw *= alpha
+            dw -= r_gw
             dw, dyc = rescale(dw, dyc)
     if not np.isfinite(dyc).all():
         raise FloatingPointError("training reversal produced a non-finite poison gradient")

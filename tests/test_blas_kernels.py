@@ -1,0 +1,88 @@
+"""The bit-exact training and reversal checks, rerun under each OpenBLAS kernel.
+
+Training updates one flat vector in place and writes its gradients with
+``out=``; these checks compare that path with plain allocating loops. Each
+kernel runs in a child process with ``OPENBLAS_CORETYPE`` set in the child's
+environment only.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import aepoison
+
+TESTS = Path(__file__).resolve().parent
+CHECKS = (
+    "tests/test_nn_core.py::TestGradWBuffers",
+    "tests/test_nn_core.py::TestTrain::test_matches_plain_gradient_descent_loop_bit_exact",
+    "tests/test_nn_core.py::TestTrain::test_single_seq_model_matches_plain_loop_bit_exact",
+    "tests/test_poisoning.py::TestGetPoisonGrad::test_matches_public_reference_loop_bit_exact",
+)
+# CPU flags each kernel needs, as /proc/cpuinfo names them (pni is SSE3)
+KERNEL_FLAGS = {
+    "Prescott": {"sse2", "pni"},
+    "Haswell": {"avx2", "fma"},
+    "SkylakeX": {"avx512f", "avx512bw", "avx512dq", "avx512vl"},
+}
+# OpenBLAS reports its Prescott kernel by the first name of that kernel family
+KERNEL_NAMES = {"Prescott": {"prescott", "katmai"}, "Haswell": {"haswell"}, "SkylakeX": {"skylakex"}}
+CORENAME = """
+import ctypes, glob, os
+import numpy as np
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename"):
+        fn = getattr(lib, sym, None)
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            print(fn().decode())
+            raise SystemExit
+"""
+
+
+def cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+def child_env(coretype: str) -> dict:
+    src = str(Path(aepoison.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        "OPENBLAS_CORETYPE": coretype,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": src if not path else src + os.pathsep + path,
+    }
+
+
+@pytest.mark.parametrize("coretype", sorted(KERNEL_FLAGS))
+def test_bit_exact_checks_hold_under_kernel(coretype):
+    missing = KERNEL_FLAGS[coretype] - cpu_flags()
+    if missing:
+        pytest.skip(f"CPU lacks {sorted(missing)} for the {coretype} kernel")
+    env = child_env(coretype)
+    core = subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True, text=True, check=True)
+    name = core.stdout.strip().lower()
+    if not name:
+        pytest.skip("numpy is not linked to an OpenBLAS that reports its kernel")
+    assert name in KERNEL_NAMES[coretype], f"OPENBLAS_CORETYPE={coretype} ran the {name} kernel"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *CHECKS],
+        cwd=TESTS.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, f"under the {coretype} kernel:\n{run.stdout[-3000:]}{run.stderr[-2000:]}"

@@ -159,6 +159,36 @@ class TestGradients:
         assert np.allclose(repeated.sum(axis=0), single[0], atol=1e-13)
 
 
+def allocating_grad_w(params, x):
+    """Reference weight gradient for tanh/linear models, every product a
+    fresh array: the arithmetic grad_w performs with out= buffers."""
+    names = params.config.layer_activations()
+    acts = [x]
+    for (w, b), name in zip(params.layers, names):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if name == "tanh" else z)
+    g = (2.0 / x.size) * (acts[-1] - x)
+    grads = []
+    for i in range(len(names) - 1, -1, -1):
+        delta = g * (1.0 - acts[i + 1] * acts[i + 1]) if names[i] == "tanh" else g
+        grads.insert(0, np.concatenate([(acts[i].T @ delta).ravel(), delta.sum(axis=0)]))
+        g = delta @ params.layers[i][0].T
+    return np.concatenate(grads)
+
+
+class TestGradWBuffers:
+    @pytest.mark.parametrize("input_size,code_size,rows", [(4, 2, 990), (100, 50, 16)])
+    def test_matches_allocating_reference_bit_exact(self, input_size, code_size, rows):
+        # the MULTI_SEQ and SINGLE_SEQ model shapes
+        cfg = ModelConfig(input_size=input_size, code_size=code_size, init_seed=6, init_scale=0.4)
+        x = np.sin(np.linspace(0, 40, rows * input_size)).reshape(rows, input_size) * 0.8
+        p = init_params(cfg)
+        for _ in range(3):
+            g = grad_w(p, x)
+            assert np.array_equal(g, allocating_grad_w(p, x))
+            p = ModelParams.from_flat(cfg, p.flatten() - 0.5 * g)
+
+
 class TestHvp:
     def test_single_linear_layer_closed_form(self):
         # one effective linear map: loss = mean((xW + b - x)^2); the
@@ -269,6 +299,46 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(traj.checkpoints, ref))
         assert np.array_equal(out.flatten(), ref[-1])
         assert final_loss == loss(p, x)
+
+    def test_single_seq_model_matches_plain_loop_bit_exact(self):
+        # the 60,550-parameter SINGLE_SEQ shape: one window of 100 points
+        cfg = ModelConfig(input_size=100, code_size=50, init_seed=4, init_scale=0.3)
+        x = np.sin(np.linspace(0, 16 * np.pi, 1600)).reshape(16, 100) * 0.8
+        lr, epochs = 0.45, 20
+        p = init_params(cfg)
+        ref = [p.flatten()]
+        for _ in range(epochs):
+            p = ModelParams.from_flat(cfg, p.flatten() - lr * grad_w(p, x))
+            ref.append(p.flatten())
+        out, traj, final_loss = train(init_params(cfg), x, TrainConfig(lr, epochs, 1e-12, record_trajectory=True))
+        assert traj.steps == epochs
+        assert all(np.array_equal(a, b) for a, b in zip(traj.checkpoints, ref))
+        assert np.array_equal(out.flatten(), ref[-1])
+        assert final_loss == loss(p, x)
+
+    def test_input_params_left_untouched(self):
+        first, _, _ = train(init_params(small_cfg(init_seed=1)), self.batch(), TrainConfig(0.5, 5, 1e-9))
+        # an untrained model, and a trained one whose layers are views of one vector
+        for p in (init_params(small_cfg(init_seed=1)), first):
+            before = p.flatten()
+            out, _, _ = train(p, self.batch(), TrainConfig(0.5, 50, 1e-9))
+            assert not np.array_equal(out.flatten(), before)
+            assert np.array_equal(p.flatten(), before)
+            ins = [a for layer in p.layers for a in layer]
+            outs = [a for layer in out.layers for a in layer]
+            assert not any(a.flags.writeable for a in ins + outs)
+            assert not any(np.shares_memory(a, b) for a in ins for b in outs)
+
+    def test_checkpoints_are_distinct_read_only_copies(self):
+        out, traj, _ = train(
+            init_params(small_cfg(init_seed=2)), self.batch(), TrainConfig(0.3, 30, 1e-9, record_trajectory=True)
+        )
+        cps = traj.checkpoints
+        assert len(cps) == 31
+        assert not any(c.flags.writeable for c in cps)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(cps) for b in cps[i + 1 :])
+        assert not any(np.shares_memory(c, a) for c in cps for layer in out.layers for a in layer)
+        assert not any(np.array_equal(a, b) for a, b in zip(cps, cps[1:]))
 
     def test_one_forward_and_one_backward_pass_per_epoch(self, monkeypatch):
         calls = {"forward": 0, "backward": 0}

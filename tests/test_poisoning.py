@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aepoison import nn_core
-from aepoison.detector import DetectorConfig, score, series_loss, window_batch
+from aepoison.detector import DetectorConfig, _scatter_windows, score, series_loss, window_batch
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.poisoning import (
     IterationLog,
@@ -195,6 +195,30 @@ class TestGetPoisonGrad:
                 - self.unrolled_pipeline(dcfg, w0, dn, attack, 1, lr)
             ) / (2 * h)
         assert np.max(np.abs(analytic[:, 0] - fd)) / np.max(np.abs(fd)) < 1e-6
+
+    def test_matches_public_reference_loop_bit_exact(self):
+        train, _, clean, attacked, dcfg, _, span = multi_seq_setup(size=3)
+        poison = PoisonPoint(clean.values[span[0] : span[1]], span=span)
+        poison_series = poison.as_series(attacked)
+        pois_batch = window_batch(poison_series, dcfg)
+        data = np.vstack([window_batch(s, dcfg) for s in train] + [pois_batch])
+        w0 = nn_core.init_params(dcfg.model)
+        lr = 0.8
+        _, traj, _ = nn_core.train(w0, data, TrainConfig(lr, 150, 1e-9, record_trajectory=True))
+        assert traj.steps == 150
+
+        # reference: validated weights and fresh arrays at every step
+        cfg, cps = dcfg.model, traj.checkpoints
+        dw = nn_core.grad_w(ModelParams.from_flat(cfg, cps[-1]), window_batch(attacked, dcfg))
+        dyc = np.zeros_like(poison.values)
+        for t in range(traj.steps, 0, -1):
+            r_gw, r_gx = nn_core.hvp_both(ModelParams.from_flat(cfg, cps[t - 1]), pois_batch, dw)
+            dyc = dyc - lr * _scatter_windows(r_gx, poison_series.length, dcfg)
+            dw = dw - lr * r_gw
+            assert np.max(np.abs(dw)) <= 1e50  # get_poison_grad would rescale
+        got = get_poison_grad(traj, None, attacked, poison, dcfg)
+        assert np.any(got != 0.0)
+        assert np.array_equal(got, dyc)
 
     def test_no_training_steps_gives_zero_gradient(self):
         dcfg = tiny_detector()
