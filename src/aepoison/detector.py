@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn_core
 from .nn_core import ModelConfig, ModelParams
-from .timeseries import SeriesMatrix, WindowConfig, window
+from .timeseries import SeriesMatrix, WindowConfig, window, window_rows
 
 __all__ = [
     "DetectorConfig",
@@ -98,16 +98,6 @@ def window_batch(series: SeriesMatrix, cfg: DetectorConfig) -> np.ndarray:
     return wins.reshape(wins.shape[0], -1)
 
 
-def _window_starts(series_len: int, cfg: DetectorConfig) -> np.ndarray:
-    count = (series_len - cfg.window.length) // cfg.window.stride + 1
-    return np.arange(count) * cfg.window.stride
-
-
-def _window_rows(series_len: int, cfg: DetectorConfig) -> np.ndarray:
-    """(count, length) index of the series row behind every window row."""
-    return _window_starts(series_len, cfg)[:, None] + np.arange(cfg.window.length)
-
-
 def _scatter_rows(grad_batch: np.ndarray, rows: np.ndarray, series_len: int) -> np.ndarray:
     """Sum per-window rows back onto the series rows ``rows`` names; a row
     covered by several windows gets their sum, added in window order."""
@@ -119,7 +109,7 @@ def _scatter_rows(grad_batch: np.ndarray, rows: np.ndarray, series_len: int) -> 
 
 def _scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
     """:func:`_scatter_rows` over the windows of a series of this length."""
-    return _scatter_rows(grad_batch, _window_rows(series_len, cfg), series_len)
+    return _scatter_rows(grad_batch, window_rows(series_len, cfg.window), series_len)
 
 
 def reconstruct_series(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> SeriesMatrix:
@@ -150,7 +140,7 @@ def score(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> Ale
         preds = nn_core.forward(params, batch)
         per_window = np.mean((preds - batch) ** 2, axis=1)
         residuals = np.zeros(series.length)
-        residuals[_window_starts(series.length, cfg)] = per_window
+        residuals[window_rows(series.length, cfg.window)[:, 0]] = per_window
     alert_idx = np.flatnonzero(residuals > cfg.threshold)
     return AlertReport(residuals, int(alert_idx.size), tuple(int(i) for i in alert_idx), cfg.threshold)
 

@@ -413,16 +413,14 @@ def run_grid(
     return sorted(records.values(), key=lambda r: r.key())
 
 
-def max_poisonable_magnitude(
-    cell: CellConfig, step: float, ceiling: float = 1.0, exhaustive: bool = False
-) -> float:
+def max_poisonable_magnitude(cell: CellConfig, step: float, ceiling: float = 1.0) -> float:
     """Largest magnitude on the step grid that poisoning conceals.
 
     Ascending sweep; a rung counts only when the baseline detector alerted
     on the attack (an attack that never alerts needs no poisoning and says
-    nothing about the algorithm). Stops at the first such failure unless
-    `exhaustive` (sweep assumes harder attacks are never easier; that
-    monotonicity is an assumption, not a theorem).
+    nothing about the algorithm). Stops at the first such failure: the
+    sweep assumes harder attacks are never easier, and that monotonicity is
+    an assumption, not a theorem.
     """
     if step <= 0:
         raise ValueError("step must be > 0")
@@ -431,10 +429,9 @@ def max_poisonable_magnitude(
     while m <= ceiling + 1e-12:
         record = run_cell(replace(cell, attack_magnitude=round(m, 10)))
         if record.engaged or record.error is not None:
-            if record.success:
-                best = round(m, 10)
-            elif not exhaustive:
+            if not record.success:
                 break
+            best = round(m, 10)
         m += step
     return best
 

@@ -29,14 +29,13 @@ from . import nn_core
 from .detector import (
     DetectorConfig,
     _scatter_rows,
-    _window_rows,
     score,
     series_loss,
     series_objective_grad,
     window_batch,
 )
 from .nn_core import ModelParams, TrainConfig, TrainTrajectory
-from .timeseries import SeriesMatrix
+from .timeseries import SeriesMatrix, window_rows
 
 __all__ = [
     "PoisonConfig",
@@ -48,8 +47,6 @@ __all__ = [
     "poison_span",
     "train_test",
     "get_poison_grad",
-    "poison_backgrad",
-    "poison_interp",
     "init_poison",
     "run_pipeline",
 ]
@@ -308,18 +305,14 @@ def train_test(
     detector_cfg: DetectorConfig,
     train_cfg: TrainConfig,
     poison_cfg: PoisonConfig,
-    cache: TrainCache | None = None,
+    cache: TrainCache,
 ) -> TrainTestResult:
     """Retrain from scratch on train + poisons (+ candidate, appended last),
     then count alerts on validation, the attack, and every poison input."""
     train_seqs = _as_train_list(train)
     template = train_seqs[0]
     batch = _training_batch(train_seqs, poison_set, candidate, detector_cfg, poison_cfg, template)
-    if cache is not None:
-        params, trajectory, final_loss = cache.fit(batch, detector_cfg, train_cfg)
-    else:
-        init = nn_core.init_params(detector_cfg.model)
-        params, trajectory, final_loss = nn_core.train(init, batch, train_cfg)
+    params, trajectory, final_loss = cache.fit(batch, detector_cfg, train_cfg)
     alerts_val = score(params, val, detector_cfg).alert_count
     alerts_attack = score(params, attack_series, detector_cfg).alert_count
     alerts_poisons = sum(
@@ -387,7 +380,7 @@ def get_poison_grad(
     # checkpoints were checked finite by train and are read-only, so each
     # step reads them through unchecked views; dw and dyc are owned here and
     # updated in place
-    rows = _window_rows(poison_series.length, detector_cfg)
+    rows = window_rows(poison_series.length, detector_cfg.window)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps, 0, -1):
             w_prev = ModelParams._trusted(model_cfg, trajectory.checkpoints[t - 1])
@@ -405,7 +398,13 @@ def get_poison_grad(
 
 @dataclass
 class _RunState:
-    """Shared bookkeeping for one poisoning run."""
+    """One poisoning run, set up once by `run_pipeline`: its data, configs,
+    fit cache and clean-pad RNG, and the poison set and log built so far.
+
+    `train_cfg` records trajectories exactly when the algorithm is backgrad,
+    which reverses its fits; `magnitude` is max |attack - clean|, reported
+    as the achieved magnitude of a successful run.
+    """
 
     train_seqs: tuple[SeriesMatrix, ...]
     val: SeriesMatrix
@@ -413,11 +412,17 @@ class _RunState:
     detector_cfg: DetectorConfig
     train_cfg: TrainConfig
     poison_cfg: PoisonConfig
+    algorithm: str
+    magnitude: float
     cache: TrainCache
     pad_rng: np.random.Generator
     points: list[PoisonPoint] = field(default_factory=list)
     clean_pads: int = 0
     log: list[IterationLog] = field(default_factory=list)
+
+    @property
+    def template(self) -> SeriesMatrix:
+        return self.train_seqs[0]
 
     @property
     def pad_budget(self) -> int:
@@ -474,53 +479,26 @@ class _RunState:
             )
         )
 
-
-def _effective_magnitude(attack: SeriesMatrix, clean: SeriesMatrix | None) -> float:
-    if clean is None:
-        return 0.0
-    return float(np.max(np.abs(attack.values - clean.values)))
-
-
-def _make_result(
-    state: _RunState,
-    algorithm: str,
-    success: bool,
-    termination: str,
-    iterations: int,
-    final: TrainTestResult | None,
-    achieved: float,
-) -> PoisonResult:
-    return PoisonResult(
-        points=list(state.points),
-        clean_pads=state.clean_pads,
-        iterations=iterations,
-        success=success,
-        achieved_magnitude=achieved if success else 0.0,
-        termination=termination,
-        algorithm=algorithm,
-        iteration_log=list(state.log),
-        final_params=final.params if final is not None else None,
-        final_alerts=(
-            (final.alerts_val, final.alerts_attack, final.alerts_poisons + final.alerts_candidate)
-            if final is not None
-            else (0, 0, 0)
-        ),
-    )
+    def finish(self, termination: str, iterations: int, final: TrainTestResult) -> PoisonResult:
+        """The run's result, ending on the retrained detector `final`."""
+        success = termination == "goal-met"
+        return PoisonResult(
+            points=list(self.points),
+            clean_pads=self.clean_pads,
+            iterations=iterations,
+            success=success,
+            achieved_magnitude=self.magnitude if success else 0.0,
+            termination=termination,
+            algorithm=self.algorithm,
+            iteration_log=list(self.log),
+            final_params=final.params,
+            final_alerts=(final.alerts_val, final.alerts_attack, final.alerts_poisons + final.alerts_candidate),
+        )
 
 
-def poison_backgrad(
-    train: SeriesMatrix | Sequence[SeriesMatrix],
-    val: SeriesMatrix,
-    attack: SeriesMatrix,
-    y_c0: PoisonPoint,
-    cfg: PoisonConfig,
-    *,
-    detector_cfg: DetectorConfig,
-    train_cfg: TrainConfig,
-    clean: SeriesMatrix | None = None,
-    cache: TrainCache | None = None,
-) -> PoisonResult:
-    """Iterative back-gradient poisoning.
+def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint) -> PoisonResult:
+    """Iterative back-gradient poisoning from the quiet starting poison
+    `y_c0`, which must not alert under the clean `baseline`.
 
     Each iteration retrains with the committed poisons plus the current
     candidate appended, succeeds when nothing alerts, otherwise steps the
@@ -531,25 +509,8 @@ def poison_backgrad(
     Validation alerts mean the model is over-poisoned and are repaired by
     padding the poison set with clean sequences.
     """
-    train_seqs = _as_train_list(train)
-    if not train_cfg.record_trajectory:
-        train_cfg = replace(train_cfg, record_trajectory=True)
-    state = _RunState(
-        train_seqs,
-        val,
-        attack,
-        detector_cfg,
-        train_cfg,
-        cfg,
-        cache if cache is not None else TrainCache(),
-        np.random.default_rng([cfg.seed, 0xADD]),
-    )
-    achieved = _effective_magnitude(attack, clean)
-
-    baseline_params, _, _ = state.cache.fit(
-        _training_batch(train_seqs, [], None, detector_cfg, cfg, train_seqs[0]), detector_cfg, train_cfg
-    )
-    y0_alerts = score(baseline_params, y_c0.as_series(train_seqs[0]), detector_cfg).alert_count
+    cfg = state.poison_cfg
+    y0_alerts = score(baseline.params, y_c0.as_series(state.template), state.detector_cfg).alert_count
     if y0_alerts > 0:
         raise ValueError(
             f"initial poison raises {y0_alerts} alert(s) under the baseline model; "
@@ -566,18 +527,18 @@ def poison_backgrad(
         result, ok = state.pad_clean(result, y_c)
         if not ok:
             state.record(i, lam, result, False, "over-poisoned, pad budget exhausted")
-            return _make_result(state, "backgrad", False, "over-poison-unrecoverable", grad_iters, result, achieved)
+            return state.finish("over-poison-unrecoverable", grad_iters, result)
         if result.total_alerts == 0:
             state.points.append(y_c)
             state.record(i, lam, result, True, "goal met, current poison committed")
-            return _make_result(state, "backgrad", True, "goal-met", grad_iters, result, achieved)
+            return state.finish("goal-met", grad_iters, result)
 
-        dyc = get_poison_grad(result.trajectory, train_cfg.learning_rate, attack, y_c, detector_cfg)
+        dyc = get_poison_grad(result.trajectory, state.train_cfg.learning_rate, state.attack, y_c, state.detector_cfg)
         grad_iters += 1
         gmax = float(np.max(np.abs(dyc)))
         if gmax < 1e-12:
             state.record(i, lam, result, False, "zero poison gradient")
-            return _make_result(state, "backgrad", False, "lambda-floor", grad_iters, result, achieved)
+            return state.finish("lambda-floor", grad_iters, result)
         y_new = PoisonPoint(
             y_c.values - lam * dyc / gmax, iteration_born=i, span=y_c.span, source="gradient-step"
         )
@@ -586,7 +547,7 @@ def poison_backgrad(
         result2, ok = state.pad_clean(result2, y_new)
         if not ok:
             state.record(i, lam, result2, False, "over-poisoned, pad budget exhausted")
-            return _make_result(state, "backgrad", False, "over-poison-unrecoverable", grad_iters, result2, achieved)
+            return state.finish("over-poison-unrecoverable", grad_iters, result2)
 
         if result2.alerts_candidate > 0:
             if not state.points or not np.array_equal(state.points[-1].values, y_c.values):
@@ -594,7 +555,7 @@ def poison_backgrad(
             lam *= cfg.decay
             state.record(i, lam, result2, False, "candidate alerts; committed last good poison")
             if lam <= cfg.lambda_eps:
-                return _make_result(state, "backgrad", False, "lambda-floor", grad_iters, result2, achieved)
+                return state.finish("lambda-floor", grad_iters, result2)
             result = state.run_train_test(y_c)
         else:
             lam = orig_lam
@@ -602,56 +563,33 @@ def poison_backgrad(
             y_c = y_new
             result = result2
 
-    return _make_result(state, "backgrad", False, "iter-budget", grad_iters, result, achieved)
+    return state.finish("iter-budget", grad_iters, result)
 
 
-def poison_interp(
-    train: SeriesMatrix | Sequence[SeriesMatrix],
-    val: SeriesMatrix,
-    attack: SeriesMatrix,
-    y_c0: PoisonPoint,
-    cfg: PoisonConfig,
-    *,
-    detector_cfg: DetectorConfig,
-    train_cfg: TrainConfig,
-    clean: SeriesMatrix | None = None,
-    cache: TrainCache | None = None,
-) -> PoisonResult:
-    """Interpolative poisoning: step the poison halfway toward the attack.
+def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint) -> PoisonResult:
+    """Interpolative poisoning from `y_c0`, starting on the clean `baseline`:
+    step the poison halfway toward the attack.
 
     step = rate * (attack - poison) / 2. A candidate that alerts shrinks the
     rate; an accepted candidate joins the poison set, grows the rate back,
     and the attack is retested on the retrained model. Terminates on success,
     when the step falls below interp_eps, or at the iteration budget.
     """
-    train_seqs = _as_train_list(train)
-    state = _RunState(
-        train_seqs,
-        val,
-        attack,
-        detector_cfg,
-        train_cfg,
-        cfg,
-        cache if cache is not None else TrainCache(),
-        np.random.default_rng([cfg.seed, 0xADD]),
-    )
-    achieved = _effective_magnitude(attack, clean)
-    template = train_seqs[0]
+    cfg = state.poison_cfg
     span = y_c0.span
-    target = attack.values[span[0] : span[1]]
+    target = state.attack.values[span[0] : span[1]]
     if target.shape != y_c0.values.shape:
         raise ValueError(
             f"initial poison shape {y_c0.values.shape} does not match its span of the attack {target.shape}"
         )
 
-    result = state.run_train_test(None)
-    result, ok = state.pad_clean(result, None)
+    result, ok = state.pad_clean(baseline, None)
     if not ok:
         state.record(0, 1.0, result, False, "over-poisoned, pad budget exhausted")
-        return _make_result(state, "interp", False, "over-poison-unrecoverable", 0, result, achieved)
+        return state.finish("over-poison-unrecoverable", 0, result)
     if result.total_alerts == 0:
         state.record(0, 1.0, result, True, "attack already passes, no poisoning needed")
-        return _make_result(state, "interp", True, "goal-met", 0, result, achieved)
+        return state.finish("goal-met", 0, result)
 
     rate = 1.0
     y_p = y_c0
@@ -661,10 +599,10 @@ def poison_interp(
         step = rate * (target - y_p.values) / 2.0
         if float(np.max(np.abs(step))) <= cfg.interp_eps:
             state.record(iterations, rate, result, False, "step below floor")
-            return _make_result(state, "interp", False, "lambda-floor", iterations, result, achieved)
+            return state.finish("lambda-floor", iterations, result)
         candidate = PoisonPoint(y_p.values + step, iteration_born=iterations, span=span, source="interp-step")
 
-        cand_alerts = score(result.params, candidate.as_series(template), detector_cfg).alert_count
+        cand_alerts = score(result.params, candidate.as_series(state.template), state.detector_cfg).alert_count
         if cand_alerts > 0:
             rate *= cfg.decay
             state.record(
@@ -683,13 +621,12 @@ def poison_interp(
         result, ok = state.pad_clean(result, None)
         if not ok:
             state.record(iterations, rate, result, False, "over-poisoned, pad budget exhausted")
-            return _make_result(state, "interp", False, "over-poison-unrecoverable", iterations, result, achieved)
-        accepted_action = "candidate accepted"
-        state.record(iterations, rate, result, True, accepted_action)
+            return state.finish("over-poison-unrecoverable", iterations, result)
+        state.record(iterations, rate, result, True, "candidate accepted")
         if result.total_alerts == 0:
-            return _make_result(state, "interp", True, "goal-met", iterations, result, achieved)
+            return state.finish("goal-met", iterations, result)
 
-    return _make_result(state, "interp", False, "iter-budget", iterations, result, achieved)
+    return state.finish("iter-budget", iterations, result)
 
 
 def init_poison(
@@ -773,40 +710,29 @@ def run_pipeline(
 ) -> tuple[TrainTestResult, PoisonResult]:
     """One poisoning experiment: fit the detector on the clean training set,
     choose the initial poison under that baseline, then run `algorithm`
-    ("interp" or "backgrad") against the retrained detector.
+    ("interp" or "backgrad") from the baseline against the retrained detector.
 
-    All fits share one TrainCache. Backgrad reverses its fits, so every fit
-    of a backgrad run records its trajectory, the baseline included; its
-    own baseline check then reuses the baseline fit.
+    This is the one place a run is set up: its state, with one TrainCache
+    for all its fits, and its baseline fit. Backgrad reverses its fits, so
+    every fit of a backgrad run records its trajectory, the baseline included.
     """
     if algorithm not in ("interp", "backgrad"):
         raise ValueError(f"algorithm must be interp or backgrad, got {algorithm!r}")
-    train_cfg = replace(train_cfg, record_trajectory=algorithm == "backgrad")
-    cache = TrainCache()
-    baseline = train_test(
-        train,
+    state = _RunState(
+        _as_train_list(train),
         val,
         attack,
-        [],
-        None,
-        detector_cfg=detector_cfg,
-        train_cfg=train_cfg,
-        poison_cfg=poison_cfg,
-        cache=cache,
+        detector_cfg,
+        replace(train_cfg, record_trajectory=algorithm == "backgrad"),
+        poison_cfg,
+        algorithm,
+        float(np.max(np.abs(attack.values - clean.values))),
+        TrainCache(),
+        np.random.default_rng([poison_cfg.seed, 0xADD]),
     )
+    baseline = state.run_train_test(None)
     y0 = init_poison(
-        train, attack, baseline.params, poison_cfg, detector_cfg=detector_cfg, span=span, clean=clean
+        state.train_seqs, attack, baseline.params, poison_cfg, detector_cfg=detector_cfg, span=span, clean=clean
     )
     algo = poison_backgrad if algorithm == "backgrad" else poison_interp
-    result = algo(
-        train,
-        val,
-        attack,
-        y0,
-        poison_cfg,
-        detector_cfg=detector_cfg,
-        train_cfg=train_cfg,
-        clean=clean,
-        cache=cache,
-    )
-    return baseline, result
+    return baseline, algo(state, baseline, y0)

@@ -141,44 +141,28 @@ def generate(spec: SignalSpec) -> SeriesMatrix:
     return SeriesMatrix(clean, spec.feature_names())
 
 
-def anchor_index(spec: SignalSpec, location: str | int) -> int:
-    """Resolve a named attack location to a time index in the first period.
-
-    SIN_TOP/SIN_BOTTOM are extrema of the noiseless base waveform, SIN_SIDE
-    the steepest step; ties break toward the earliest index.
-    """
+def _anchor_in(col: np.ndarray, location: str | int, period: int) -> int:
+    """Index of `location` in the 1-D column `col`: an explicit index, or a
+    named anchor in the first period. SIN_TOP/SIN_BOTTOM are its extrema,
+    SIN_SIDE its steepest step; ties break toward the earliest index."""
     if isinstance(location, (int, np.integer)):
         idx = int(location)
-        if not (0 <= idx < spec.length):
-            raise ValueError(f"explicit index {idx} out of range [0, {spec.length})")
+        if not (0 <= idx < col.shape[0]):
+            raise ValueError(f"explicit index {idx} out of range [0, {col.shape[0]})")
         return idx
-    b = base_waveform(spec)[: spec.period]
-    if location == "SIN_TOP":
-        return int(np.argmax(b))
-    if location == "SIN_BOTTOM":
-        return int(np.argmin(b))
-    if location == "SIN_SIDE":
-        ext = base_waveform(spec)[: spec.period + 1]
-        return int(np.argmax(np.abs(np.diff(ext))))
-    raise ValueError(f"unknown location {location!r}")
-
-
-def _resolve_anchor_from_series(series: SeriesMatrix, feature: int, location: str | int, period: int) -> int:
-    if isinstance(location, (int, np.integer)):
-        idx = int(location)
-        if not (0 <= idx < series.length):
-            raise ValueError(f"explicit index {idx} out of range [0, {series.length})")
-        return idx
-    if period < 2 or period > series.length:
-        raise ValueError(f"period {period} invalid for series of length {series.length}")
-    col = series.values[: period + 1, feature]
     if location == "SIN_TOP":
         return int(np.argmax(col[:period]))
     if location == "SIN_BOTTOM":
         return int(np.argmin(col[:period]))
     if location == "SIN_SIDE":
-        return int(np.argmax(np.abs(np.diff(col))))
+        return int(np.argmax(np.abs(np.diff(col[: period + 1]))))
     raise ValueError(f"unknown location {location!r}")
+
+
+def anchor_index(spec: SignalSpec, location: str | int) -> int:
+    """Resolve an attack location to a time index of the noiseless base
+    waveform (named anchors fall in its first period)."""
+    return _anchor_in(base_waveform(spec), location, spec.period)
 
 
 def inject_attack(
@@ -196,7 +180,9 @@ def inject_attack(
     feat = series.feature_index(target_feature) if isinstance(target_feature, str) else int(target_feature)
     if not (0 <= feat < series.num_features):
         raise ValueError(f"feature index {feat} out of range")
-    anchor = _resolve_anchor_from_series(series, feat, attack.location, period)
+    if not isinstance(attack.location, (int, np.integer)) and not (2 <= period <= series.length):
+        raise ValueError(f"period {period} invalid for series of length {series.length}")
+    anchor = _anchor_in(series.values[:, feat], attack.location, period)
     duration = attack.duration
     if anchor + duration > series.length:
         raise ValueError(

@@ -22,6 +22,7 @@ __all__ = [
     "normalize",
     "denormalize",
     "window",
+    "window_rows",
     "subsample",
     "ingest_csv",
     "export_csv",
@@ -139,24 +140,21 @@ def denormalize(series: SeriesMatrix, stats: NormStats) -> SeriesMatrix:
     return series.with_values(series.values * span + stats.min)
 
 
-def window(series: SeriesMatrix, cfg: WindowConfig) -> np.ndarray:
-    """Overlapping subsequences as an array of shape (count, length, N).
+def window_rows(t: int, cfg: WindowConfig) -> np.ndarray:
+    """(count, length) index of the series row behind every window row.
 
     Windows start at 0, stride, 2*stride, ...; count = (T - l)//stride + 1.
     """
-    t = series.length
     if cfg.length > t:
         raise ValueError(f"window length {cfg.length} exceeds series length {t}")
-    count = (t - cfg.length) // cfg.stride + 1
-    starts = np.arange(count) * cfg.stride
-    idx = starts[:, None] + np.arange(cfg.length)[None, :]
-    return series.values[idx]
+    starts = np.arange((t - cfg.length) // cfg.stride + 1) * cfg.stride
+    return starts[:, None] + np.arange(cfg.length)
 
 
-def window_count(t: int, cfg: WindowConfig) -> int:
-    if cfg.length > t:
-        raise ValueError(f"window length {cfg.length} exceeds series length {t}")
-    return (t - cfg.length) // cfg.stride + 1
+def window(series: SeriesMatrix, cfg: WindowConfig) -> np.ndarray:
+    """Overlapping subsequences as an array of shape (count, length, N),
+    gathered through :func:`window_rows`."""
+    return series.values[window_rows(series.length, cfg)]
 
 
 def subsample(series: SeriesMatrix, factor: int) -> SeriesMatrix:

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from aepoison import nn_core
+from aepoison import nn_core, poisoning
+from aepoison.detector import window_batch
 from aepoison.harness import (
     CellConfig,
     GridSpec,
@@ -123,6 +124,28 @@ class TestRunCell:
         assert rec.error is None
         assert len(seen) >= 2
         assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("algorithm", ["interp", "backgrad"])
+    def test_baseline_batch_reaches_the_cache_once(self, monkeypatch, algorithm):
+        # run_pipeline fits the clean baseline; the algorithm starts from it.
+        # At 0.3 the baseline alerts, so the algorithm goes on to fit poisons.
+        cell = fast_cell(algorithm=algorithm, attack_magnitude=0.3, adversarial_iterations=3)
+        data = build_experiment(cell)
+        dcfg = cell.detector_config()
+        baseline_batch = np.concatenate([window_batch(s, dcfg) for s in data.train]).tobytes()
+        batches = []
+        real_fit = poisoning.TrainCache.fit
+
+        def counting_fit(self, batch, detector_cfg, train_cfg):
+            batches.append(np.ascontiguousarray(batch).tobytes())
+            return real_fit(self, batch, detector_cfg, train_cfg)
+
+        monkeypatch.setattr(poisoning.TrainCache, "fit", counting_fit)
+        rec = run_cell(cell)
+        assert rec.error is None
+        assert rec.engaged
+        assert len(batches) >= 2
+        assert batches.count(baseline_batch) == 1
 
 
 class TestGridSpec:

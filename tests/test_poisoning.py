@@ -14,9 +14,8 @@ from aepoison.poisoning import (
     TrainCache,
     get_poison_grad,
     init_poison,
-    poison_backgrad,
-    poison_interp,
     poison_span,
+    run_pipeline,
     train_test,
 )
 from aepoison.signals import AttackSpec, SignalSpec, generate, inject_attack
@@ -105,9 +104,13 @@ class TestTrainTest:
 
     def test_append_and_reservoir_agree_without_poisons(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=4)
-        kw = dict(detector_cfg=dcfg, train_cfg=tcfg, cache=None)
-        res_a = train_test(train, val, attacked, [], None, poison_cfg=PoisonConfig(retrain_mode="append"), **kw)
-        res_r = train_test(train, val, attacked, [], None, poison_cfg=PoisonConfig(retrain_mode="reservoir"), **kw)
+        kw = dict(detector_cfg=dcfg, train_cfg=tcfg)
+        res_a = train_test(
+            train, val, attacked, [], None, poison_cfg=PoisonConfig(retrain_mode="append"), cache=TrainCache(), **kw
+        )
+        res_r = train_test(
+            train, val, attacked, [], None, poison_cfg=PoisonConfig(retrain_mode="reservoir"), cache=TrainCache(), **kw
+        )
         assert np.array_equal(res_a.params.flatten(), res_r.params.flatten())
         assert (res_a.alerts_val, res_a.alerts_attack) == (res_r.alerts_val, res_r.alerts_attack)
 
@@ -290,11 +293,10 @@ class TestInitPoison:
 class TestPoisonInterp:
     def test_quiet_attack_succeeds_with_zero_points(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.05)
-        y0 = PoisonPoint(clean.values[span[0] : span[1]], span=span, source="benign-init")
-        r = poison_interp(
-            train, val, attacked, y0, PoisonConfig(seed=1),
-            detector_cfg=dcfg, train_cfg=tcfg, clean=clean,
-        )
+        r = run_pipeline(
+            train, val, attacked, clean, span, "interp", PoisonConfig(seed=1),
+            detector_cfg=dcfg, train_cfg=tcfg,
+        )[1]
         assert r.success
         assert r.adversarial_point_count == 0
         assert r.iterations == 0
@@ -302,24 +304,23 @@ class TestPoisonInterp:
 
     def test_first_accepted_point_is_the_midpoint(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=10, magnitude=0.2)
-        y0 = PoisonPoint(clean.values[span[0] : span[1]], span=span, source="benign-init")
-        r = poison_interp(
-            train, val, attacked, y0, PoisonConfig(seed=1, max_iters=60),
-            detector_cfg=dcfg, train_cfg=tcfg, clean=clean,
-        )
+        y0 = clean.values[span[0] : span[1]]  # the benign-data initial poison
+        r = run_pipeline(
+            train, val, attacked, clean, span, "interp", PoisonConfig(seed=1, max_iters=60),
+            detector_cfg=dcfg, train_cfg=tcfg,
+        )[1]
         adversarial = [p for p in r.points if p.kind == "adversarial"]
         assert adversarial, "no poison accepted"
         target = attacked.values[span[0] : span[1]]
-        expected_first = y0.values + (target - y0.values) / 2.0
+        expected_first = y0 + (target - y0) / 2.0
         assert np.allclose(adversarial[0].values, expected_first, atol=1e-12)
 
     def test_accepted_points_form_monotone_interpolation(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=10, magnitude=0.25)
-        y0 = PoisonPoint(clean.values[span[0] : span[1]], span=span, source="benign-init")
-        r = poison_interp(
-            train, val, attacked, y0, PoisonConfig(seed=1, max_iters=80),
-            detector_cfg=dcfg, train_cfg=tcfg, clean=clean,
-        )
+        r = run_pipeline(
+            train, val, attacked, clean, span, "interp", PoisonConfig(seed=1, max_iters=80),
+            detector_cfg=dcfg, train_cfg=tcfg,
+        )[1]
         target = attacked.values[span[0] : span[1]]
         gaps = [
             np.max(np.abs(target - p.values)) for p in r.points if p.kind == "adversarial"
@@ -330,18 +331,16 @@ class TestPoisonInterp:
     def test_prefix_replay_reproduces_accepted_outcomes(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=8, magnitude=0.2)
         pcfg = PoisonConfig(seed=1, max_iters=40)
-        cache = TrainCache()
-        y0 = PoisonPoint(clean.values[span[0] : span[1]], span=span, source="benign-init")
-        r = poison_interp(
-            train, val, attacked, y0, pcfg,
-            detector_cfg=dcfg, train_cfg=tcfg, clean=clean, cache=cache,
-        )
+        r = run_pipeline(
+            train, val, attacked, clean, span, "interp", pcfg,
+            detector_cfg=dcfg, train_cfg=tcfg,
+        )[1]
         accepted = [e for e in r.iteration_log if e.accepted and e.points_so_far > 0]
         assert accepted
         for entry in accepted[:3]:
             replay = train_test(
                 train, val, attacked, r.points[: entry.points_so_far], None,
-                detector_cfg=dcfg, train_cfg=tcfg, poison_cfg=pcfg, cache=cache,
+                detector_cfg=dcfg, train_cfg=tcfg, poison_cfg=pcfg, cache=TrainCache(),
             )
             assert (replay.alerts_val, replay.alerts_attack) == (entry.alerts_val, entry.alerts_attack)
 
@@ -354,11 +353,10 @@ class TestPoisonBackgrad:
 
     def test_zero_magnitude_attack_is_immediate_success(self):
         train, val, clean, attacked, dcfg, tcfg, span = self.backgrad_setup(size=6, magnitude=0.0)
-        y0 = PoisonPoint(clean.values[span[0] : span[1]], span=span, source="benign-init")
-        r = poison_backgrad(
-            train, val, attacked, y0, PoisonConfig(seed=2, max_iters=10),
-            detector_cfg=dcfg, train_cfg=tcfg, clean=clean,
-        )
+        r = run_pipeline(
+            train, val, attacked, clean, span, "backgrad", PoisonConfig(seed=2, max_iters=10),
+            detector_cfg=dcfg, train_cfg=tcfg,
+        )[1]
         assert r.success
         assert r.iterations == 0
         assert r.adversarial_point_count <= 1
@@ -366,21 +364,21 @@ class TestPoisonBackgrad:
 
     def test_alerting_initial_poison_rejected(self):
         train, val, clean, attacked, dcfg, tcfg, span = self.backgrad_setup(size=6, magnitude=0.5)
-        bad = PoisonPoint(attacked.values[span[0] : span[1]], span=span)
+        # benign init over the attacked series starts from the alerting attack slice
         with pytest.raises(ValueError, match="initial poison"):
-            poison_backgrad(
-                train, val, attacked, bad, PoisonConfig(seed=2, max_iters=5),
-                detector_cfg=dcfg, train_cfg=tcfg, clean=clean,
+            run_pipeline(
+                train, val, attacked, attacked, span, "backgrad", PoisonConfig(seed=2, max_iters=5),
+                detector_cfg=dcfg, train_cfg=tcfg,
             )
 
     def test_pinned_bottom_cell_regression(self):
         # sine SIN_BOTTOM, magnitude 0.2, 10 training sequences, theta 0.2
         train, val, clean, attacked, dcfg, tcfg, span = self.backgrad_setup(size=10, magnitude=0.2)
-        y0 = PoisonPoint(clean.values[span[0] : span[1]], span=span, source="benign-init")
-        r = poison_backgrad(
-            train, val, attacked, y0, PoisonConfig(adv_learning_rate=0.3, seed=42, max_iters=40),
-            detector_cfg=dcfg, train_cfg=tcfg, clean=clean,
-        )
+        r = run_pipeline(
+            train, val, attacked, clean, span, "backgrad",
+            PoisonConfig(adv_learning_rate=0.3, seed=42, max_iters=40),
+            detector_cfg=dcfg, train_cfg=tcfg,
+        )[1]
         assert r.success
         assert r.adversarial_point_count >= 1
         # pinned regression values for this exact configuration
@@ -391,11 +389,10 @@ class TestPoisonBackgrad:
     def test_lambda_bookkeeping(self):
         train, val, clean, attacked, dcfg, tcfg, span = self.backgrad_setup(size=6, magnitude=0.3)
         pcfg = PoisonConfig(adv_learning_rate=0.3, seed=2, max_iters=12)
-        y0 = PoisonPoint(clean.values[span[0] : span[1]], span=span, source="benign-init")
-        r = poison_backgrad(
-            train, val, attacked, y0, pcfg,
-            detector_cfg=dcfg, train_cfg=tcfg, clean=clean,
-        )
+        r = run_pipeline(
+            train, val, attacked, clean, span, "backgrad", pcfg,
+            detector_cfg=dcfg, train_cfg=tcfg,
+        )[1]
         lams = [e.lam for e in r.iteration_log]
         assert all(l <= pcfg.adv_learning_rate + 1e-15 for l in lams)
         if r.termination != "lambda-floor":

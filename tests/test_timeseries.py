@@ -13,7 +13,6 @@ from aepoison.timeseries import (
     normalize,
     subsample,
     window,
-    window_count,
 )
 
 
@@ -119,7 +118,6 @@ class TestWindow:
             return
         wins = window(series(np.zeros(t)), WindowConfig(length, stride))
         assert wins.shape[0] == (t - length) // stride + 1
-        assert wins.shape[0] == window_count(t, WindowConfig(length, stride))
 
     @given(st.integers(2, 12), st.integers(20, 60))
     def test_interior_point_covered_exactly_length_times(self, length, t):
