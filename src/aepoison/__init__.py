@@ -11,7 +11,7 @@ from .timeseries import (
     subsample,
     window,
 )
-from .signals import AttackSpec, RampSpec, SignalSpec, anchor_index, generate, inject_attack
+from .signals import AttackSpec, SignalSpec, anchor_index, generate, inject_attack
 from .nn_core import (
     ModelConfig,
     ModelParams,

@@ -105,7 +105,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     params, cfg = load_detector(args.model)
     if args.threshold is not None:
-        cfg = DetectorConfig(cfg.model, cfg.window, args.threshold, cfg.residual_mode)
+        cfg = DetectorConfig(cfg.model, cfg.window, args.threshold)
     series = ingest_csv(args.series)
     report = score(params, series, cfg)
     report.write_json(args.out)

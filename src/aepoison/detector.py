@@ -33,21 +33,15 @@ __all__ = [
     "load_detector",
 ]
 
-_RESIDUAL_MODES = ("per-point-abs", "window-mse")
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     model: ModelConfig
     window: WindowConfig
     threshold: float = 0.2
-    residual_mode: str = "per-point-abs"
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:
             raise ValueError("threshold must be > 0")
-        if self.residual_mode not in _RESIDUAL_MODES:
-            raise ValueError(f"residual_mode must be one of {_RESIDUAL_MODES}")
         if self.model.input_size % self.window.length != 0:
             raise ValueError(
                 f"model input {self.model.input_size} is not a multiple of window length {self.window.length}"
@@ -126,21 +120,10 @@ def reconstruct_series(params: ModelParams, series: SeriesMatrix, cfg: DetectorC
 
 
 def score(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> AlertReport:
-    """Alert decision: residual per time point compared against the threshold.
-
-    per-point-abs: residual[t] = max over features |predicted - observed|.
-    window-mse: each window's MSE is assigned to the window's start index.
-    """
-    _check_series(series, cfg)
-    if cfg.residual_mode == "per-point-abs":
-        recon = reconstruct_series(params, series, cfg)
-        residuals = np.abs(recon.values - series.values).max(axis=1)
-    else:
-        batch = window_batch(series, cfg)
-        preds = nn_core.forward(params, batch)
-        per_window = np.mean((preds - batch) ** 2, axis=1)
-        residuals = np.zeros(series.length)
-        residuals[window_rows(series.length, cfg.window)[:, 0]] = per_window
+    """Alert decision: residual per time point compared against the threshold,
+    residual[t] = max over features |predicted - observed|."""
+    recon = reconstruct_series(params, series, cfg)
+    residuals = np.abs(recon.values - series.values).max(axis=1)
     alert_idx = np.flatnonzero(residuals > cfg.threshold)
     return AlertReport(residuals, int(alert_idx.size), tuple(int(i) for i in alert_idx), cfg.threshold)
 
@@ -167,7 +150,6 @@ def save_detector(params: ModelParams, cfg: DetectorConfig, path: str | Path) ->
         "window_length": cfg.window.length,
         "window_stride": cfg.window.stride,
         "threshold": cfg.threshold,
-        "residual_mode": cfg.residual_mode,
         "model": params.config.to_dict(),
     }
     np.savez(
@@ -178,13 +160,17 @@ def save_detector(params: ModelParams, cfg: DetectorConfig, path: str | Path) ->
 
 
 def load_detector(path: str | Path) -> tuple[ModelParams, DetectorConfig]:
+    """Inverse of :func:`save_detector`. Older checkpoints name the scoring
+    rule; one that names any rule but per-point-abs is refused."""
     with np.load(Path(path)) as data:
         meta = json.loads(bytes(data["detector"]).decode())
+        rule = meta.get("residual_mode", "per-point-abs")
+        if rule != "per-point-abs":
+            raise ValueError(f"{path}: unsupported residual_mode {rule!r}; only per-point-abs scoring exists")
         model_cfg = ModelConfig.from_dict(meta["model"])
         cfg = DetectorConfig(
             model=model_cfg,
             window=WindowConfig(meta["window_length"], meta["window_stride"]),
             threshold=meta["threshold"],
-            residual_mode=meta["residual_mode"],
         )
         return ModelParams.from_flat(model_cfg, data["params"]), cfg

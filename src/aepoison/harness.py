@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "build_experiment",
     "run_cell",
     "run_grid",
+    "magnitude_rungs",
     "max_poisonable_magnitude",
     "export",
     "DEFAULT_LOCATIONS",
@@ -86,7 +87,6 @@ class CellConfig:
     channels: tuple[tuple[float, float], ...] = ((1.0, 0.0),)
     subsequence_length: int = 2
     threshold: float = 0.2
-    residual_mode: str = "per-point-abs"
     inflation_factor: int = 2
     code_ratio: int = 2
     init_scale: float = 0.3
@@ -95,7 +95,6 @@ class CellConfig:
     stop_loss: float = 0.0005
     algorithm: str = "interp"
     init_mode: str = "benign-data"
-    retrain_mode: str = "append"
     adversarial_iterations: int = 300
     adv_learning_rate: float = 0.3
     anchor_period_shift: int = 2
@@ -142,7 +141,6 @@ class CellConfig:
             model=model,
             window=WindowConfig(self.subsequence_length, 1),
             threshold=self.threshold,
-            residual_mode=self.residual_mode,
         )
 
     def train_config(self) -> TrainConfig:
@@ -157,7 +155,6 @@ class CellConfig:
             adv_learning_rate=self.adv_learning_rate,
             max_iters=self.adversarial_iterations,
             init_mode=self.init_mode,
-            retrain_mode=self.retrain_mode,
             seed=self.stream_seed(4),
         )
 
@@ -413,26 +410,36 @@ def run_grid(
     return sorted(records.values(), key=lambda r: r.key())
 
 
-def max_poisonable_magnitude(cell: CellConfig, step: float, ceiling: float = 1.0) -> float:
-    """Largest magnitude on the step grid that poisoning conceals.
-
-    Ascending sweep; a rung counts only when the baseline detector alerted
-    on the attack (an attack that never alerts needs no poisoning and says
-    nothing about the algorithm). Stops at the first such failure: the
-    sweep assumes harder attacks are never easier, and that monotonicity is
-    an assumption, not a theorem.
-    """
+def magnitude_rungs(step: float, ceiling: float) -> list[float]:
+    """The sweep's attack magnitudes: step, 2*step, ... up to the ceiling,
+    each rounded to 10 decimals."""
     if step <= 0:
         raise ValueError("step must be > 0")
-    best = 0.0
+    rungs = []
     m = step
     while m <= ceiling + 1e-12:
-        record = run_cell(replace(cell, attack_magnitude=round(m, 10)))
+        rungs.append(round(m, 10))
+        m += step
+    return rungs
+
+
+def max_poisonable_magnitude(records: Iterable[MetricsRecord]) -> float:
+    """Largest attack magnitude that poisoning conceals, read from the
+    records of an ascending sweep (one per rung of :func:`magnitude_rungs`).
+
+    A rung counts only when the baseline detector alerted on the attack (an
+    attack that never alerts needs no poisoning and says nothing about the
+    algorithm); a rung that errored counts too. The scan stops at the first
+    counted failure and draws no record after it, so a lazy iterable runs no
+    later rung: the sweep assumes harder attacks are never easier, and that
+    monotonicity is an assumption, not a theorem.
+    """
+    best = 0.0
+    for record in records:
         if record.engaged or record.error is not None:
             if not record.success:
                 break
-            best = round(m, 10)
-        m += step
+            best = record.cell["attack_magnitude"]
     return best
 
 

@@ -16,9 +16,7 @@ layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,8 +34,6 @@ __all__ = [
     "grad_x",
     "hvp_both",
     "train",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 # activation value a = f(z); derivatives expressed in terms of a. The linear
@@ -427,17 +423,3 @@ def train(
     theta.setflags(write=False)
     return ModelParams._trusted(model_cfg, theta), trajectory, cur_loss
 
-
-def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Bit-exact binary checkpoint: model config JSON + flat parameters."""
-    np.savez(
-        Path(path),
-        config=np.frombuffer(json.dumps(params.config.to_dict()).encode(), dtype=np.uint8),
-        params=params.flatten(),
-    )
-
-
-def load_checkpoint(path: str | Path) -> ModelParams:
-    with np.load(Path(path)) as data:
-        cfg = ModelConfig.from_dict(json.loads(bytes(data["config"]).decode()))
-        return ModelParams.from_flat(cfg, data["params"])

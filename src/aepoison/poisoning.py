@@ -51,7 +51,6 @@ __all__ = [
     "run_pipeline",
 ]
 
-_RETRAIN_MODES = ("append", "reservoir")
 _INIT_MODES = ("benign-data", "attack-based")
 _TERMINATIONS = ("goal-met", "lambda-floor", "iter-budget", "over-poison-unrecoverable")
 
@@ -63,8 +62,6 @@ class PoisonConfig:
     lambda_eps: float = 1e-5
     max_iters: int = 50
     interp_eps: float = 1e-7
-    clean_pad_budget: int | None = None
-    retrain_mode: str = "append"
     init_mode: str = "benign-data"
     seed: int = 0
 
@@ -77,10 +74,6 @@ class PoisonConfig:
             raise ValueError("adv_learning_rate must exceed lambda_eps")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.clean_pad_budget is not None and self.clean_pad_budget < 0:
-            raise ValueError("clean_pad_budget must be >= 0")
-        if self.retrain_mode not in _RETRAIN_MODES:
-            raise ValueError(f"retrain_mode must be one of {_RETRAIN_MODES}")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}")
 
@@ -147,7 +140,6 @@ class TrainTestResult:
 
     params: ModelParams
     trajectory: TrainTrajectory | None
-    final_loss: float
     alerts_val: int
     alerts_attack: int
     alerts_poisons: int
@@ -276,22 +268,13 @@ def _training_batch(
     poison_set: Sequence[PoisonPoint],
     candidate: PoisonPoint | None,
     detector_cfg: DetectorConfig,
-    poison_cfg: PoisonConfig,
     template: SeriesMatrix,
 ) -> np.ndarray:
-    sequences: list[SeriesMatrix] = list(train_seqs)
-    extra = [p.as_series(template) for p in poison_set]
+    """Windows of the clean sequences, then every poison in order, then the
+    candidate: new data is appended to the training set."""
+    sequences = list(train_seqs) + [p.as_series(template) for p in poison_set]
     if candidate is not None:
-        extra.append(candidate.as_series(template))
-    if poison_cfg.retrain_mode == "reservoir" and extra:
-        budget = len(train_seqs)
-        keep_new = extra[-budget:] if len(extra) > budget else extra
-        n_clean = max(0, budget - len(keep_new))
-        rng = np.random.default_rng([poison_cfg.seed, 0x5E5, len(poison_set), int(candidate is not None)])
-        chosen = sorted(rng.choice(len(train_seqs), size=min(n_clean, len(train_seqs)), replace=False))
-        sequences = [train_seqs[i] for i in chosen] + keep_new
-    else:
-        sequences.extend(extra)
+        sequences.append(candidate.as_series(template))
     return np.concatenate([window_batch(s, detector_cfg) for s in sequences], axis=0)
 
 
@@ -304,15 +287,14 @@ def train_test(
     *,
     detector_cfg: DetectorConfig,
     train_cfg: TrainConfig,
-    poison_cfg: PoisonConfig,
     cache: TrainCache,
 ) -> TrainTestResult:
     """Retrain from scratch on train + poisons (+ candidate, appended last),
     then count alerts on validation, the attack, and every poison input."""
     train_seqs = _as_train_list(train)
     template = train_seqs[0]
-    batch = _training_batch(train_seqs, poison_set, candidate, detector_cfg, poison_cfg, template)
-    params, trajectory, final_loss = cache.fit(batch, detector_cfg, train_cfg)
+    batch = _training_batch(train_seqs, poison_set, candidate, detector_cfg, template)
+    params, trajectory, _ = cache.fit(batch, detector_cfg, train_cfg)
     alerts_val = score(params, val, detector_cfg).alert_count
     alerts_attack = score(params, attack_series, detector_cfg).alert_count
     alerts_poisons = sum(
@@ -326,7 +308,6 @@ def train_test(
     return TrainTestResult(
         params=params,
         trajectory=trajectory,
-        final_loss=final_loss,
         alerts_val=alerts_val,
         alerts_attack=alerts_attack,
         alerts_poisons=alerts_poisons,
@@ -424,11 +405,6 @@ class _RunState:
     def template(self) -> SeriesMatrix:
         return self.train_seqs[0]
 
-    @property
-    def pad_budget(self) -> int:
-        budget = self.poison_cfg.clean_pad_budget
-        return len(self.train_seqs) if budget is None else budget
-
     def run_train_test(self, candidate: PoisonPoint | None) -> TrainTestResult:
         return train_test(
             self.train_seqs,
@@ -438,17 +414,17 @@ class _RunState:
             candidate,
             detector_cfg=self.detector_cfg,
             train_cfg=self.train_cfg,
-            poison_cfg=self.poison_cfg,
             cache=self.cache,
         )
 
     def pad_clean(self, result: TrainTestResult, candidate: PoisonPoint | None) -> tuple[TrainTestResult, bool]:
-        """Append clean training sequences while validation alerts persist.
+        """Append clean training sequences while validation alerts persist,
+        at most as many pads as there are training sequences.
 
         Returns the latest result and whether validation is clean; False with
         the budget exhausted means the model is over-poisoned beyond repair.
         """
-        while result.alerts_val > 0 and self.clean_pads < self.pad_budget:
+        while result.alerts_val > 0 and self.clean_pads < len(self.train_seqs):
             idx = int(self.pad_rng.integers(len(self.train_seqs)))
             seq = self.train_seqs[idx]
             self.points.append(
@@ -630,14 +606,13 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
 
 
 def init_poison(
-    train: SeriesMatrix | Sequence[SeriesMatrix],
     attack: SeriesMatrix,
     params: ModelParams,
     cfg: PoisonConfig,
     *,
     detector_cfg: DetectorConfig,
     span: tuple[int, int],
-    clean: SeriesMatrix | None = None,
+    clean: SeriesMatrix,
 ) -> PoisonPoint:
     """Choose the starting poison sequence.
 
@@ -647,21 +622,16 @@ def init_poison(
     quiet sequence to the attack); if it fails to converge it falls back to
     the benign values, flagged in `source`.
     """
-    train_seqs = _as_train_list(train)
-    template = train_seqs[0]
     lo, hi = span
-    if clean is None and cfg.init_mode == "benign-data":
-        raise ValueError("benign-data initialization needs the clean series")
 
     def benign(source: str) -> PoisonPoint:
-        assert clean is not None
         return PoisonPoint(clean.values[lo:hi], iteration_born=0, span=span, source=source)
 
     if cfg.init_mode == "benign-data":
         return benign("benign-init")
 
     cand = attack.values[lo:hi].copy()
-    cand_series = SeriesMatrix(cand, template.feature_names, template.dt)
+    cand_series = attack.with_values(cand)
     if score(params, cand_series, detector_cfg).alert_count == 0:
         return PoisonPoint(cand, iteration_born=0, span=span, source="attack-init")
 
@@ -675,7 +645,7 @@ def init_poison(
         if gmax < 1e-12:
             break
         cand = cand - lr * g / gmax
-        cand_series = SeriesMatrix(cand, template.feature_names, template.dt)
+        cand_series = attack.with_values(cand)
         cur_loss = series_loss(params, cand_series, detector_cfg)
         if score(params, cand_series, detector_cfg).alert_count == 0:
             return PoisonPoint(cand, iteration_born=it, span=span, source="attack-init")
@@ -688,12 +658,10 @@ def init_poison(
             failed += 1
             lr *= cfg.decay**failed
             cand = best.copy()
-            cand_series = SeriesMatrix(cand, template.feature_names, template.dt)
+            cand_series = attack.with_values(cand)
             if lr <= cfg.lambda_eps:
                 break
-    if clean is not None:
-        return benign("attack-init-fallback-benign")
-    raise ValueError("attack-based initialization failed and no clean series was given for fallback")
+    return benign("attack-init-fallback-benign")
 
 
 def run_pipeline(
@@ -731,8 +699,6 @@ def run_pipeline(
         np.random.default_rng([poison_cfg.seed, 0xADD]),
     )
     baseline = state.run_train_test(None)
-    y0 = init_poison(
-        state.train_seqs, attack, baseline.params, poison_cfg, detector_cfg=detector_cfg, span=span, clean=clean
-    )
+    y0 = init_poison(attack, baseline.params, poison_cfg, detector_cfg=detector_cfg, span=span, clean=clean)
     algo = poison_backgrad if algorithm == "backgrad" else poison_interp
     return baseline, algo(state, baseline, y0)

@@ -18,7 +18,6 @@ from .timeseries import SeriesMatrix
 __all__ = [
     "SignalSpec",
     "AttackSpec",
-    "RampSpec",
     "WAVEFORMS",
     "ATTACK_LOCATIONS",
     "generate",
@@ -27,7 +26,7 @@ __all__ = [
     "inject_attack",
 ]
 
-WAVEFORMS = ("sine", "cosine", "square", "sawtooth")
+WAVEFORMS = ("sine", "cosine")
 ATTACK_LOCATIONS = ("SIN_TOP", "SIN_BOTTOM", "SIN_SIDE")
 ATTACK_SIGNS = ("away-from-zero", "positive", "negative")
 
@@ -91,42 +90,11 @@ class AttackSpec:
         return self.magnitude if self.clip is None else min(self.magnitude, self.clip)
 
 
-@dataclass(frozen=True)
-class RampSpec:
-    """Attack variant with explicit per-step offsets (e.g. a linear ramp)."""
-
-    location: str | int
-    offsets: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        offsets = tuple(float(o) for o in self.offsets)
-        if not offsets:
-            raise ValueError("ramp needs at least one offset")
-        object.__setattr__(self, "offsets", offsets)
-
-    @property
-    def duration(self) -> int:
-        return len(self.offsets)
-
-    @property
-    def effective_magnitude(self) -> float:
-        return float(np.max(np.abs(self.offsets)))
-
-
 def base_waveform(spec: SignalSpec) -> np.ndarray:
     """Noiseless base waveform b(i), i = 0..length-1, range [-A, A]."""
-    i = np.arange(spec.length, dtype=np.float64)
-    phase = i / spec.period
-    if spec.waveform == "sine":
-        b = np.sin(2.0 * np.pi * phase)
-    elif spec.waveform == "cosine":
-        b = np.cos(2.0 * np.pi * phase)
-    elif spec.waveform == "square":
-        # +1 on the first half-period, -1 on the second
-        b = np.where((i % spec.period) < spec.period / 2.0, 1.0, -1.0)
-    else:  # sawtooth: linear ramp from -1 to +1 each period
-        b = 2.0 * ((i % spec.period) / spec.period) - 1.0
-    return spec.amplitude * b
+    phase = np.arange(spec.length, dtype=np.float64) / spec.period
+    wave = np.sin if spec.waveform == "sine" else np.cos
+    return spec.amplitude * wave(2.0 * np.pi * phase)
 
 
 def generate(spec: SignalSpec) -> SeriesMatrix:
@@ -168,7 +136,7 @@ def anchor_index(spec: SignalSpec, location: str | int) -> int:
 def inject_attack(
     series: SeriesMatrix,
     target_feature: str | int,
-    attack: AttackSpec | RampSpec,
+    attack: AttackSpec,
     period: int,
 ) -> tuple[SeriesMatrix, tuple[int, int]]:
     """Apply a spoofed offset to one feature; returns (series, attack range).
@@ -183,25 +151,17 @@ def inject_attack(
     if not isinstance(attack.location, (int, np.integer)) and not (2 <= period <= series.length):
         raise ValueError(f"period {period} invalid for series of length {series.length}")
     anchor = _anchor_in(series.values[:, feat], attack.location, period)
-    duration = attack.duration
-    if anchor + duration > series.length:
-        raise ValueError(
-            f"attack range [{anchor}, {anchor + duration}) overflows series of length {series.length}"
-        )
-    if isinstance(attack, RampSpec):
-        offsets = np.asarray(attack.offsets)
-    else:
-        magnitude = attack.effective_magnitude
-        if attack.sign == "positive":
-            direction = 1.0
-        elif attack.sign == "negative":
-            direction = -1.0
-        else:
-            at_anchor = series.values[anchor, feat]
-            direction = 1.0 if at_anchor >= 0 else -1.0
-        offsets = np.full(duration, direction * magnitude)
-    if not np.any(offsets):
+    stop = anchor + attack.duration
+    if stop > series.length:
+        raise ValueError(f"attack range [{anchor}, {stop}) overflows series of length {series.length}")
+    if attack.effective_magnitude == 0:
         return series, (anchor, anchor)
+    if attack.sign == "positive":
+        direction = 1.0
+    elif attack.sign == "negative":
+        direction = -1.0
+    else:
+        direction = 1.0 if series.values[anchor, feat] >= 0 else -1.0
     values = series.values.copy()
-    values[anchor : anchor + duration, feat] += offsets
-    return series.with_values(values), (anchor, anchor + duration)
+    values[anchor:stop, feat] += direction * attack.effective_magnitude
+    return series.with_values(values), (anchor, stop)

@@ -15,7 +15,7 @@ import pytest
 
 from aepoison import nn_core
 from aepoison.detector import DetectorConfig, score, series_loss, series_objective_grad, window_batch
-from aepoison.harness import CellConfig, build_experiment, run_cell
+from aepoison.harness import CellConfig, build_experiment, magnitude_rungs, max_poisonable_magnitude, run_cell
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.poisoning import PoisonPoint, get_poison_grad
 from aepoison.timeseries import SeriesMatrix, WindowConfig
@@ -106,22 +106,12 @@ def pearson(xs, ys) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def sweep(runner, base: CellConfig, step: float, ceiling: float, early_stop: bool = True):
-    """Ascending magnitude sweep counting engaged successes only."""
-    best = 0.0
-    rows = []
-    m = step
-    while m <= ceiling + 1e-12:
-        mag = round(m, 10)
-        record, result, data = runner.run(replace(base, attack_magnitude=mag))
-        rows.append((mag, record))
-        if record.engaged or record.error is not None:
-            if record.success:
-                best = mag
-            elif early_stop:
-                break
-        m += step
-    return best, rows
+def swept_max(runner, base: CellConfig, ceiling: float) -> float:
+    """harness.max_poisonable_magnitude over the 0.05-step rungs of `base`,
+    each run through the session memo; no rung after the first engaged
+    failure runs."""
+    records = (runner.run(replace(base, attack_magnitude=m))[0] for m in magnitude_rungs(0.05, ceiling))
+    return max_poisonable_magnitude(records)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +293,10 @@ class TestAC2PointsVsMagnitude:
 class TestAC3MagnitudeCeiling:
     def test_ac3_ceiling_and_point_ratio(self, runner):
         t0 = time.perf_counter()
-        ceiling, rows = sweep(runner, SINGLE_SEQ, step=0.05, ceiling=0.8)
+        ceiling = swept_max(runner, SINGLE_SEQ, ceiling=0.8)
         elapsed = time.perf_counter() - t0
         ok_range = 0.30 <= ceiling <= 0.50
-        ceiling_record = next(rec for m, rec in rows if m == ceiling)
+        ceiling_record, _, _ = runner.run(replace(SINGLE_SEQ, attack_magnitude=ceiling))
         ok_points = ceiling_record.poison_point_count > SINGLE_SEQ.training_set_size
         report(
             "AC-3",
@@ -328,7 +318,7 @@ class TestAC4TopLocationRobustness:
         for algo in ("interp", "backgrad"):
             for loc in ("SIN_TOP", "SIN_BOTTOM"):
                 base = replace(MULTI_SEQ, algorithm=algo, attack_location=loc)
-                maxima[(algo, loc)], _ = sweep(runner, base, step=0.05, ceiling=0.45)
+                maxima[(algo, loc)] = swept_max(runner, base, ceiling=0.45)
         top_ok = all(maxima[(a, "SIN_TOP")] <= 0.1 for a in ("interp", "backgrad"))
         bottom_best = max(maxima[(a, "SIN_BOTTOM")] for a in ("interp", "backgrad"))
         ok = top_ok and bottom_best >= 0.2
@@ -346,7 +336,7 @@ class TestAC5AlgorithmOrdering:
         for size in (10, 20, 30):
             for algo in ("interp", "backgrad"):
                 base = replace(MULTI_SEQ, algorithm=algo, training_set_size=size)
-                cells[(algo, size)], _ = sweep(runner, base, step=0.05, ceiling=0.45)
+                cells[(algo, size)] = swept_max(runner, base, ceiling=0.45)
         ordering = all(cells[("backgrad", s)] >= cells[("interp", s)] for s in (10, 20, 30))
         strict = any(cells[("backgrad", s)] > cells[("interp", s)] for s in (10, 20, 30))
         report(

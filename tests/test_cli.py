@@ -194,6 +194,23 @@ def test_grid_command(tmp_path):
     assert (out_dir / "plot_points_vs_magnitude.csv").exists()
 
 
+def test_grid_refuses_a_removed_option(tmp_path):
+    grid_json = tmp_path / "grid.json"
+    grid_json.write_text(
+        json.dumps(
+            {
+                "schema": "aepoison/grid/v1",
+                "axes": {"attack_magnitude": [0.0]},
+                "base": {"training_set_size": 3, "signal_length": 60, "retrain_mode": "reservoir"},
+                "budget": 1,
+            }
+        )
+    )
+    out_dir = tmp_path / "grid_out"
+    assert main(["--out-dir", str(out_dir), "grid", "--spec", str(grid_json)]) != 0
+    assert not (out_dir / "records.jsonl").exists()
+
+
 def test_ingest_command(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text("LIT101,FIT101,P101\n0,10,1\n5,20,1\n10,30,1\n15,40,1\n")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -132,26 +134,15 @@ class TestScore:
         s = series_1d(np.random.default_rng(5).normal(size=40))
         counts = []
         for theta in [0.05, 0.1, 0.2, 0.4, 0.8]:
-            cfg = DetectorConfig(dcfg.model, dcfg.window, theta, dcfg.residual_mode)
+            cfg = DetectorConfig(dcfg.model, dcfg.window, theta)
             counts.append(score(params, s, cfg).alert_count)
         assert counts == sorted(counts, reverse=True)
-
-    def test_window_mse_mode(self):
-        params, dcfg = zero_model(window_len=2)
-        cfg = DetectorConfig(dcfg.model, dcfg.window, 0.2, "window-mse")
-        s = series_1d([1.0, 1.0, 0.0, 0.0])
-        report = score(params, s, cfg)
-        # window MSEs: (1,1)->1, (1,0)->.5, (0,0)->0 at start indices
-        assert np.allclose(report.residuals[:3], [1.0, 0.5, 0.0])
-        assert report.alert_count == 2
 
     def test_report_json_round_trip(self, tmp_path):
         params, dcfg = zero_model()
         report = score(params, series_1d([0.5, 0.0, 0.3]), dcfg)
         path = tmp_path / "report.json"
         report.write_json(path)
-        import json
-
         data = json.loads(path.read_text())
         assert data["alert_count"] == report.alert_count
         assert data["alert_indices"] == list(report.alert_indices)
@@ -248,3 +239,29 @@ class TestDetectorCheckpoint:
         loaded_params, loaded_cfg = load_detector(path)
         assert loaded_cfg == dcfg
         assert np.array_equal(loaded_params.flatten(), params.flatten())
+
+    @staticmethod
+    def saved_with_scoring_rule(path, rule):
+        """A detector file as older versions wrote it, naming its scoring rule."""
+        params, dcfg = zero_model()
+        save_detector(params, dcfg, path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["detector"]).decode())
+            flat = data["params"]
+        assert "residual_mode" not in meta
+        meta["residual_mode"] = rule
+        np.savez(path, detector=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), params=flat)
+        return params, dcfg
+
+    def test_older_file_naming_per_point_abs_loads(self, tmp_path):
+        path = tmp_path / "detector.npz"
+        params, dcfg = self.saved_with_scoring_rule(path, "per-point-abs")
+        loaded_params, loaded_cfg = load_detector(path)
+        assert loaded_cfg == dcfg
+        assert np.array_equal(loaded_params.flatten(), params.flatten())
+
+    def test_file_naming_a_removed_scoring_rule_is_refused(self, tmp_path):
+        path = tmp_path / "detector.npz"
+        self.saved_with_scoring_rule(path, "window-mse")
+        with pytest.raises(ValueError, match="window-mse"):
+            load_detector(path)

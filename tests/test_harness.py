@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from aepoison.harness import (
     MetricsRecord,
     build_experiment,
     export,
+    magnitude_rungs,
     max_poisonable_magnitude,
     run_cell,
     run_grid,
@@ -47,6 +49,13 @@ class TestCellConfig:
     def test_round_trip_dict(self):
         cell = fast_cell(attack_magnitude=0.25)
         assert CellConfig.from_dict(cell.to_dict()) == cell
+
+    @pytest.mark.parametrize("key, value", [("retrain_mode", "reservoir"), ("residual_mode", "window-mse")])
+    def test_removed_option_is_refused(self, key, value):
+        data = fast_cell().to_dict()
+        data[key] = value
+        with pytest.raises(TypeError, match=key):
+            CellConfig.from_dict(data)
 
     def test_invalid_algorithm(self):
         with pytest.raises(ValueError, match="algorithm"):
@@ -220,16 +229,59 @@ class TestRunGrid:
         assert rec.success
 
 
+def rung(magnitude, engaged=True, success=True, error=None):
+    """A sweep record at one magnitude, with only the fields the rule reads."""
+    return MetricsRecord(
+        cell={"attack_magnitude": magnitude},
+        repetition=0,
+        success=success,
+        baseline_attack_alerts=int(engaged),
+        poison_point_count=0,
+        clean_pads=0,
+        optimization_iterations=0,
+        achieved_magnitude=0.0,
+        termination="error" if error else ("goal-met" if success else "iter-budget"),
+        wall_time_s=0.0,
+        error=error,
+    )
+
+
 class TestMaxPoisonableMagnitude:
+    def test_rungs_ascend_by_step_up_to_the_ceiling(self):
+        assert magnitude_rungs(0.05, 0.8) == [round(0.05 * k, 10) for k in range(1, 17)]
+        assert magnitude_rungs(0.1, 0.2) == [0.1, 0.2]
+
+    def test_unengaged_rungs_are_skipped(self):
+        failed_quietly = [rung(0.1), rung(0.2, engaged=False, success=False), rung(0.3)]
+        assert max_poisonable_magnitude(failed_quietly) == 0.3
+        passed_quietly = [rung(0.1), rung(0.2, engaged=False)]
+        assert max_poisonable_magnitude(passed_quietly) == 0.1
+
+    def test_scan_stops_at_first_engaged_failure(self):
+        drawn = []
+
+        def records():
+            for m, ok in ((0.1, True), (0.2, False), (0.3, True)):
+                drawn.append(m)
+                yield rung(m, success=ok)
+
+        assert max_poisonable_magnitude(records()) == 0.1
+        assert drawn == [0.1, 0.2]
+
+    def test_errored_rung_counts_as_engaged(self):
+        records = [rung(0.1), rung(0.2, engaged=False, success=False, error="RuntimeError: boom"), rung(0.3)]
+        assert max_poisonable_magnitude(records) == 0.1
+
     def test_all_alerting_detector_returns_zero(self):
         # an unconverged detector alerts on everything, including validation
         cell = fast_cell(train_iterations=1, learning_rate=0.0, stop_loss=1e-9,
                          adversarial_iterations=2)
-        assert max_poisonable_magnitude(cell, step=0.1, ceiling=0.2) == 0.0
+        records = (run_cell(replace(cell, attack_magnitude=m)) for m in magnitude_rungs(0.1, 0.2))
+        assert max_poisonable_magnitude(records) == 0.0
 
     def test_step_validation(self):
         with pytest.raises(ValueError, match="step"):
-            max_poisonable_magnitude(fast_cell(), step=0.0)
+            magnitude_rungs(0.0, 1.0)
 
 
 class TestExport:

@@ -14,9 +14,7 @@ from aepoison.nn_core import (
     grad_x,
     hvp_both,
     init_params,
-    load_checkpoint,
     loss,
-    save_checkpoint,
     train,
 )
 
@@ -366,13 +364,3 @@ class TestTrain:
         )
         assert len(traj.checkpoints) == traj.steps + 1
         assert np.array_equal(traj.checkpoints[-1], out.flatten())
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        p = init_params(small_cfg(init_seed=13, init_scale=0.37))
-        path = tmp_path / "model.npz"
-        save_checkpoint(p, path)
-        q = load_checkpoint(path)
-        assert q.config == p.config
-        assert np.array_equal(q.flatten(), p.flatten())

@@ -80,7 +80,7 @@ class TestTrainTest:
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.0)
         res = train_test(
             train, val, attacked, [], None,
-            detector_cfg=dcfg, train_cfg=tcfg, poison_cfg=PoisonConfig(), cache=TrainCache(),
+            detector_cfg=dcfg, train_cfg=tcfg, cache=TrainCache(),
         )
         assert res.alerts_attack == 0
         assert res.alerts_val == 0
@@ -89,7 +89,7 @@ class TestTrainTest:
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.5)
         res = train_test(
             train, val, attacked, [], None,
-            detector_cfg=dcfg, train_cfg=tcfg, poison_cfg=PoisonConfig(), cache=TrainCache(),
+            detector_cfg=dcfg, train_cfg=tcfg, cache=TrainCache(),
         )
         assert res.alerts_attack > 0
 
@@ -98,39 +98,9 @@ class TestTrainTest:
 
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=4)
         cand = PoisonPoint(clean.values[span[0] : span[1]], span=span)
-        batch = _training_batch(tuple(train), [], cand, dcfg, PoisonConfig(), train[0])
+        batch = _training_batch(tuple(train), [], cand, dcfg, train[0])
         cand_batch = window_batch(cand.as_series(train[0]), dcfg)
         assert np.array_equal(batch[-cand_batch.shape[0] :], cand_batch)
-
-    def test_append_and_reservoir_agree_without_poisons(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=4)
-        kw = dict(detector_cfg=dcfg, train_cfg=tcfg)
-        res_a = train_test(
-            train, val, attacked, [], None, poison_cfg=PoisonConfig(retrain_mode="append"), cache=TrainCache(), **kw
-        )
-        res_r = train_test(
-            train, val, attacked, [], None, poison_cfg=PoisonConfig(retrain_mode="reservoir"), cache=TrainCache(), **kw
-        )
-        assert np.array_equal(res_a.params.flatten(), res_r.params.flatten())
-        assert (res_a.alerts_val, res_a.alerts_attack) == (res_r.alerts_val, res_r.alerts_attack)
-
-    def test_reservoir_keeps_candidate_and_respects_budget(self):
-        from aepoison.poisoning import _training_batch
-
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=4)
-        points = [
-            PoisonPoint(clean.values[span[0] : span[1]] + 0.01 * k, span=span) for k in range(3)
-        ]
-        cand = PoisonPoint(clean.values[span[0] : span[1]] - 0.02, span=span)
-        batch = _training_batch(
-            tuple(train), points, cand, dcfg, PoisonConfig(retrain_mode="reservoir", seed=5), train[0]
-        )
-        cand_batch = window_batch(cand.as_series(train[0]), dcfg)
-        assert np.array_equal(batch[-cand_batch.shape[0] :], cand_batch)
-        # budget: at most len(train) sequences in total
-        per_seq = window_batch(train[0], dcfg).shape[0]
-        per_poison = cand_batch.shape[0]
-        assert batch.shape[0] <= len(train) * max(per_seq, per_poison)
 
 
 class TestGetPoisonGrad:
@@ -241,30 +211,21 @@ class TestInitPoison:
             tcfg,
         )
         p = init_poison(
-            train, attacked, params, PoisonConfig(init_mode="benign-data"),
+            attacked, params, PoisonConfig(init_mode="benign-data"),
             detector_cfg=dcfg, span=span, clean=clean,
         )
         assert np.array_equal(p.values, clean.values[span[0] : span[1]])
         assert p.source == "benign-init"
-
-    def test_benign_mode_requires_clean_series(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=4)
-        params = nn_core.init_params(dcfg.model)
-        with pytest.raises(ValueError, match="clean"):
-            init_poison(
-                train, attacked, params, PoisonConfig(init_mode="benign-data"),
-                detector_cfg=dcfg, span=span, clean=None,
-            )
 
     def test_quiet_attack_returned_unchanged(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.05)
         cache = TrainCache()
         base = train_test(
             train, val, attacked, [], None,
-            detector_cfg=dcfg, train_cfg=tcfg, poison_cfg=PoisonConfig(), cache=cache,
+            detector_cfg=dcfg, train_cfg=tcfg, cache=cache,
         )
         p = init_poison(
-            train, attacked, base.params, PoisonConfig(init_mode="attack-based"),
+            attacked, base.params, PoisonConfig(init_mode="attack-based"),
             detector_cfg=dcfg, span=span, clean=clean,
         )
         assert p.iteration_born == 0
@@ -275,12 +236,12 @@ class TestInitPoison:
         cache = TrainCache()
         base = train_test(
             train, val, attacked, [], None,
-            detector_cfg=dcfg, train_cfg=tcfg, poison_cfg=PoisonConfig(), cache=cache,
+            detector_cfg=dcfg, train_cfg=tcfg, cache=cache,
         )
         attack_slice = attacked.values[span[0] : span[1]]
         assert score(base.params, SeriesMatrix(attack_slice, attacked.feature_names), dcfg).alert_count > 0
         p = init_poison(
-            train, attacked, base.params,
+            attacked, base.params,
             PoisonConfig(init_mode="attack-based", adv_learning_rate=0.05, max_iters=200),
             detector_cfg=dcfg, span=span, clean=clean,
         )
@@ -340,7 +301,7 @@ class TestPoisonInterp:
         for entry in accepted[:3]:
             replay = train_test(
                 train, val, attacked, r.points[: entry.points_so_far], None,
-                detector_cfg=dcfg, train_cfg=tcfg, poison_cfg=pcfg, cache=TrainCache(),
+                detector_cfg=dcfg, train_cfg=tcfg, cache=TrainCache(),
             )
             assert (replay.alerts_val, replay.alerts_attack) == (entry.alerts_val, entry.alerts_attack)
 
