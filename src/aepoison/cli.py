@@ -144,7 +144,11 @@ def _cmd_poison(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    spec = GridSpec.from_dict(_load_config(args.spec, "grid"))
+    data = _load_config(args.spec, "grid")
+    try:
+        spec = GridSpec.from_dict(data)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{args.spec}: {exc}") from exc
     records = run_grid(spec, out_dir=args.out_dir, workers=args.workers)
     export(records, args.out_dir)
     n_err = sum(1 for r in records if r.error)

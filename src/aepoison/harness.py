@@ -12,6 +12,10 @@ index unless "seed" is itself an axis.
 Default grid axes where the source experiments left values unstated:
 attack locations {SIN_TOP, SIN_BOTTOM, SIN_SIDE}, signal lengths
 {50, 100, 200}; both are this harness's choices, not reported values.
+So are three fixed values: the autoencoder's code layer is half its input
+width, a named attack location anchors two periods into the series, and a
+poison sequence spans the attack's window footprint plus one period of
+context on each side.
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ class CellConfig:
     subsequence_length: int = 2
     threshold: float = 0.2
     inflation_factor: int = 2
-    code_ratio: int = 2
     init_scale: float = 0.3
     learning_rate: float = 0.3
     train_iterations: int = 2000
@@ -97,8 +100,6 @@ class CellConfig:
     init_mode: str = "benign-data"
     adversarial_iterations: int = 300
     adv_learning_rate: float = 0.3
-    anchor_period_shift: int = 2
-    context_margin: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -132,7 +133,7 @@ class CellConfig:
         input_size = self.subsequence_length * n
         model = ModelConfig(
             input_size=input_size,
-            code_size=max(1, input_size // self.code_ratio),
+            code_size=max(1, input_size // 2),
             inflation_factor=self.inflation_factor,
             init_seed=self.stream_seed(2),
             init_scale=self.init_scale,
@@ -186,9 +187,8 @@ class ExperimentData:
 def build_experiment(cell: CellConfig) -> ExperimentData:
     """Generate training/validation/attack series for a cell.
 
-    The attack anchors at the named location of a middle period
-    (anchor + anchor_period_shift periods) so the spoofed range sits away
-    from the series edges.
+    The attack anchors at the named location of a middle period (anchor + 2
+    periods) so the spoofed range sits away from the series edges.
     """
     train = tuple(
         generate(cell.signal_spec(cell.stream_seed(3 + i))) for i in range(cell.training_set_size)
@@ -197,7 +197,7 @@ def build_experiment(cell: CellConfig) -> ExperimentData:
     clean = generate(cell.signal_spec(cell.stream_seed(1)))
     if isinstance(cell.attack_location, str):
         anchor = anchor_index(cell.signal_spec(0), cell.attack_location)
-        anchor += cell.anchor_period_shift * cell.period
+        anchor += 2 * cell.period
         while anchor + cell.attack_duration > cell.signal_length and anchor >= cell.period:
             anchor -= cell.period
     else:
@@ -210,8 +210,7 @@ def build_experiment(cell: CellConfig) -> ExperimentData:
         clip=cell.attack_clip,
     )
     attack, attack_range = inject_attack(clean, 0, spec, cell.period)
-    margin = cell.period if cell.context_margin is None else cell.context_margin
-    span = poison_span(cell.signal_length, attack_range, cell.subsequence_length, margin)
+    span = poison_span(cell.signal_length, attack_range, cell.subsequence_length, cell.period)
     return ExperimentData(train, val, clean, attack, attack_range, span)
 
 
@@ -352,14 +351,12 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridSpec":
-        base = CellConfig.from_dict(data["base"]) if "base" in data else CellConfig()
-        return cls(
-            axes=data["axes"],
-            base=base,
-            repetitions=data.get("repetitions", 1),
-            budget=data.get("budget", 256),
-            seed=data.get("seed", 0),
-        )
+        """Refuses (TypeError) a key that names no field, so a misspelled
+        budget or repetition count is not silently replaced by its default."""
+        data = {k: v for k, v in data.items() if k != "schema"}
+        if "base" in data:
+            data["base"] = CellConfig.from_dict(data["base"])
+        return cls(**data)
 
 
 def _run_cell_rep(args: tuple[CellConfig, int]) -> MetricsRecord:

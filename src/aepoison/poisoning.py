@@ -17,7 +17,6 @@ counts on validation data, the attack, and the poison inputs themselves
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -78,13 +77,14 @@ class PoisonConfig:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoisonPoint:
     """One candidate poisoning sequence.
 
     `span` records which rows of the attacked series the values correspond
     to (the attack's window footprint plus context margin); clean pads reuse
-    the training sequences and span their full length.
+    the training sequences and span their full length. Points compare and
+    hash by identity, so a tuple of them keys a run's fits.
     """
 
     values: np.ndarray
@@ -230,89 +230,50 @@ def poison_span(
     return int(start), int(stop)
 
 
-def _as_train_list(train: SeriesMatrix | Sequence[SeriesMatrix]) -> tuple[SeriesMatrix, ...]:
-    if isinstance(train, SeriesMatrix):
-        return (train,)
-    seqs = tuple(train)
-    if not seqs:
-        raise ValueError("empty training set")
-    return seqs
-
-
 class TrainCache:
-    """Memo of cold-start fits keyed by training-set content.
+    """One run's retraining oracle: cold-start fits on the clean training
+    sequences with poison points appended, memoized by those points.
 
-    Retraining is a pure function of (training batch, model config, train
-    config) because every call starts from the same seeded initialization,
-    so reusing a fit is exact, not an approximation.
+    The clean windows and the seeded initial weights are fixed for the run
+    (`nn_core.train` never writes its input), so they are built once, and a
+    fit is a pure function of the points appended: reusing one is exact, not
+    an approximation. The key holds the points themselves, so it can never
+    name other values.
     """
 
-    def __init__(self) -> None:
-        self._fits: dict[str, tuple[ModelParams, TrainTrajectory | None, float]] = {}
+    def __init__(self, train: Sequence[SeriesMatrix], detector_cfg: DetectorConfig, train_cfg: TrainConfig) -> None:
+        self._template = train[0]
+        self._detector_cfg = detector_cfg
+        self._train_cfg = train_cfg
+        self._clean = np.concatenate([window_batch(s, detector_cfg) for s in train], axis=0)
+        self._init = nn_core.init_params(detector_cfg.model)
+        self._fits: dict[tuple[PoisonPoint, ...], tuple[ModelParams, TrainTrajectory | None, float]] = {}
 
-    def fit(
-        self, batch: np.ndarray, detector_cfg: DetectorConfig, train_cfg: TrainConfig
-    ) -> tuple[ModelParams, TrainTrajectory | None, float]:
-        digest = hashlib.sha1()
-        digest.update(np.ascontiguousarray(batch).tobytes())
-        digest.update(repr((detector_cfg.model, train_cfg)).encode())
-        key = digest.hexdigest()
-        if key not in self._fits:
-            init = nn_core.init_params(detector_cfg.model)
-            self._fits[key] = nn_core.train(init, batch, train_cfg)
-        return self._fits[key]
-
-
-def _training_batch(
-    train_seqs: tuple[SeriesMatrix, ...],
-    poison_set: Sequence[PoisonPoint],
-    candidate: PoisonPoint | None,
-    detector_cfg: DetectorConfig,
-    template: SeriesMatrix,
-) -> np.ndarray:
-    """Windows of the clean sequences, then every poison in order, then the
-    candidate: new data is appended to the training set."""
-    sequences = list(train_seqs) + [p.as_series(template) for p in poison_set]
-    if candidate is not None:
-        sequences.append(candidate.as_series(template))
-    return np.concatenate([window_batch(s, detector_cfg) for s in sequences], axis=0)
+    def fit(self, poisons: tuple[PoisonPoint, ...]) -> tuple[ModelParams, TrainTrajectory | None, float]:
+        """The fit on the clean windows, then each point's windows in order:
+        new data is appended to the training set."""
+        if poisons not in self._fits:
+            windows = [window_batch(p.as_series(self._template), self._detector_cfg) for p in poisons]
+            batch = np.concatenate([self._clean, *windows], axis=0)
+            self._fits[poisons] = nn_core.train(self._init, batch, self._train_cfg)
+        return self._fits[poisons]
 
 
-def train_test(
-    train: SeriesMatrix | Sequence[SeriesMatrix],
-    val: SeriesMatrix,
-    attack_series: SeriesMatrix,
-    poison_set: Sequence[PoisonPoint],
-    candidate: PoisonPoint | None = None,
-    *,
-    detector_cfg: DetectorConfig,
-    train_cfg: TrainConfig,
-    cache: TrainCache,
-) -> TrainTestResult:
-    """Retrain from scratch on train + poisons (+ candidate, appended last),
-    then count alerts on validation, the attack, and every poison input."""
-    train_seqs = _as_train_list(train)
-    template = train_seqs[0]
-    batch = _training_batch(train_seqs, poison_set, candidate, detector_cfg, template)
-    params, trajectory, _ = cache.fit(batch, detector_cfg, train_cfg)
-    alerts_val = score(params, val, detector_cfg).alert_count
-    alerts_attack = score(params, attack_series, detector_cfg).alert_count
-    alerts_poisons = sum(
-        score(params, p.as_series(template), detector_cfg).alert_count for p in poison_set
-    )
-    alerts_candidate = (
-        score(params, candidate.as_series(template), detector_cfg).alert_count
-        if candidate is not None
-        else 0
-    )
+def train_test(state: _RunState, candidate: PoisonPoint | None = None) -> TrainTestResult:
+    """Retrain from scratch on the clean sequences plus the run's poisons
+    (and the candidate, appended last), then count alerts on validation,
+    the attack, and every poison input."""
+    poisons = tuple(state.points) if candidate is None else (*state.points, candidate)
+    params, trajectory, _ = state.cache.fit(poisons)
+    cfg, template = state.detector_cfg, state.template
     return TrainTestResult(
         params=params,
         trajectory=trajectory,
-        alerts_val=alerts_val,
-        alerts_attack=alerts_attack,
-        alerts_poisons=alerts_poisons,
-        alerts_candidate=alerts_candidate,
-        attack_loss=series_loss(params, attack_series, detector_cfg),
+        alerts_val=score(params, state.val, cfg).alert_count,
+        alerts_attack=score(params, state.attack, cfg).alert_count,
+        alerts_poisons=sum(score(params, p.as_series(template), cfg).alert_count for p in state.points),
+        alerts_candidate=score(params, candidate.as_series(template), cfg).alert_count if candidate is not None else 0,
+        attack_loss=series_loss(params, state.attack, cfg),
     )
 
 
@@ -379,43 +340,45 @@ def get_poison_grad(
 
 @dataclass
 class _RunState:
-    """One poisoning run, set up once by `run_pipeline`: its data, configs,
-    fit cache and clean-pad RNG, and the poison set and log built so far.
+    """One poisoning run: its data and configs, and the poison set and log
+    built so far.
 
-    `train_cfg` records trajectories exactly when the algorithm is backgrad,
-    which reverses its fits; `magnitude` is max |attack - clean|, reported
-    as the achieved magnitude of a successful run.
+    Constructing it is the one place a run is set up. It builds the run's
+    retraining oracle and clean-pad RNG; `train_cfg` records trajectories
+    exactly when the algorithm is backgrad, which reverses its fits.
+    `magnitude` is max |attack - clean|, reported as the achieved magnitude
+    of a successful run.
     """
 
-    train_seqs: tuple[SeriesMatrix, ...]
+    train_seqs: Sequence[SeriesMatrix]
     val: SeriesMatrix
     attack: SeriesMatrix
+    clean: SeriesMatrix
+    algorithm: str
+    poison_cfg: PoisonConfig
     detector_cfg: DetectorConfig
     train_cfg: TrainConfig
-    poison_cfg: PoisonConfig
-    algorithm: str
-    magnitude: float
-    cache: TrainCache
-    pad_rng: np.random.Generator
+    magnitude: float = field(init=False)
+    cache: TrainCache = field(init=False)
+    pad_rng: np.random.Generator = field(init=False)
     points: list[PoisonPoint] = field(default_factory=list)
     clean_pads: int = 0
     log: list[IterationLog] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if self.algorithm not in ("interp", "backgrad"):
+            raise ValueError(f"algorithm must be interp or backgrad, got {self.algorithm!r}")
+        self.train_seqs = tuple(self.train_seqs)
+        if not self.train_seqs:
+            raise ValueError("empty training set")
+        self.train_cfg = replace(self.train_cfg, record_trajectory=self.algorithm == "backgrad")
+        self.magnitude = float(np.max(np.abs(self.attack.values - self.clean.values)))
+        self.cache = TrainCache(self.train_seqs, self.detector_cfg, self.train_cfg)
+        self.pad_rng = np.random.default_rng([self.poison_cfg.seed, 0xADD])
+
     @property
     def template(self) -> SeriesMatrix:
         return self.train_seqs[0]
-
-    def run_train_test(self, candidate: PoisonPoint | None) -> TrainTestResult:
-        return train_test(
-            self.train_seqs,
-            self.val,
-            self.attack,
-            self.points,
-            candidate,
-            detector_cfg=self.detector_cfg,
-            train_cfg=self.train_cfg,
-            cache=self.cache,
-        )
 
     def pad_clean(self, result: TrainTestResult, candidate: PoisonPoint | None) -> tuple[TrainTestResult, bool]:
         """Append clean training sequences while validation alerts persist,
@@ -437,7 +400,7 @@ class _RunState:
                 )
             )
             self.clean_pads += 1
-            result = self.run_train_test(candidate)
+            result = train_test(self, candidate)
         return result, result.alerts_val == 0
 
     def record(self, iteration: int, lam: float, result: TrainTestResult, accepted: bool, action: str) -> None:
@@ -498,7 +461,7 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
     y_c = y_c0
     grad_iters = 0
 
-    result = state.run_train_test(y_c)
+    result = train_test(state, y_c)
     for i in range(1, cfg.max_iters + 1):
         result, ok = state.pad_clean(result, y_c)
         if not ok:
@@ -519,7 +482,7 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
             y_c.values - lam * dyc / gmax, iteration_born=i, span=y_c.span, source="gradient-step"
         )
 
-        result2 = state.run_train_test(y_new)
+        result2 = train_test(state, y_new)
         result2, ok = state.pad_clean(result2, y_new)
         if not ok:
             state.record(i, lam, result2, False, "over-poisoned, pad budget exhausted")
@@ -532,7 +495,7 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
             state.record(i, lam, result2, False, "candidate alerts; committed last good poison")
             if lam <= cfg.lambda_eps:
                 return state.finish("lambda-floor", grad_iters, result2)
-            result = state.run_train_test(y_c)
+            result = train_test(state, y_c)
         else:
             lam = orig_lam
             state.record(i, lam, result2, True, "candidate accepted")
@@ -593,7 +556,7 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
         y_p = candidate
         state.points.append(candidate)
         rate /= cfg.decay
-        result = state.run_train_test(None)
+        result = train_test(state)
         result, ok = state.pad_clean(result, None)
         if not ok:
             state.record(iterations, rate, result, False, "over-poisoned, pad budget exhausted")
@@ -665,7 +628,7 @@ def init_poison(
 
 
 def run_pipeline(
-    train: SeriesMatrix | Sequence[SeriesMatrix],
+    train: Sequence[SeriesMatrix],
     val: SeriesMatrix,
     attack: SeriesMatrix,
     clean: SeriesMatrix,
@@ -680,25 +643,11 @@ def run_pipeline(
     choose the initial poison under that baseline, then run `algorithm`
     ("interp" or "backgrad") from the baseline against the retrained detector.
 
-    This is the one place a run is set up: its state, with one TrainCache
-    for all its fits, and its baseline fit. Backgrad reverses its fits, so
-    every fit of a backgrad run records its trajectory, the baseline included.
+    The run's state, with its one retraining oracle, is set up once, and the
+    baseline is fitted once.
     """
-    if algorithm not in ("interp", "backgrad"):
-        raise ValueError(f"algorithm must be interp or backgrad, got {algorithm!r}")
-    state = _RunState(
-        _as_train_list(train),
-        val,
-        attack,
-        detector_cfg,
-        replace(train_cfg, record_trajectory=algorithm == "backgrad"),
-        poison_cfg,
-        algorithm,
-        float(np.max(np.abs(attack.values - clean.values))),
-        TrainCache(),
-        np.random.default_rng([poison_cfg.seed, 0xADD]),
-    )
-    baseline = state.run_train_test(None)
+    state = _RunState(train, val, attack, clean, algorithm, poison_cfg, detector_cfg, train_cfg)
+    baseline = train_test(state)
     y0 = init_poison(attack, baseline.params, poison_cfg, detector_cfg=detector_cfg, span=span, clean=clean)
     algo = poison_backgrad if algorithm == "backgrad" else poison_interp
     return baseline, algo(state, baseline, y0)

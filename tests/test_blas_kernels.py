@@ -1,9 +1,13 @@
-"""The bit-exact training and reversal checks, rerun under each OpenBLAS kernel.
+"""The bit-exact training and reversal checks, rerun under each OpenBLAS kernel
+and at numpy's baseline SIMD level.
 
 Training updates one flat vector in place and writes its gradients with
 ``out=``; these checks compare that path with plain allocating loops. Each
 kernel runs in a child process with ``OPENBLAS_CORETYPE`` set in the child's
-environment only.
+environment only, once with numpy's default dispatch and once with
+``NPY_DISABLE_CPU_FEATURES`` naming every dispatch target above numpy's
+baseline that this CPU would run (``np.tanh`` and ``np.exp`` give other bits
+on those paths).
 """
 
 import os
@@ -12,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import aepoison
 
@@ -43,6 +48,12 @@ for path in libs:
             print(fn().decode())
             raise SystemExit
 """
+ACTIVE_DISPATCH = """
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(" ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)))
+"""
+# dispatch targets above numpy's baseline that run on this CPU
+DISPATCH_GROUPS = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
 
 
 def cpu_flags() -> set[str]:
@@ -67,17 +78,23 @@ def child_env(coretype: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("coretype", sorted(KERNEL_FLAGS))
-def test_bit_exact_checks_hold_under_kernel(coretype):
+def run_checks(coretype: str, **extra_env: str) -> None:
+    """Run CHECKS in a child under the ``coretype`` kernel, with ``extra_env``
+    added to the child's environment only."""
     missing = KERNEL_FLAGS[coretype] - cpu_flags()
     if missing:
         pytest.skip(f"CPU lacks {sorted(missing)} for the {coretype} kernel")
-    env = child_env(coretype)
+    env = {**child_env(coretype), **extra_env}
     core = subprocess.run([sys.executable, "-c", CORENAME], env=env, capture_output=True, text=True, check=True)
     name = core.stdout.strip().lower()
     if not name:
         pytest.skip("numpy is not linked to an OpenBLAS that reports its kernel")
     assert name in KERNEL_NAMES[coretype], f"OPENBLAS_CORETYPE={coretype} ran the {name} kernel"
+    if "NPY_DISABLE_CPU_FEATURES" in extra_env:
+        active = subprocess.run(
+            [sys.executable, "-c", ACTIVE_DISPATCH], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert active == [], f"numpy still dispatches to {active}"
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *CHECKS],
         cwd=TESTS.parent,
@@ -85,4 +102,17 @@ def test_bit_exact_checks_hold_under_kernel(coretype):
         capture_output=True,
         text=True,
     )
-    assert run.returncode == 0, f"under the {coretype} kernel:\n{run.stdout[-3000:]}{run.stderr[-2000:]}"
+    level = " at numpy's baseline" if extra_env else ""
+    assert run.returncode == 0, f"under the {coretype} kernel{level}:\n{run.stdout[-3000:]}{run.stderr[-2000:]}"
+
+
+@pytest.mark.parametrize("coretype", sorted(KERNEL_FLAGS))
+def test_bit_exact_checks_hold_under_kernel(coretype):
+    run_checks(coretype)
+
+
+@pytest.mark.parametrize("coretype", sorted(KERNEL_FLAGS))
+def test_bit_exact_checks_hold_under_kernel_at_numpy_baseline(coretype):
+    if not DISPATCH_GROUPS:
+        pytest.skip("numpy dispatches to no target above its baseline on this CPU")
+    run_checks(coretype, NPY_DISABLE_CPU_FEATURES=" ".join(DISPATCH_GROUPS))

@@ -195,20 +195,21 @@ def test_grid_command(tmp_path):
 
 
 def test_grid_refuses_a_removed_option(tmp_path):
-    grid_json = tmp_path / "grid.json"
-    grid_json.write_text(
-        json.dumps(
-            {
-                "schema": "aepoison/grid/v1",
-                "axes": {"attack_magnitude": [0.0]},
-                "base": {"training_set_size": 3, "signal_length": 60, "retrain_mode": "reservoir"},
-                "budget": 1,
-            }
+    # a spec the grid cannot be built from is a usage error (exit 1)
+    base = {"training_set_size": 3, "signal_length": 60}
+    refused = [
+        {"base": {**base, "retrain_mode": "reservoir"}},
+        {"base": {"trainig_set_size": 3, "signal_length": 60}},
+        {"base": base, "budgt": 1},
+    ]
+    for i, extra in enumerate(refused):
+        grid_json = tmp_path / f"grid{i}.json"
+        grid_json.write_text(
+            json.dumps({"schema": "aepoison/grid/v1", "axes": {"attack_magnitude": [0.0]}, "budget": 1, **extra})
         )
-    )
-    out_dir = tmp_path / "grid_out"
-    assert main(["--out-dir", str(out_dir), "grid", "--spec", str(grid_json)]) != 0
-    assert not (out_dir / "records.jsonl").exists()
+        out_dir = tmp_path / f"grid_out{i}"
+        assert main(["--out-dir", str(out_dir), "grid", "--spec", str(grid_json)]) == 1, extra
+        assert not (out_dir / "records.jsonl").exists()
 
 
 def test_ingest_command(tmp_path):

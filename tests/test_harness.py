@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from aepoison import nn_core, poisoning
-from aepoison.detector import window_batch
 from aepoison.harness import (
     CellConfig,
     GridSpec,
@@ -50,7 +49,16 @@ class TestCellConfig:
         cell = fast_cell(attack_magnitude=0.25)
         assert CellConfig.from_dict(cell.to_dict()) == cell
 
-    @pytest.mark.parametrize("key, value", [("retrain_mode", "reservoir"), ("residual_mode", "window-mse")])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("retrain_mode", "reservoir"),
+            ("residual_mode", "window-mse"),
+            ("code_ratio", 2),
+            ("anchor_period_shift", 2),
+            ("context_margin", 20),
+        ],
+    )
     def test_removed_option_is_refused(self, key, value):
         data = fast_cell().to_dict()
         data[key] = value
@@ -138,23 +146,21 @@ class TestRunCell:
     def test_baseline_batch_reaches_the_cache_once(self, monkeypatch, algorithm):
         # run_pipeline fits the clean baseline; the algorithm starts from it.
         # At 0.3 the baseline alerts, so the algorithm goes on to fit poisons.
+        # The baseline is the fit with no poison points appended.
         cell = fast_cell(algorithm=algorithm, attack_magnitude=0.3, adversarial_iterations=3)
-        data = build_experiment(cell)
-        dcfg = cell.detector_config()
-        baseline_batch = np.concatenate([window_batch(s, dcfg) for s in data.train]).tobytes()
-        batches = []
+        keys = []
         real_fit = poisoning.TrainCache.fit
 
-        def counting_fit(self, batch, detector_cfg, train_cfg):
-            batches.append(np.ascontiguousarray(batch).tobytes())
-            return real_fit(self, batch, detector_cfg, train_cfg)
+        def counting_fit(self, poisons):
+            keys.append(poisons)
+            return real_fit(self, poisons)
 
         monkeypatch.setattr(poisoning.TrainCache, "fit", counting_fit)
         rec = run_cell(cell)
         assert rec.error is None
         assert rec.engaged
-        assert len(batches) >= 2
-        assert batches.count(baseline_batch) == 1
+        assert len(keys) >= 2
+        assert keys.count(()) == 1
 
 
 class TestGridSpec:
@@ -182,6 +188,10 @@ class TestGridSpec:
     def test_seed_axis_overrides_grid_seed(self):
         spec = GridSpec(axes={"seed": [11, 22]}, base=fast_cell())
         assert [c.seed for c in spec.cells()] == [11, 22]
+
+    def test_unknown_top_level_key_refused(self):
+        with pytest.raises(TypeError, match="repetitons"):
+            GridSpec.from_dict({"axes": {"attack_magnitude": [0.1]}, "repetitons": 3, "budgt": 1})
 
     def test_json_round_trip(self):
         spec = GridSpec(axes={"attack_magnitude": [0.1]}, base=fast_cell(), repetitions=2, budget=8)

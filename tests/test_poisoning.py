@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aepoison import nn_core
+from aepoison import nn_core, poisoning
 from aepoison.detector import DetectorConfig, _scatter_windows, score, series_loss, window_batch
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.poisoning import (
@@ -11,7 +12,7 @@ from aepoison.poisoning import (
     PoisonConfig,
     PoisonPoint,
     PoisonResult,
-    TrainCache,
+    _RunState,
     get_poison_grad,
     init_poison,
     poison_span,
@@ -48,6 +49,25 @@ def multi_seq_setup(size=10, magnitude=0.2, sign="away-from-zero", anchor=55, du
     return train, val, clean, attacked, dcfg, tcfg, span
 
 
+def run_state(train, val, attacked, clean, dcfg, tcfg, algorithm="interp"):
+    """A run set up as run_pipeline sets it up, for tests that need a bare fit."""
+    return _RunState(train, val, attacked, clean, algorithm, PoisonConfig(), dcfg, tcfg)
+
+
+@pytest.fixture
+def train_batches(monkeypatch):
+    """The batch of every nn_core.train call the test makes."""
+    batches = []
+    real_train = nn_core.train
+
+    def recording_train(params, data, cfg):
+        batches.append(data)
+        return real_train(params, data, cfg)
+
+    monkeypatch.setattr(nn_core, "train", recording_train)
+    return batches
+
+
 def tiny_series(values):
     return SeriesMatrix(np.asarray(values, dtype=float)[:, None], ("x",))
 
@@ -78,29 +98,62 @@ class TestPoisonSpan:
 class TestTrainTest:
     def test_zero_magnitude_attack_never_alerts(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.0)
-        res = train_test(
-            train, val, attacked, [], None,
-            detector_cfg=dcfg, train_cfg=tcfg, cache=TrainCache(),
-        )
+        res = train_test(run_state(train, val, attacked, clean, dcfg, tcfg))
         assert res.alerts_attack == 0
         assert res.alerts_val == 0
 
     def test_significant_attack_alerts(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.5)
-        res = train_test(
-            train, val, attacked, [], None,
-            detector_cfg=dcfg, train_cfg=tcfg, cache=TrainCache(),
-        )
+        res = train_test(run_state(train, val, attacked, clean, dcfg, tcfg))
         assert res.alerts_attack > 0
 
-    def test_candidate_windows_appended_last(self):
-        from aepoison.poisoning import _training_batch
-
+    def test_candidate_windows_appended_last(self, train_batches):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=4)
+        state = run_state(train, val, attacked, clean, dcfg, replace(tcfg, max_epochs=5))
+        state.points.append(PoisonPoint(clean.values, span=(0, clean.length), kind="clean-pad"))
         cand = PoisonPoint(clean.values[span[0] : span[1]], span=span)
-        batch = _training_batch(tuple(train), [], cand, dcfg, train[0])
-        cand_batch = window_batch(cand.as_series(train[0]), dcfg)
-        assert np.array_equal(batch[-cand_batch.shape[0] :], cand_batch)
+        train_test(state, cand)
+        expected = [window_batch(s, dcfg) for s in train]
+        expected += [window_batch(p.as_series(train[0]), dcfg) for p in (*state.points, cand)]
+        assert len(train_batches) == 1
+        assert np.array_equal(train_batches[0], np.concatenate(expected))
+
+
+class TestTrainCache:
+    def test_run_windows_each_clean_sequence_once_and_seeds_once(self, monkeypatch, train_batches):
+        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.3)
+        windowed, seeded = [], []
+        real_window_batch, real_init = poisoning.window_batch, nn_core.init_params
+
+        def counting_window_batch(series, cfg):
+            windowed.append(series)
+            return real_window_batch(series, cfg)
+
+        def counting_init(cfg):
+            seeded.append(cfg)
+            return real_init(cfg)
+
+        monkeypatch.setattr(poisoning, "window_batch", counting_window_batch)
+        monkeypatch.setattr(nn_core, "init_params", counting_init)
+        run_pipeline(
+            train, val, attacked, clean, span, "interp", PoisonConfig(seed=1, max_iters=3),
+            detector_cfg=dcfg, train_cfg=tcfg,
+        )
+        assert len(train_batches) >= 2
+        assert [sum(w is s for w in windowed) for s in train] == [1] * len(train)
+        assert len(seeded) == 1
+
+    def test_fits_are_keyed_by_the_point_objects(self, train_batches):
+        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=3)
+        cache = run_state(train, val, attacked, clean, dcfg, replace(tcfg, max_epochs=20)).cache
+        point = PoisonPoint(clean.values[span[0] : span[1]], span=span)
+        first = cache.fit((point,))
+        assert cache.fit((point,)) is first
+        assert len(train_batches) == 1
+        # equal values in another point object are another key, and the same fit
+        twin = cache.fit((PoisonPoint(point.values, span=span),))
+        assert len(train_batches) == 2
+        assert np.array_equal(twin[0].flatten(), first[0].flatten())
 
 
 class TestGetPoisonGrad:
@@ -219,11 +272,7 @@ class TestInitPoison:
 
     def test_quiet_attack_returned_unchanged(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.05)
-        cache = TrainCache()
-        base = train_test(
-            train, val, attacked, [], None,
-            detector_cfg=dcfg, train_cfg=tcfg, cache=cache,
-        )
+        base = train_test(run_state(train, val, attacked, clean, dcfg, tcfg))
         p = init_poison(
             attacked, base.params, PoisonConfig(init_mode="attack-based"),
             detector_cfg=dcfg, span=span, clean=clean,
@@ -233,11 +282,7 @@ class TestInitPoison:
 
     def test_attack_based_reduces_loss_and_is_quiet(self):
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=10, magnitude=0.3)
-        cache = TrainCache()
-        base = train_test(
-            train, val, attacked, [], None,
-            detector_cfg=dcfg, train_cfg=tcfg, cache=cache,
-        )
+        base = train_test(run_state(train, val, attacked, clean, dcfg, tcfg))
         attack_slice = attacked.values[span[0] : span[1]]
         assert score(base.params, SeriesMatrix(attack_slice, attacked.feature_names), dcfg).alert_count > 0
         p = init_poison(
@@ -299,10 +344,9 @@ class TestPoisonInterp:
         accepted = [e for e in r.iteration_log if e.accepted and e.points_so_far > 0]
         assert accepted
         for entry in accepted[:3]:
-            replay = train_test(
-                train, val, attacked, r.points[: entry.points_so_far], None,
-                detector_cfg=dcfg, train_cfg=tcfg, cache=TrainCache(),
-            )
+            state = run_state(train, val, attacked, clean, dcfg, tcfg)
+            state.points.extend(r.points[: entry.points_so_far])
+            replay = train_test(state)
             assert (replay.alerts_val, replay.alerts_attack) == (entry.alerts_val, entry.alerts_attack)
 
 
