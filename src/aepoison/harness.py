@@ -28,7 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -110,10 +110,6 @@ class CellConfig:
         if self.subsequence_length > self.signal_length:
             raise ValueError("subsequence length cannot exceed the signal length")
         object.__setattr__(self, "channels", tuple((float(s), float(o)) for s, o in self.channels))
-
-    @property
-    def single_sequence(self) -> bool:
-        return self.subsequence_length == self.signal_length
 
     def stream_seed(self, k: int) -> int:
         return self.seed * _SEED_STRIDE + k
@@ -309,6 +305,8 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.axes, Mapping):
+            raise TypeError(f"axes must map axis names to value lists, got {type(self.axes).__name__}")
         axes = {str(k): list(v) for k, v in self.axes.items()}
         object.__setattr__(self, "axes", axes)
         unknown = set(axes) - _AXIS_NAMES

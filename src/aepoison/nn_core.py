@@ -384,7 +384,7 @@ def train(
     loss. The weights live in one flat vector that each epoch updates in
     place; each epoch runs one forward pass, which gives the stop-test loss
     and feeds the next weight update. Trajectory checkpoints are read-only
-    copies of that vector.
+    rows of one block, each a copy of that vector.
     """
     model_cfg = params.config
     x = _nonempty_batch(model_cfg, data)
@@ -392,10 +392,9 @@ def train(
     layers = _unflatten(model_cfg, theta)
     grad = np.empty_like(theta)
     grads = _unflatten(model_cfg, grad)
-    checkpoints: list[np.ndarray] | None = None
-    if cfg.record_trajectory:
-        checkpoints = [theta.copy()]
-        checkpoints[0].setflags(write=False)
+    # one block, grown by copying: an array per epoch, freed with each fit, made
+    # malloc trim and re-fault the heap every epoch, and so did growing in place
+    checkpoints = np.repeat(theta[None], min(cfg.max_epochs + 1, 64), axis=0) if cfg.record_trajectory else None
     steps = 0
     acts = _forward_acts(model_cfg, layers, x)
     cur_loss = _mse(acts[-1], x)
@@ -411,15 +410,19 @@ def train(
             if not np.isfinite(theta).all():
                 raise TrainingDiverged(f"loss diverged at step {steps}")
             if checkpoints is not None:
-                checkpoints.append(theta.copy())
-                checkpoints[-1].setflags(write=False)
+                if steps == len(checkpoints):
+                    grown = np.empty((min(cfg.max_epochs + 1, 2 * steps), theta.size))
+                    grown[:steps] = checkpoints
+                    checkpoints = grown
+                checkpoints[steps] = theta
             acts = _forward_acts(model_cfg, layers, x)
             cur_loss = _mse(acts[-1], x)
             if not np.isfinite(cur_loss):
                 raise TrainingDiverged(f"loss diverged at step {steps}")
-    trajectory = (
-        TrainTrajectory(tuple(checkpoints), steps, cfg.learning_rate) if checkpoints is not None else None
-    )
+    if checkpoints is not None:
+        checkpoints = checkpoints[: steps + 1].copy()
+        checkpoints.setflags(write=False)
+    trajectory = TrainTrajectory(tuple(checkpoints), steps, cfg.learning_rate) if checkpoints is not None else None
     theta.setflags(write=False)
     return ModelParams._trusted(model_cfg, theta), trajectory, cur_loss
 

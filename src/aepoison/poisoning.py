@@ -52,25 +52,21 @@ __all__ = [
 
 _INIT_MODES = ("benign-data", "attack-based")
 _TERMINATIONS = ("goal-met", "lambda-floor", "iter-budget", "over-poison-unrecoverable")
+DECAY = 0.9  # step-rate decay after a rejected step
+LAMBDA_EPS = 1e-5  # floor of the adversarial learning rate
+INTERP_EPS = 1e-7  # floor of an interp step
 
 
 @dataclass(frozen=True)
 class PoisonConfig:
     adv_learning_rate: float = 0.3
-    decay: float = 0.9
-    lambda_eps: float = 1e-5
     max_iters: int = 50
-    interp_eps: float = 1e-7
     init_mode: str = "benign-data"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.decay < 1.0):
-            raise ValueError("decay must be in (0, 1)")
-        if self.lambda_eps <= 0 or self.interp_eps <= 0:
-            raise ValueError("lambda_eps and interp_eps must be > 0")
-        if self.adv_learning_rate <= self.lambda_eps:
-            raise ValueError("adv_learning_rate must exceed lambda_eps")
+        if self.adv_learning_rate <= LAMBDA_EPS:
+            raise ValueError(f"adv_learning_rate must exceed {LAMBDA_EPS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.init_mode not in _INIT_MODES:
@@ -84,7 +80,7 @@ class PoisonPoint:
     `span` records which rows of the attacked series the values correspond
     to (the attack's window footprint plus context margin); clean pads reuse
     the training sequences and span their full length. Points compare and
-    hash by identity, so a tuple of them keys a run's fits.
+    hash by identity.
     """
 
     values: np.ndarray
@@ -232,13 +228,11 @@ def poison_span(
 
 class TrainCache:
     """One run's retraining oracle: cold-start fits on the clean training
-    sequences with poison points appended, memoized by those points.
+    sequences with poison points appended.
 
     The clean windows and the seeded initial weights are fixed for the run
-    (`nn_core.train` never writes its input), so they are built once, and a
-    fit is a pure function of the points appended: reusing one is exact, not
-    an approximation. The key holds the points themselves, so it can never
-    name other values.
+    (`nn_core.train` never writes its input), so they are built once. No fit
+    is kept: the caller holds the result it needs.
     """
 
     def __init__(self, train: Sequence[SeriesMatrix], detector_cfg: DetectorConfig, train_cfg: TrainConfig) -> None:
@@ -247,16 +241,12 @@ class TrainCache:
         self._train_cfg = train_cfg
         self._clean = np.concatenate([window_batch(s, detector_cfg) for s in train], axis=0)
         self._init = nn_core.init_params(detector_cfg.model)
-        self._fits: dict[tuple[PoisonPoint, ...], tuple[ModelParams, TrainTrajectory | None, float]] = {}
 
     def fit(self, poisons: tuple[PoisonPoint, ...]) -> tuple[ModelParams, TrainTrajectory | None, float]:
         """The fit on the clean windows, then each point's windows in order:
         new data is appended to the training set."""
-        if poisons not in self._fits:
-            windows = [window_batch(p.as_series(self._template), self._detector_cfg) for p in poisons]
-            batch = np.concatenate([self._clean, *windows], axis=0)
-            self._fits[poisons] = nn_core.train(self._init, batch, self._train_cfg)
-        return self._fits[poisons]
+        windows = [window_batch(p.as_series(self._template), self._detector_cfg) for p in poisons]
+        return nn_core.train(self._init, np.concatenate([self._clean, *windows], axis=0), self._train_cfg)
 
 
 def train_test(state: _RunState, candidate: PoisonPoint | None = None) -> TrainTestResult:
@@ -464,6 +454,7 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
     result = train_test(state, y_c)
     for i in range(1, cfg.max_iters + 1):
         result, ok = state.pad_clean(result, y_c)
+        fitted = len(state.points)  # `result` is the fit on these points and y_c
         if not ok:
             state.record(i, lam, result, False, "over-poisoned, pad budget exhausted")
             return state.finish("over-poison-unrecoverable", grad_iters, result)
@@ -491,11 +482,12 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
         if result2.alerts_candidate > 0:
             if not state.points or not np.array_equal(state.points[-1].values, y_c.values):
                 state.points.append(y_c)
-            lam *= cfg.decay
+            lam *= DECAY
             state.record(i, lam, result2, False, "candidate alerts; committed last good poison")
-            if lam <= cfg.lambda_eps:
+            if lam <= LAMBDA_EPS:
                 return state.finish("lambda-floor", grad_iters, result2)
-            result = train_test(state, y_c)
+            if len(state.points) != fitted:  # points are append-only
+                result = train_test(state, y_c)
         else:
             lam = orig_lam
             state.record(i, lam, result2, True, "candidate accepted")
@@ -512,7 +504,7 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
     step = rate * (attack - poison) / 2. A candidate that alerts shrinks the
     rate; an accepted candidate joins the poison set, grows the rate back,
     and the attack is retested on the retrained model. Terminates on success,
-    when the step falls below interp_eps, or at the iteration budget.
+    when the step falls below INTERP_EPS, or at the iteration budget.
     """
     cfg = state.poison_cfg
     span = y_c0.span
@@ -536,14 +528,14 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
     while iterations < cfg.max_iters:
         iterations += 1
         step = rate * (target - y_p.values) / 2.0
-        if float(np.max(np.abs(step))) <= cfg.interp_eps:
+        if float(np.max(np.abs(step))) <= INTERP_EPS:
             state.record(iterations, rate, result, False, "step below floor")
             return state.finish("lambda-floor", iterations, result)
         candidate = PoisonPoint(y_p.values + step, iteration_born=iterations, span=span, source="interp-step")
 
         cand_alerts = score(result.params, candidate.as_series(state.template), state.detector_cfg).alert_count
         if cand_alerts > 0:
-            rate *= cfg.decay
+            rate *= DECAY
             state.record(
                 iterations,
                 rate,
@@ -555,7 +547,7 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
 
         y_p = candidate
         state.points.append(candidate)
-        rate /= cfg.decay
+        rate /= DECAY
         result = train_test(state)
         result, ok = state.pad_clean(result, None)
         if not ok:
@@ -619,10 +611,10 @@ def init_poison(
             lr = cfg.adv_learning_rate
         else:
             failed += 1
-            lr *= cfg.decay**failed
+            lr *= DECAY**failed
             cand = best.copy()
             cand_series = attack.with_values(cand)
-            if lr <= cfg.lambda_eps:
+            if lr <= LAMBDA_EPS:
                 break
     return benign("attack-init-fallback-benign")
 

@@ -201,6 +201,7 @@ def test_grid_refuses_a_removed_option(tmp_path):
         {"base": {**base, "retrain_mode": "reservoir"}},
         {"base": {"trainig_set_size": 3, "signal_length": 60}},
         {"base": base, "budgt": 1},
+        {"base": base, "axes": [["attack_magnitude", [0.0]]]},
     ]
     for i, extra in enumerate(refused):
         grid_json = tmp_path / f"grid{i}.json"

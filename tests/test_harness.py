@@ -41,10 +41,6 @@ def fast_cell(**kw):
 
 
 class TestCellConfig:
-    def test_single_sequence_mode_flag(self):
-        assert fast_cell(subsequence_length=60).single_sequence
-        assert not fast_cell().single_sequence
-
     def test_round_trip_dict(self):
         cell = fast_cell(attack_magnitude=0.25)
         assert CellConfig.from_dict(cell.to_dict()) == cell
@@ -127,8 +123,10 @@ class TestRunCell:
         assert not rec.success
         assert rec.termination == "error"
 
-    def test_backgrad_cell_trains_no_batch_twice(self, monkeypatch):
-        # the baseline fit and backgrad's own baseline check share one fit
+    @pytest.mark.parametrize("magnitude, iterations", [(0.2, 3), (0.3, 5)])
+    def test_backgrad_cell_trains_no_batch_twice(self, monkeypatch, magnitude, iterations):
+        # the baseline fit and backgrad's own baseline check share one fit;
+        # at 0.3 a candidate alerts, and its rollback reuses the last good fit
         seen = []
         real_train = nn_core.train
 
@@ -137,7 +135,7 @@ class TestRunCell:
             return real_train(params, data, cfg)
 
         monkeypatch.setattr(nn_core, "train", counting_train)
-        rec = run_cell(fast_cell(algorithm="backgrad", attack_magnitude=0.2, adversarial_iterations=3))
+        rec = run_cell(fast_cell(algorithm="backgrad", attack_magnitude=magnitude, adversarial_iterations=iterations))
         assert rec.error is None
         assert len(seen) >= 2
         assert len(set(seen)) == len(seen)

@@ -298,6 +298,23 @@ class TestTrain:
         assert np.array_equal(out.flatten(), ref[-1])
         assert final_loss == loss(p, x)
 
+    @pytest.mark.parametrize("max_epochs, stop_loss", [(0, 1e-12), (63, 1e-12), (64, 1e-12), (129, 1e-12), (3000, 0.3309)])
+    def test_trajectory_of_any_length_matches_plain_loop(self, max_epochs, stop_loss):
+        # checkpoints fill a block that grows as it fills (64 rows, then
+        # doubling) and is cut to length; 0.3309 stops after 22 of 3,000
+        x = self.batch()
+        p = init_params(small_cfg(init_seed=1))
+        ref = [p.flatten()]
+        while len(ref) - 1 < max_epochs and loss(p, x) >= stop_loss:
+            p = ModelParams.from_flat(p.config, p.flatten() - 0.5 * grad_w(p, x))
+            ref.append(p.flatten())
+        _, traj, _ = train(
+            init_params(small_cfg(init_seed=1)), x, TrainConfig(0.5, max_epochs, stop_loss, record_trajectory=True)
+        )
+        assert len(traj.checkpoints) == len(ref) == traj.steps + 1
+        assert all(np.array_equal(a, b) for a, b in zip(traj.checkpoints, ref))
+        assert not any(c.flags.writeable for c in traj.checkpoints)
+
     def test_single_seq_model_matches_plain_loop_bit_exact(self):
         # the 60,550-parameter SINGLE_SEQ shape: one window of 100 points
         cfg = ModelConfig(input_size=100, code_size=50, init_seed=4, init_scale=0.3)

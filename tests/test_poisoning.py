@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from aepoison import nn_core, poisoning
 from aepoison.detector import DetectorConfig, _scatter_windows, score, series_loss, window_batch
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.poisoning import (
+    LAMBDA_EPS,
     IterationLog,
     PoisonConfig,
     PoisonPoint,
@@ -143,17 +145,15 @@ class TestTrainCache:
         assert [sum(w is s for w in windowed) for s in train] == [1] * len(train)
         assert len(seeded) == 1
 
-    def test_fits_are_keyed_by_the_point_objects(self, train_batches):
+    def test_oracle_keeps_no_fit(self):
+        # a run's fits live only as long as the caller holds them
         train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=3)
-        cache = run_state(train, val, attacked, clean, dcfg, replace(tcfg, max_epochs=20)).cache
-        point = PoisonPoint(clean.values[span[0] : span[1]], span=span)
-        first = cache.fit((point,))
-        assert cache.fit((point,)) is first
-        assert len(train_batches) == 1
-        # equal values in another point object are another key, and the same fit
-        twin = cache.fit((PoisonPoint(point.values, span=span),))
-        assert len(train_batches) == 2
-        assert np.array_equal(twin[0].flatten(), first[0].flatten())
+        state = run_state(train, val, attacked, clean, dcfg, replace(tcfg, max_epochs=20), algorithm="backgrad")
+        params, trajectory, _ = state.cache.fit((PoisonPoint(clean.values[span[0] : span[1]], span=span),))
+        assert trajectory is not None
+        fitted = weakref.ref(params)
+        del params, trajectory
+        assert fitted() is None
 
 
 class TestGetPoisonGrad:
@@ -401,7 +401,7 @@ class TestPoisonBackgrad:
         lams = [e.lam for e in r.iteration_log]
         assert all(l <= pcfg.adv_learning_rate + 1e-15 for l in lams)
         if r.termination != "lambda-floor":
-            assert all(l > pcfg.lambda_eps for l in lams)
+            assert all(l > LAMBDA_EPS for l in lams)
 
 
 class TestPoisonResult:
