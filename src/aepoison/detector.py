@@ -173,4 +173,4 @@ def load_detector(path: str | Path) -> tuple[ModelParams, DetectorConfig]:
             window=WindowConfig(meta["window_length"], meta["window_stride"]),
             threshold=meta["threshold"],
         )
-        return ModelParams.from_flat(model_cfg, data["params"]), cfg
+        return ModelParams(model_cfg, data["params"]), cfg

@@ -9,13 +9,11 @@ by a fixed counter scheme: stream k of cell seed s is s * 1_000_003 + k
 sequences); grid cells get their seed from the grid seed plus the cell
 index unless "seed" is itself an axis.
 
-Default grid axes where the source experiments left values unstated:
-attack locations {SIN_TOP, SIN_BOTTOM, SIN_SIDE}, signal lengths
-{50, 100, 200}; both are this harness's choices, not reported values.
-So are three fixed values: the autoencoder's code layer is half its input
-width, a named attack location anchors two periods into the series, and a
-poison sequence spans the attack's window footprint plus one period of
-context on each side.
+Three values the source experiments leave unstated are fixed here, as this
+harness's choices rather than reported values: the autoencoder's code layer
+is half its input width, a named attack location anchors two periods into
+the series, and a poison sequence spans the attack's window footprint plus
+one period of context on each side.
 """
 
 from __future__ import annotations
@@ -49,12 +47,7 @@ __all__ = [
     "magnitude_rungs",
     "max_poisonable_magnitude",
     "export",
-    "DEFAULT_LOCATIONS",
-    "DEFAULT_SIGNAL_LENGTHS",
 ]
-
-DEFAULT_LOCATIONS = ("SIN_TOP", "SIN_BOTTOM", "SIN_SIDE")
-DEFAULT_SIGNAL_LENGTHS = (50, 100, 200)
 
 _SEED_STRIDE = 1_000_003
 
@@ -83,7 +76,6 @@ class CellConfig:
     attack_location: str | int = "SIN_BOTTOM"
     attack_sign: str = "away-from-zero"
     attack_duration: int = 7
-    attack_clip: float | None = None
     signal_length: int = 100
     period: int = 20
     waveform: str = "sine"
@@ -203,7 +195,6 @@ def build_experiment(cell: CellConfig) -> ExperimentData:
         magnitude=cell.attack_magnitude,
         duration=cell.attack_duration,
         sign=cell.attack_sign,
-        clip=cell.attack_clip,
     )
     attack, attack_range = inject_attack(clean, 0, spec, cell.period)
     span = poison_span(cell.signal_length, attack_range, cell.subsequence_length, cell.period)

@@ -3,12 +3,13 @@
 Everything here is plain numpy with hand-written reverse-mode derivatives:
 loss gradients with respect to weights and inputs, and exact Hessian-vector
 products computed by pushing a tangent direction through the forward and
-backward passes (no Hessian is ever materialized). The trainer is plain
-full-batch gradient descent on one flat parameter vector: the layers are
-views into it, each epoch writes the weight gradient into one preallocated
-flat buffer and updates the vector in place, and a trajectory records a
-read-only copy of it after every step so the training process can be
-reversed step by step.
+backward passes (no Hessian is ever materialized). A model is one
+read-only flat parameter vector whose layers are views into it. The trainer
+is plain full-batch gradient descent on a copy of that vector: each epoch
+writes the weight gradient into one preallocated flat buffer and updates
+the vector in place, and a trajectory records it after every step as a row
+of one read-only block, so the training process can be reversed step by
+step.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
 layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
@@ -16,7 +17,7 @@ layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,50 +134,30 @@ def _unflatten(cfg: ModelConfig, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.
     return tuple(layers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Per-layer (W, b) pairs; flattenable to one parameter vector."""
+    """One flat parameter vector, stored read-only, and per-layer (W, b)
+    views of it. A writable input is copied; a read-only one (a trained
+    vector, a trajectory row) is kept as it is."""
 
     config: ModelConfig
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    vector: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        dims = self.config.layer_dims()
-        if len(self.layers) != len(dims):
-            raise ValueError(f"expected {len(dims)} layers, got {len(self.layers)}")
-        frozen = []
-        for (w, b), (nin, nout) in zip(self.layers, dims):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if w.shape != (nin, nout) or b.shape != (nout,):
-                raise ValueError(f"layer shape mismatch: {w.shape}/{b.shape} vs ({nin},{nout})")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("parameters contain non-finite values")
-            w = w.copy()
-            b = b.copy()
-            w.setflags(write=False)
-            b.setflags(write=False)
-            frozen.append((w, b))
-        object.__setattr__(self, "layers", tuple(frozen))
+        vec = np.asarray(self.vector, dtype=np.float64)
+        if vec.shape != (self.config.num_params,):
+            raise ValueError(f"expected {self.config.num_params} parameters, got {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("parameters contain non-finite values")
+        if vec.flags.writeable:
+            vec = vec.copy()
+            vec.setflags(write=False)
+        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "layers", _unflatten(self.config, vec))
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for layer in self.layers for a in layer])
-
-    @classmethod
-    def from_flat(cls, config: ModelConfig, vec: np.ndarray) -> "ModelParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (config.num_params,):
-            raise ValueError(f"expected {config.num_params} parameters, got {vec.shape}")
-        return cls(config, _unflatten(config, vec))
-
-    @classmethod
-    def _trusted(cls, config: ModelConfig, vec: np.ndarray) -> "ModelParams":
-        """Views into a finite float64 vector of config.num_params entries,
-        neither copied nor checked; a read-only vector keeps them frozen."""
-        params = object.__new__(cls)
-        object.__setattr__(params, "config", config)
-        object.__setattr__(params, "layers", _unflatten(config, vec))
-        return params
+        return self.vector
 
 
 @dataclass(frozen=True)
@@ -195,27 +176,26 @@ class TrainConfig:
             raise ValueError("stop_loss must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainTrajectory:
-    """Checkpoints w_0 .. w_T (flat vectors) plus the step size used."""
+    """Checkpoints w_0 .. w_T as the rows of one read-only (T+1, P) block,
+    plus the step size used."""
 
-    checkpoints: tuple[np.ndarray, ...]
-    steps: int
+    checkpoints: np.ndarray
     learning_rate: float
 
-    def __post_init__(self) -> None:
-        if len(self.checkpoints) != self.steps + 1:
-            raise ValueError("trajectory must hold steps+1 checkpoints")
+    @property
+    def steps(self) -> int:
+        return len(self.checkpoints) - 1
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
     """Uniform weights in [-init_scale, init_scale], zero biases, seeded."""
     rng = np.random.default_rng(cfg.init_seed)
-    layers = []
-    for nin, nout in cfg.layer_dims():
-        w = rng.uniform(-cfg.init_scale, cfg.init_scale, size=(nin, nout))
-        layers.append((w, np.zeros(nout)))
-    return ModelParams(cfg, tuple(layers))
+    vec = np.zeros(cfg.num_params)
+    for w, _ in _unflatten(cfg, vec):
+        w[...] = rng.uniform(-cfg.init_scale, cfg.init_scale, size=w.shape)
+    return ModelParams(cfg, vec)
 
 
 def _as_batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
@@ -388,7 +368,7 @@ def train(
     """
     model_cfg = params.config
     x = _nonempty_batch(model_cfg, data)
-    theta = params.flatten()
+    theta = params.flatten().copy()
     layers = _unflatten(model_cfg, theta)
     grad = np.empty_like(theta)
     grads = _unflatten(model_cfg, grad)
@@ -422,7 +402,7 @@ def train(
     if checkpoints is not None:
         checkpoints = checkpoints[: steps + 1].copy()
         checkpoints.setflags(write=False)
-    trajectory = TrainTrajectory(tuple(checkpoints), steps, cfg.learning_rate) if checkpoints is not None else None
+    trajectory = TrainTrajectory(checkpoints, cfg.learning_rate) if checkpoints is not None else None
     theta.setflags(write=False)
-    return ModelParams._trusted(model_cfg, theta), trajectory, cur_loss
+    return ModelParams(model_cfg, theta), trajectory, cur_loss
 

@@ -269,7 +269,6 @@ def train_test(state: _RunState, candidate: PoisonPoint | None = None) -> TrainT
 
 def get_poison_grad(
     trajectory: TrainTrajectory,
-    alpha: float | None,
     attack_series: SeriesMatrix,
     poison: PoisonPoint,
     detector_cfg: DetectorConfig,
@@ -281,17 +280,17 @@ def get_poison_grad(
     reverse step accumulates the poison's influence through that step's
     weight update via one mixed and one weight-space Hessian-vector product
     of the loss on the poison alone, evaluated at the recorded pre-step
-    weights: the exact adjoint of the unrolled training loop.
+    weights: the exact adjoint of the unrolled training loop, at the
+    trajectory's own learning rate.
     """
-    if alpha is None:
-        alpha = trajectory.learning_rate
+    alpha = trajectory.learning_rate
     model_cfg = detector_cfg.model
     template = attack_series
     poison_series = poison.as_series(template)
     pois_batch = window_batch(poison_series, detector_cfg)
     atk_batch = window_batch(attack_series, detector_cfg)
 
-    w_final = ModelParams.from_flat(model_cfg, trajectory.checkpoints[-1])
+    w_final = ModelParams(model_cfg, trajectory.checkpoints[-1])
     dw = nn_core.grad_w(w_final, atk_batch)
     dyc = np.zeros_like(poison.values)
     steps = trajectory.steps
@@ -309,13 +308,12 @@ def get_poison_grad(
             return dw / peak, dyc / peak
         return dw, dyc
 
-    # checkpoints were checked finite by train and are read-only, so each
-    # step reads them through unchecked views; dw and dyc are owned here and
-    # updated in place
+    # read-only checkpoint rows become models without a copy; dw and dyc
+    # are owned here and updated in place
     rows = window_rows(poison_series.length, detector_cfg.window)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps, 0, -1):
-            w_prev = ModelParams._trusted(model_cfg, trajectory.checkpoints[t - 1])
+            w_prev = ModelParams(model_cfg, trajectory.checkpoints[t - 1])
             r_gw, r_gx = nn_core.hvp_both(w_prev, pois_batch, dw)
             r_gy = _scatter_rows(r_gx, rows, poison_series.length)
             r_gy *= alpha
@@ -463,7 +461,7 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
             state.record(i, lam, result, True, "goal met, current poison committed")
             return state.finish("goal-met", grad_iters, result)
 
-        dyc = get_poison_grad(result.trajectory, state.train_cfg.learning_rate, state.attack, y_c, state.detector_cfg)
+        dyc = get_poison_grad(result.trajectory, state.attack, y_c, state.detector_cfg)
         grad_iters += 1
         gmax = float(np.max(np.abs(dyc)))
         if gmax < 1e-12:

@@ -147,8 +147,8 @@ class TestAC1NumericalOracles:
                 up[i] += h
                 dn[i] -= h
                 fd_w[i] = (
-                    nn_core.loss(ModelParams.from_flat(params.config, up), batch)
-                    - nn_core.loss(ModelParams.from_flat(params.config, dn), batch)
+                    nn_core.loss(ModelParams(params.config, up), batch)
+                    - nn_core.loss(ModelParams(params.config, dn), batch)
                 ) / (2 * h)
             rel_w = np.max(np.abs(nn_core.grad_w(params, batch) - fd_w)) / max(np.max(np.abs(fd_w)), 1e-30)
             worst_gw = max(worst_gw, rel_w)
@@ -199,8 +199,8 @@ class TestAC1NumericalOracles:
             v = rng.normal(size=params.config.num_params)
             flat = params.flatten()
             eps = 1e-6
-            up = ModelParams.from_flat(params.config, flat + eps * v)
-            dn = ModelParams.from_flat(params.config, flat - eps * v)
+            up = ModelParams(params.config, flat + eps * v)
+            dn = ModelParams(params.config, flat - eps * v)
             fd_hw = (nn_core.grad_w(up, batch) - nn_core.grad_w(dn, batch)) / (2 * eps)
             fd_hx = (nn_core.grad_x(up, batch) - nn_core.grad_x(dn, batch)) / (2 * eps)
             hw, hx = nn_core.hvp_both(params, batch, v)
@@ -235,10 +235,10 @@ class TestAC1NumericalOracles:
                 pb = window_batch(SeriesMatrix(values[:, None], ("x",)), dcfg)
                 p = w0
                 for _ in range(steps):
-                    p = ModelParams.from_flat(cfg, p.flatten() - lr * nn_core.grad_w(p, pb))
+                    p = ModelParams(cfg, p.flatten() - lr * nn_core.grad_w(p, pb))
                 return series_loss(p, attack, dcfg)
 
-            analytic = get_poison_grad(traj, lr, attack, PoisonPoint(poison_values[:, None], span=(0, 6)), dcfg)
+            analytic = get_poison_grad(traj, attack, PoisonPoint(poison_values[:, None], span=(0, 6)), dcfg)
             h = 1e-5
             fd = np.zeros(6)
             for i in range(6):

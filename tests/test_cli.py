@@ -199,6 +199,7 @@ def test_grid_refuses_a_removed_option(tmp_path):
     base = {"training_set_size": 3, "signal_length": 60}
     refused = [
         {"base": {**base, "retrain_mode": "reservoir"}},
+        {"base": {**base, "attack_clip": 0.1}},
         {"base": {"trainig_set_size": 3, "signal_length": 60}},
         {"base": base, "budgt": 1},
         {"base": base, "axes": [["attack_magnitude", [0.0]]]},

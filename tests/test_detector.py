@@ -50,9 +50,8 @@ def subspace_detector():
     )
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2.0)
     eye = np.eye(4)
-    params = ModelParams(
-        cfg, ((eye, np.zeros(4)), (basis, np.zeros(2)), (basis.T, np.zeros(4)), (eye, np.zeros(4)))
-    )
+    layers = ((eye, np.zeros(4)), (basis, np.zeros(2)), (basis.T, np.zeros(4)), (eye, np.zeros(4)))
+    params = ModelParams(cfg, np.concatenate([a.ravel() for layer in layers for a in layer]))
     dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
     return params, dcfg
 
@@ -259,6 +258,17 @@ class TestDetectorCheckpoint:
         loaded_params, loaded_cfg = load_detector(path)
         assert loaded_cfg == dcfg
         assert np.array_equal(loaded_params.flatten(), params.flatten())
+
+    def test_file_with_a_nan_parameter_is_refused(self, tmp_path):
+        params, dcfg = zero_model()
+        path = tmp_path / "detector.npz"
+        save_detector(params, dcfg, path)
+        with np.load(path) as data:
+            meta, flat = data["detector"], data["params"].copy()
+        flat[0] = np.nan
+        np.savez(path, detector=meta, params=flat)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_detector(path)
 
     def test_file_naming_a_removed_scoring_rule_is_refused(self, tmp_path):
         path = tmp_path / "detector.npz"

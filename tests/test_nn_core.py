@@ -31,7 +31,7 @@ def subspace_identity_model():
     basis, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 2)))
     eye = np.eye(4)
     layers = ((eye, np.zeros(4)), (basis, np.zeros(2)), (basis.T, np.zeros(4)), (eye, np.zeros(4)))
-    params = ModelParams(cfg, layers)
+    params = ModelParams(cfg, np.concatenate([a.ravel() for layer in layers for a in layer]))
     z = np.random.default_rng(2).normal(size=(6, 2))
     batch = z @ basis.T
     return params, batch
@@ -45,8 +45,8 @@ def fd_grad_w(params, batch, h=1e-6):
         up[i] += h
         dn[i] -= h
         out[i] = (
-            loss(ModelParams.from_flat(params.config, up), batch)
-            - loss(ModelParams.from_flat(params.config, dn), batch)
+            loss(ModelParams(params.config, up), batch)
+            - loss(ModelParams(params.config, dn), batch)
         ) / (2 * h)
     return out
 
@@ -91,8 +91,34 @@ class TestInitParams:
 
     def test_flatten_round_trip(self):
         p = init_params(small_cfg(init_seed=5))
-        q = ModelParams.from_flat(p.config, p.flatten())
+        q = ModelParams(p.config, p.flatten())
         assert np.array_equal(p.flatten(), q.flatten())
+
+
+class TestModelParams:
+    def test_vector_of_wrong_length_refused(self):
+        cfg = small_cfg()
+        with pytest.raises(ValueError, match="parameters"):
+            ModelParams(cfg, np.zeros(cfg.num_params - 1))
+
+    def test_vector_with_nan_refused(self):
+        vec = init_params(small_cfg()).flatten().copy()
+        vec[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ModelParams(small_cfg(), vec)
+
+    def test_writable_input_is_copied_and_stored_read_only(self):
+        cfg = small_cfg(init_seed=3)
+        vec = init_params(cfg).flatten().copy()
+        p = ModelParams(cfg, vec)
+        vec[:] = 7.0
+        assert np.array_equal(p.flatten(), init_params(cfg).flatten())
+        assert not p.flatten().flags.writeable
+        assert all(np.shares_memory(a, p.flatten()) for layer in p.layers for a in layer)
+
+    def test_read_only_input_is_kept(self):
+        p = init_params(small_cfg())
+        assert ModelParams(p.config, p.flatten()).flatten() is p.flatten()
 
 
 class TestForwardAndLoss:
@@ -184,7 +210,7 @@ class TestGradWBuffers:
         for _ in range(3):
             g = grad_w(p, x)
             assert np.array_equal(g, allocating_grad_w(p, x))
-            p = ModelParams.from_flat(cfg, p.flatten() - 0.5 * g)
+            p = ModelParams(cfg, p.flatten() - 0.5 * g)
 
 
 class TestHvp:
@@ -201,8 +227,8 @@ class TestHvp:
         eps = 1e-6
         flat = p.flatten()
         fd = (
-            grad_w(ModelParams.from_flat(cfg, flat + eps * v), batch)
-            - grad_w(ModelParams.from_flat(cfg, flat - eps * v), batch)
+            grad_w(ModelParams(cfg, flat + eps * v), batch)
+            - grad_w(ModelParams(cfg, flat - eps * v), batch)
         ) / (2 * eps)
         assert np.max(np.abs(hvp_both(p, batch, v)[0] - fd)) / np.max(np.abs(fd)) < 1e-7
 
@@ -226,8 +252,8 @@ class TestHvp:
         v = np.random.default_rng(50 + seed).normal(size=p.config.num_params)
         flat = p.flatten()
         eps = 1e-6
-        up = ModelParams.from_flat(p.config, flat + eps * v)
-        dn = ModelParams.from_flat(p.config, flat - eps * v)
+        up = ModelParams(p.config, flat + eps * v)
+        dn = ModelParams(p.config, flat - eps * v)
         fd_w = (grad_w(up, batch) - grad_w(dn, batch)) / (2 * eps)
         fd_x = (grad_x(up, batch) - grad_x(dn, batch)) / (2 * eps)
         hw, hx = hvp_both(p, batch, v)
@@ -260,7 +286,7 @@ class TestTrain:
         )
         assert final_loss < 0.01
         assert traj.steps < 30000
-        second_last = ModelParams.from_flat(p.config, traj.checkpoints[-2])
+        second_last = ModelParams(p.config, traj.checkpoints[-2])
         assert loss(second_last, self.batch()) >= 0.01
 
     def test_loss_monotone_for_small_rate_on_linear_autoencoder(self):
@@ -268,7 +294,7 @@ class TestTrain:
         p = init_params(cfg)
         batch = self.batch()
         _, traj, _ = train(p, batch, TrainConfig(0.05, 200, stop_loss=1e-12, record_trajectory=True))
-        losses = [loss(ModelParams.from_flat(cfg, w), batch) for w in traj.checkpoints]
+        losses = [loss(ModelParams(cfg, w), batch) for w in traj.checkpoints]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_divergence_reported(self):
@@ -287,7 +313,7 @@ class TestTrain:
         lr, max_epochs, stop_loss = 0.5, 3000, 0.01
         ref = [p.flatten()]
         while len(ref) - 1 < max_epochs and loss(p, x) >= stop_loss:
-            p = ModelParams.from_flat(p.config, p.flatten() - lr * grad_w(p, x))
+            p = ModelParams(p.config, p.flatten() - lr * grad_w(p, x))
             ref.append(p.flatten())
         out, traj, final_loss = train(
             init_params(small_cfg(init_seed=1)), x, TrainConfig(lr, max_epochs, stop_loss, record_trajectory=True)
@@ -306,7 +332,7 @@ class TestTrain:
         p = init_params(small_cfg(init_seed=1))
         ref = [p.flatten()]
         while len(ref) - 1 < max_epochs and loss(p, x) >= stop_loss:
-            p = ModelParams.from_flat(p.config, p.flatten() - 0.5 * grad_w(p, x))
+            p = ModelParams(p.config, p.flatten() - 0.5 * grad_w(p, x))
             ref.append(p.flatten())
         _, traj, _ = train(
             init_params(small_cfg(init_seed=1)), x, TrainConfig(0.5, max_epochs, stop_loss, record_trajectory=True)
@@ -323,7 +349,7 @@ class TestTrain:
         p = init_params(cfg)
         ref = [p.flatten()]
         for _ in range(epochs):
-            p = ModelParams.from_flat(cfg, p.flatten() - lr * grad_w(p, x))
+            p = ModelParams(cfg, p.flatten() - lr * grad_w(p, x))
             ref.append(p.flatten())
         out, traj, final_loss = train(init_params(cfg), x, TrainConfig(lr, epochs, 1e-12, record_trajectory=True))
         assert traj.steps == epochs

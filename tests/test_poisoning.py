@@ -165,7 +165,7 @@ class TestGetPoisonGrad:
         params = w0
         for _ in range(steps):
             g = nn_core.grad_w(params, batch)
-            params = ModelParams.from_flat(dcfg.model, params.flatten() - lr * g)
+            params = ModelParams(dcfg.model, params.flatten() - lr * g)
         return series_loss(params, attack, dcfg)
 
     def test_matches_unrolled_finite_difference_oracle(self):
@@ -184,7 +184,7 @@ class TestGetPoisonGrad:
         assert traj.steps == steps
 
         poison = PoisonPoint(poison_values[:, None], span=(0, 6))
-        analytic = get_poison_grad(traj, lr, attack, poison, dcfg)
+        analytic = get_poison_grad(traj, attack, poison, dcfg)
 
         h = 1e-5
         fd = np.zeros(6)
@@ -209,7 +209,7 @@ class TestGetPoisonGrad:
         batch = window_batch(tiny_series(poison_values), dcfg)
         _, traj, _ = nn_core.train(w0, batch, TrainConfig(lr, 1, 1e-12, record_trajectory=True))
         poison = PoisonPoint(poison_values[:, None], span=(0, 5))
-        analytic = get_poison_grad(traj, lr, attack, poison, dcfg)
+        analytic = get_poison_grad(traj, attack, poison, dcfg)
         h = 1e-6
         fd = np.zeros(5)
         for i in range(5):
@@ -235,23 +235,23 @@ class TestGetPoisonGrad:
 
         # reference: validated weights and fresh arrays at every step
         cfg, cps = dcfg.model, traj.checkpoints
-        dw = nn_core.grad_w(ModelParams.from_flat(cfg, cps[-1]), window_batch(attacked, dcfg))
+        dw = nn_core.grad_w(ModelParams(cfg, cps[-1]), window_batch(attacked, dcfg))
         dyc = np.zeros_like(poison.values)
         for t in range(traj.steps, 0, -1):
-            r_gw, r_gx = nn_core.hvp_both(ModelParams.from_flat(cfg, cps[t - 1]), pois_batch, dw)
+            r_gw, r_gx = nn_core.hvp_both(ModelParams(cfg, cps[t - 1]), pois_batch, dw)
             dyc = dyc - lr * _scatter_windows(r_gx, poison_series.length, dcfg)
             dw = dw - lr * r_gw
             assert np.max(np.abs(dw)) <= 1e50  # get_poison_grad would rescale
-        got = get_poison_grad(traj, None, attacked, poison, dcfg)
+        got = get_poison_grad(traj, attacked, poison, dcfg)
         assert np.any(got != 0.0)
         assert np.array_equal(got, dyc)
 
     def test_no_training_steps_gives_zero_gradient(self):
         dcfg = tiny_detector()
         w0 = nn_core.init_params(dcfg.model)
-        traj = nn_core.TrainTrajectory((w0.flatten(),), 0, 0.05)
+        traj = nn_core.TrainTrajectory(w0.flatten()[None], 0.05)
         poison = PoisonPoint(np.zeros((4, 1)), span=(0, 4))
-        g = get_poison_grad(traj, 0.05, tiny_series(np.ones(6)), poison, dcfg)
+        g = get_poison_grad(traj, tiny_series(np.ones(6)), poison, dcfg)
         assert np.all(g == 0.0)
 
 
