@@ -149,7 +149,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         spec = GridSpec.from_dict(data)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{args.spec}: {exc}") from exc
-    records = run_grid(spec, out_dir=args.out_dir, workers=args.workers)
+    records = run_grid(spec, out_dir=args.out_dir)
     export(records, args.out_dir)
     n_err = sum(1 for r in records if r.error)
     print(f"{len(records)} records ({n_err} errored) in {args.out_dir}")
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seeds")
     parser.add_argument("--threshold", type=float, default=None, help="override detection threshold")
     parser.add_argument("--out-dir", default="out", help="default output directory")
-    parser.add_argument("--workers", type=int, default=1, help="parallel cells for grid runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic signal (SignalSpec JSON -> series CSV)")

@@ -23,7 +23,6 @@ import dataclasses
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -348,20 +347,16 @@ class GridSpec:
         return cls(**data)
 
 
-def _run_cell_rep(args: tuple[CellConfig, int]) -> MetricsRecord:
-    cell, rep = args
-    return run_cell(cell, rep)
-
-
-def run_grid(
-    spec: GridSpec, out_dir: str | Path | None = None, workers: int = 1
-) -> list[MetricsRecord]:
+def run_grid(spec: GridSpec, out_dir: str | Path | None = None) -> list[MetricsRecord]:
     """One record per (cell, repetition); resumable via records.jsonl.
 
     Completed (cell, repetition) pairs found in the output file are not
-    recomputed; the returned list is sorted by cell coordinates so the
-    result is independent of execution order.
+    recomputed, and a row of that file that names no (cell, repetition) of
+    the spec is left out; the returned list is sorted by cell coordinates so
+    the result is independent of execution order.
     """
+    runs = [(cell, rep) for cell in spec.cells() for rep in range(spec.repetitions)]
+    wanted = {(json.dumps(cell.to_dict(), sort_keys=True), rep): (cell, rep) for cell, rep in runs}
     records: dict[tuple[str, int], MetricsRecord] = {}
     jsonl = None
     if out_dir is not None:
@@ -372,27 +367,14 @@ def run_grid(
             for line in jsonl.read_text().splitlines():
                 if line.strip():
                     rec = MetricsRecord.from_json_dict(json.loads(line))
-                    records[rec.key()] = rec
-    pending = []
-    for cell in spec.cells():
-        for rep in range(spec.repetitions):
-            key = (json.dumps(cell.to_dict(), sort_keys=True), rep)
-            if key not in records:
-                pending.append((cell, rep))
-
-    def flush(rec: MetricsRecord) -> None:
-        records[rec.key()] = rec
-        if jsonl is not None:
-            with jsonl.open("a") as fh:
-                fh.write(json.dumps(rec.to_json_dict()) + "\n")
-
-    if workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(_run_cell_rep, pending):
-                flush(rec)
-    else:
-        for item in pending:
-            flush(_run_cell_rep(item))
+                    if rec.key() in wanted:
+                        records[rec.key()] = rec
+    for key, (cell, rep) in wanted.items():
+        if key not in records:
+            rec = records[key] = run_cell(cell, rep)
+            if jsonl is not None:
+                with jsonl.open("a") as fh:
+                    fh.write(json.dumps(rec.to_json_dict()) + "\n")
     return sorted(records.values(), key=lambda r: r.key())
 
 

@@ -5,11 +5,13 @@ loss gradients with respect to weights and inputs, and exact Hessian-vector
 products computed by pushing a tangent direction through the forward and
 backward passes (no Hessian is ever materialized). A model is one
 read-only flat parameter vector whose layers are views into it. The trainer
-is plain full-batch gradient descent on a copy of that vector: each epoch
-writes the weight gradient into one preallocated flat buffer and updates
-the vector in place, and a trajectory records it after every step as a row
-of one read-only block, so the training process can be reversed step by
-step.
+is plain full-batch gradient descent on a copy of that vector. Each fit
+makes one set of work buffers (every layer's activation, output gradient,
+slope and delta, plus the residual) and one flat gradient buffer, which
+every epoch overwrites, with the bits of the plain allocating expressions,
+before it updates the vector in place; an epoch allocates no array. A
+trajectory records the vector after every step as a row of one read-only
+block, so the training process can be reversed step by step.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
 layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
@@ -37,16 +39,21 @@ __all__ = [
     "train",
 ]
 
-# activation value a = f(z); derivatives expressed in terms of a. The linear
-# layer's slope 1 and curvature 0 are applied by skipping the multiply.
-_ACTIVATIONS: dict[str, tuple[Callable, Callable | None, Callable | None]] = {
-    "tanh": (np.tanh, lambda a: 1.0 - a * a, lambda a: -2.0 * a * (1.0 - a * a)),
-    "sigmoid": (
-        lambda z: 1.0 / (1.0 + np.exp(-z)),
-        lambda a: a * (1.0 - a),
-        lambda a: a * (1.0 - a) * (1.0 - 2.0 * a),
+# (f(z) into out, f'(z) into out or a new array if out is None, f''(z) from
+# a = f(z) and f'(z)), each with its plain expression's arithmetic. The
+# linear layer's identity, slope 1 and curvature 0 are applied by skipping.
+_ACTIVATIONS: dict[str, tuple[Callable | None, Callable | None, Callable | None]] = {
+    "tanh": (
+        np.tanh,
+        lambda a, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out),
+        lambda a, slope: -2.0 * a * slope,
     ),
-    "linear": (lambda z: z, None, None),
+    "sigmoid": (
+        lambda z, out: np.divide(1.0, np.add(np.exp(np.negative(z, out=out), out=out), 1.0, out=out), out=out),
+        lambda a, out: np.multiply(a, np.subtract(1.0, a, out=out), out=out),
+        lambda a, slope: slope * (1.0 - 2.0 * a),
+    ),
+    "linear": (None, None, None),
 }
 
 
@@ -214,76 +221,106 @@ def _nonempty_batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-# The private passes below take the config and raw (W, b) layers; the
-# public functions check their batch once and pass params.layers down.
+# The private passes below take the config, raw (W, b) layers and a _Work;
+# the public functions check their batch once and pass params.layers down.
 
 
-def _forward_acts(cfg: ModelConfig, layers: _Layers, x: np.ndarray) -> list[np.ndarray]:
-    acts = [x]
-    for (w, b), act_name in zip(layers, cfg.layer_activations()):
-        f = _ACTIVATIONS[act_name][0]
-        acts.append(f(acts[-1] @ w + b))
+class _Work:
+    """Buffers for one batch: each layer's activation (acts[0] is the batch
+    itself), output gradient, slope (None for a linear layer) and delta (a
+    linear layer's is its output gradient), plus the residual and its square.
+    The first pass that needs a buffer makes it and later passes overwrite
+    it: train keeps one _Work per fit and the public functions one per call,
+    so nothing they return aliases another call's result."""
+
+    def __init__(self, x: np.ndarray, n_layers: int) -> None:
+        self.acts = [x] + [None] * n_layers
+        self.outs, self.slopes, self.deltas = ([None] * n_layers for _ in range(3))
+        self.resid = self.sq = None
+
+
+def _forward_acts(cfg: ModelConfig, layers: _Layers, work: _Work) -> list[np.ndarray]:
+    """Writes every layer's activation and the residual out - x."""
+    acts = work.acts
+    for i, ((w, b), act_name) in enumerate(zip(layers, cfg.layer_activations())):
+        z = acts[i + 1] = np.matmul(acts[i], w, out=acts[i + 1])
+        np.add(z, b, out=z)
+        activate = _ACTIVATIONS[act_name][0]
+        if activate is not None:
+            activate(z, out=z)
+    work.resid = np.subtract(acts[-1], acts[0], out=work.resid)
     return acts
 
 
-def _mse(out: np.ndarray, x: np.ndarray) -> float:
-    return float(np.mean((out - x) ** 2))
+def _mse(work: _Work) -> float:
+    # np.mean's own arithmetic (one pairwise add.reduce over all entries,
+    # divided by their count) without its Python wrapper
+    sq = work.sq = np.multiply(work.resid, work.resid, out=work.sq)
+    return float(np.add.reduce(sq, axis=None) / sq.size)
+
+
+def _forward(params: ModelParams, x: np.ndarray) -> _Work:
+    work = _Work(x, len(params.layers))
+    _forward_acts(params.config, params.layers, work)
+    return work
 
 
 def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
     """Reconstruction of a flattened window (or batch of windows)."""
     arr = np.asarray(window, dtype=np.float64)
-    single = arr.ndim == 1
-    out = _forward_acts(params.config, params.layers, _as_batch(params.config, arr))[-1]
-    return out[0] if single else out
+    out = _forward(params, _as_batch(params.config, arr)).acts[-1]
+    return out[0] if arr.ndim == 1 else out
 
 
 def loss(params: ModelParams, batch: np.ndarray) -> float:
     """Mean squared reconstruction error over all batch entries."""
-    x = _nonempty_batch(params.config, batch)
-    return _mse(_forward_acts(params.config, params.layers, x)[-1], x)
+    return _mse(_forward(params, _nonempty_batch(params.config, batch)))
 
 
-def _deltas(
-    cfg: ModelConfig, layers: _Layers, acts: list[np.ndarray]
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray | None]]:
-    """Reverse sweep of the loss. Per layer i: the gradient with respect to
-    its output acts[i + 1], its activation slope there (None for a linear
-    layer, whose slope is 1 and is not multiplied in), and its delta, the
-    gradient with respect to its pre-activation."""
+def _deltas(cfg: ModelConfig, layers: _Layers, work: _Work) -> tuple[list, list, list]:
+    """Reverse sweep of the loss, after _forward_acts. Per layer i: the
+    gradient with respect to its output acts[i + 1], its activation slope
+    there (None for a linear layer, whose slope is 1 and is not multiplied
+    in), and its delta, the gradient with respect to its pre-activation."""
+    outs, slopes, deltas = work.outs, work.slopes, work.deltas
+    outs[-1] = np.multiply(work.resid, 2.0 / work.resid.size, out=outs[-1])
     names = cfg.layer_activations()
-    n_layers = len(layers)
-    outs: list[np.ndarray] = [np.empty(0)] * n_layers
-    slopes: list[np.ndarray | None] = [None] * n_layers
-    deltas: list[np.ndarray] = [np.empty(0)] * n_layers
-    g = (2.0 / acts[0].size) * (acts[-1] - acts[0])
-    for i in range(n_layers - 1, -1, -1):
-        outs[i] = g
+    for i in range(len(layers) - 1, -1, -1):
         if names[i] == "linear":
-            deltas[i] = g
+            deltas[i] = outs[i]
         else:
-            slopes[i] = _ACTIVATIONS[names[i]][1](acts[i + 1])
-            deltas[i] = g * slopes[i]
+            slopes[i] = _ACTIVATIONS[names[i]][1](work.acts[i + 1], slopes[i])
+            deltas[i] = np.multiply(outs[i], slopes[i], out=deltas[i])
         if i:
-            g = deltas[i] @ layers[i][0].T
+            outs[i - 1] = np.matmul(deltas[i], layers[i][0].T, out=outs[i - 1])
     return outs, slopes, deltas
 
 
-def _backward(cfg: ModelConfig, layers: _Layers, acts: list[np.ndarray], grads: _Layers) -> None:
+def _row_sum(d: np.ndarray, out: np.ndarray) -> None:
+    """out <- d.sum(axis=0), bit for bit: einsum adds the rows in the same order,
+    in 6-11 us against 22-25 on the 990-row MULTI_SEQ batch (Xeon, numpy 2.4),
+    but is the slower below about 100 rows (3.5 against 2.9 us at 47 rows)."""
+    if len(d) >= 128:
+        np.einsum("ij->j", d, out=out)
+    else:
+        np.add.reduce(d, axis=0, out=out)
+
+
+def _backward(cfg: ModelConfig, layers: _Layers, work: _Work, grads: _Layers) -> None:
     """Reverse pass: writes each layer's weight and bias gradient into the
     matching (gW, gb) view of ``grads``."""
-    _, _, deltas = _deltas(cfg, layers, acts)
-    for a, d, (gw, gb) in zip(acts, deltas, grads):
+    _, _, deltas = _deltas(cfg, layers, work)
+    for a, d, (gw, gb) in zip(work.acts, deltas, grads):
         np.matmul(a.T, d, out=gw)
-        d.sum(axis=0, out=gb)
+        _row_sum(d, gb)
 
 
 def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`loss` with respect to the flat parameters."""
-    cfg, layers = params.config, params.layers
-    acts = _forward_acts(cfg, layers, _nonempty_batch(cfg, batch))
+    cfg = params.config
+    work = _forward(params, _nonempty_batch(cfg, batch))
     grad = np.empty(cfg.num_params)
-    _backward(cfg, layers, acts, _unflatten(cfg, grad))
+    _backward(cfg, params.layers, work, _unflatten(cfg, grad))
     return grad
 
 
@@ -295,12 +332,10 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """
     cfg, layers = params.config, params.layers
     arr = np.asarray(batch, dtype=np.float64)
-    single = arr.ndim == 1
-    acts = _forward_acts(cfg, layers, _nonempty_batch(cfg, arr))
-    outs, _, deltas = _deltas(cfg, layers, acts)
+    outs, _, deltas = _deltas(cfg, layers, _forward(params, _nonempty_batch(cfg, arr)))
     # input enters the loss twice: as network input and as the target
     gx = deltas[0] @ layers[0][0].T - outs[-1]
-    return gx[0] if single else gx
+    return gx[0] if arr.ndim == 1 else gx
 
 
 def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,12 +353,13 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
     names = cfg.layer_activations()
     n_layers = len(layers)
 
-    acts = _forward_acts(cfg, layers, x)
-    outs, slopes, deltas = _deltas(cfg, layers, acts)
+    work = _forward(params, x)
+    acts = work.acts
+    outs, slopes, deltas = _deltas(cfg, layers, work)
     # tangent forward sweep: r_acts[i] = directional derivative of acts[i];
     # the input does not move along v, so r_acts[0] = 0 and its terms drop
-    r_acts: list[np.ndarray] = [np.empty(0)] * (n_layers + 1)
-    r_zs: list[np.ndarray] = [np.empty(0)] * n_layers
+    r_acts: list = [None] * (n_layers + 1)
+    r_zs: list = [None] * n_layers
     for i in range(n_layers):
         w, _ = layers[i]
         vw, vb = vlayers[i]
@@ -334,12 +370,12 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
     # tangent reverse sweep; a linear layer has zero curvature
     r_out = (2.0 / x.size) * r_acts[-1]
     r_g = r_out
-    r_deltas: list[np.ndarray] = [np.empty(0)] * n_layers
+    r_deltas: list = [None] * n_layers
     for i in range(n_layers - 1, -1, -1):
         if slopes[i] is None:
             r_deltas[i] = r_g
         else:
-            curv = _ACTIVATIONS[names[i]][2](acts[i + 1])
+            curv = _ACTIVATIONS[names[i]][2](acts[i + 1], slopes[i])
             r_deltas[i] = r_g * slopes[i] + outs[i] * curv * r_zs[i]
         if i:
             r_g = r_deltas[i] @ layers[i][0].T + deltas[i] @ vlayers[i][0].T
@@ -349,7 +385,7 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
         np.matmul(acts[i].T, r_deltas[i], out=r_gw)
         if i:
             r_gw += r_acts[i].T @ deltas[i]
-        r_deltas[i].sum(axis=0, out=r_gb)
+        _row_sum(r_deltas[i], r_gb)
     r_gx = r_deltas[0] @ layers[0][0].T + deltas[0] @ vlayers[0][0].T - r_out
     return r_grad, r_gx
 
@@ -362,9 +398,10 @@ def train(
     Stops on the first epoch whose loss is already below stop_loss, or after
     max_epochs steps. Deterministic; raises TrainingDiverged on non-finite
     loss. The weights live in one flat vector that each epoch updates in
-    place; each epoch runs one forward pass, which gives the stop-test loss
-    and feeds the next weight update. Trajectory checkpoints are read-only
-    rows of one block, each a copy of that vector.
+    place; each epoch runs one forward pass into the fit's work buffers,
+    which gives the stop-test loss and feeds the next weight update.
+    Trajectory checkpoints are read-only rows of one block, each a copy of
+    that vector.
     """
     model_cfg = params.config
     x = _nonempty_batch(model_cfg, data)
@@ -372,22 +409,24 @@ def train(
     layers = _unflatten(model_cfg, theta)
     grad = np.empty_like(theta)
     grads = _unflatten(model_cfg, grad)
+    finite = np.empty(theta.shape, dtype=bool)
+    work = _Work(x, len(layers))
     # one block, grown by copying: an array per epoch, freed with each fit, made
     # malloc trim and re-fault the heap every epoch, and so did growing in place
     checkpoints = np.repeat(theta[None], min(cfg.max_epochs + 1, 64), axis=0) if cfg.record_trajectory else None
     steps = 0
-    acts = _forward_acts(model_cfg, layers, x)
-    cur_loss = _mse(acts[-1], x)
+    _forward_acts(model_cfg, layers, work)
+    cur_loss = _mse(work)
     if not np.isfinite(cur_loss):
         raise TrainingDiverged(f"initial loss is not finite: {cur_loss}")
     # overflow on a diverging run is the signal we detect, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         while steps < cfg.max_epochs and cur_loss >= cfg.stop_loss:
-            _backward(model_cfg, layers, acts, grads)
+            _backward(model_cfg, layers, work, grads)
             grad *= cfg.learning_rate
             theta -= grad
             steps += 1
-            if not np.isfinite(theta).all():
+            if not np.isfinite(theta, out=finite).all():
                 raise TrainingDiverged(f"loss diverged at step {steps}")
             if checkpoints is not None:
                 if steps == len(checkpoints):
@@ -395,8 +434,8 @@ def train(
                     grown[:steps] = checkpoints
                     checkpoints = grown
                 checkpoints[steps] = theta
-            acts = _forward_acts(model_cfg, layers, x)
-            cur_loss = _mse(acts[-1], x)
+            _forward_acts(model_cfg, layers, work)
+            cur_loss = _mse(work)
             if not np.isfinite(cur_loss):
                 raise TrainingDiverged(f"loss diverged at step {steps}")
     if checkpoints is not None:

@@ -1,8 +1,9 @@
 """The bit-exact training and reversal checks, rerun under each OpenBLAS kernel
 and at numpy's baseline SIMD level.
 
-Training updates one flat vector in place and writes its gradients with
-``out=``; these checks compare that path with plain allocating loops. Each
+Training updates one flat vector in place, writes every epoch into one set of
+work buffers with ``out=`` and sums tall deltas' rows with einsum; these checks
+compare that path with plain allocating loops and ``sum(axis=0)``. Each
 kernel runs in a child process with ``OPENBLAS_CORETYPE`` set in the child's
 environment only, once with numpy's default dispatch and once with
 ``NPY_DISABLE_CPU_FEATURES`` naming every dispatch target above numpy's
@@ -25,6 +26,8 @@ CHECKS = (
     "tests/test_nn_core.py::TestGradWBuffers",
     "tests/test_nn_core.py::TestTrain::test_matches_plain_gradient_descent_loop_bit_exact",
     "tests/test_nn_core.py::TestTrain::test_single_seq_model_matches_plain_loop_bit_exact",
+    "tests/test_nn_core.py::TestTrain::test_multi_seq_shape_matches_plain_loop_bit_exact",
+    "tests/test_nn_core.py::TestRowSum",
     "tests/test_poisoning.py::TestGetPoisonGrad::test_matches_public_reference_loop_bit_exact",
 )
 # CPU flags each kernel needs, as /proc/cpuinfo names them (pni is SSE3)

@@ -228,6 +228,24 @@ class TestRunGrid:
         assert (out / "records.jsonl").read_text() == jsonl
         assert [r.to_json_dict() for r in second] == [r.to_json_dict() for r in first]
 
+    def test_resume_leaves_out_rows_of_cells_not_in_the_spec(self, tmp_path):
+        # a row written before a cell field was removed names no cell of the spec
+        out = tmp_path / "stale"
+        spec = GridSpec(axes={"training_set_size": [3, 4]}, base=fast_cell(), budget=2)
+        first = run_grid(spec, out_dir=out)
+        jsonl = out / "records.jsonl"
+        stale = json.loads(jsonl.read_text().splitlines()[0])
+        stale["cell"]["attack_clip"] = 0.5
+        with jsonl.open("a") as fh:
+            fh.write(json.dumps(stale) + "\n")
+        second = run_grid(spec, out_dir=out)
+        assert len(second) == 2
+        assert [r.to_json_dict() for r in second] == [r.to_json_dict() for r in first]
+        assert len(jsonl.read_text().splitlines()) == 3
+        export(second, out)
+        header = (out / "records.csv").read_text().splitlines()[0].split(",")
+        assert "attack_clip" not in header and "training_set_size" in header
+
     def test_partial_results_flushed_incrementally(self, tmp_path):
         out = tmp_path / "partial"
         run_grid(GridSpec(axes={"attack_magnitude": [0.0]}, base=fast_cell(), budget=2), out_dir=out)

@@ -357,6 +357,23 @@ class TestTrain:
         assert np.array_equal(out.flatten(), ref[-1])
         assert final_loss == loss(p, x)
 
+    def test_multi_seq_shape_matches_plain_loop_bit_exact(self):
+        # the MULTI_SEQ shape: 4-8-2-8-4 model, 990x4 window batch, tall
+        # enough for the einsum bias sum
+        cfg = ModelConfig(input_size=4, code_size=2, init_seed=0, init_scale=0.5)
+        x = np.sin(np.linspace(0, 60, 990 * 4)).reshape(990, 4) * 0.8
+        lr, epochs = 1.0, 100
+        p = init_params(cfg)
+        ref = [p.flatten()]
+        for _ in range(epochs):
+            p = ModelParams(cfg, p.flatten() - lr * grad_w(p, x))
+            ref.append(p.flatten())
+        out, traj, final_loss = train(init_params(cfg), x, TrainConfig(lr, epochs, 1e-12, record_trajectory=True))
+        assert traj.steps == epochs
+        assert all(np.array_equal(a, b) for a, b in zip(traj.checkpoints, ref))
+        assert np.array_equal(out.flatten(), ref[-1])
+        assert final_loss == loss(p, x)
+
     def test_input_params_left_untouched(self):
         first, _, _ = train(init_params(small_cfg(init_seed=1)), self.batch(), TrainConfig(0.5, 5, 1e-9))
         # an untrained model, and a trained one whose layers are views of one vector
@@ -407,3 +424,77 @@ class TestTrain:
         )
         assert len(traj.checkpoints) == traj.steps + 1
         assert np.array_equal(traj.checkpoints[-1], out.flatten())
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("width", [8, 4, 2])
+    def test_tall_batch_matches_sum_axis0_bit_exact(self, width):
+        # +-1e16 beside 1.0: adding the rows in any other order gives other bits
+        rng = np.random.default_rng(width)
+        d = rng.normal(size=(990, width)) * 10.0 ** rng.uniform(-8, 8, size=(990, width))
+        d[0::5] = rng.choice([-1e16, 1e16], size=(198, width))
+        d[1::5] = 1.0
+        d[2::5] = -d[0::5]
+        out = np.empty(width)
+        nn_core._row_sum(d, out)
+        sequential = np.zeros(width)
+        for row in d:
+            sequential += row
+        assert np.array_equal(out, d.sum(axis=0))
+        assert np.array_equal(out, sequential)
+        pairwise = np.array([np.add.reduce(np.ascontiguousarray(d[:, j])) for j in range(width)])
+        assert not np.array_equal(out, pairwise)
+
+
+class TestWorkBuffers:
+    def batch(self):
+        return np.sin(np.linspace(0, 60, 990 * 4)).reshape(990, 4) * 0.8
+
+    def recorded_fit(self, monkeypatch):
+        """Trains the MULTI_SEQ shape; returns the fit and, per forward and
+        per reverse sweep, its work object and the arrays it wrote."""
+        forwards, sweeps = [], []
+        real_forward, real_deltas = nn_core._forward_acts, nn_core._deltas
+
+        def forward_acts(cfg, layers, work):
+            acts = real_forward(cfg, layers, work)
+            forwards.append((work, [*acts[1:], work.resid]))
+            return acts
+
+        def deltas(cfg, layers, work):
+            outs, slopes, ds = real_deltas(cfg, layers, work)
+            sweeps.append((work, [a for a in (*outs, *slopes, *ds) if a is not None]))
+            return outs, slopes, ds
+
+        monkeypatch.setattr(nn_core, "_forward_acts", forward_acts)
+        monkeypatch.setattr(nn_core, "_deltas", deltas)
+        cfg = ModelConfig(input_size=4, code_size=2, init_seed=0, init_scale=0.5)
+        fit = train(init_params(cfg), self.batch(), TrainConfig(1.0, 40, 1e-12, record_trajectory=True))
+        return fit, forwards, sweeps
+
+    def test_every_epoch_of_a_fit_writes_the_same_buffers(self, monkeypatch):
+        (_, traj, _), forwards, sweeps = self.recorded_fit(monkeypatch)
+        assert len(forwards) == traj.steps + 1 and len(sweeps) == traj.steps == 40
+        for calls in (forwards, sweeps):
+            first = [a.ctypes.data for a in calls[0][1]]
+            assert all([a.ctypes.data for a in arrays] == first for _, arrays in calls)
+            assert all(work is calls[0][0] for work, _ in calls)
+
+    def test_trained_vector_and_checkpoints_share_no_memory_with_buffers(self, monkeypatch):
+        (out, traj, _), forwards, _ = self.recorded_fit(monkeypatch)
+        work = forwards[0][0]
+        made = (*work.acts[1:], *work.outs, *work.slopes, *work.deltas, work.resid, work.sq)
+        buffers = [a for a in made if a is not None]
+        # a linear layer's delta is its output gradient
+        assert len({id(a) for a in buffers}) == 4 + 4 + 3 + 3 + 2
+        results = [out.flatten(), traj.checkpoints]
+        assert not any(np.shares_memory(r, b) for r in results for b in buffers)
+
+    def test_public_results_share_no_memory_across_calls(self):
+        p = init_params(ModelConfig(input_size=4, code_size=2, init_seed=0, init_scale=0.5))
+        x = self.batch()
+        v = np.random.default_rng(0).normal(size=p.config.num_params)
+        calls = [lambda: (forward(p, x),), lambda: (grad_w(p, x),), lambda: (grad_x(p, x),), lambda: hvp_both(p, x, v)]
+        for call in calls:
+            first, second = call(), call()
+            assert not any(np.shares_memory(a, b) for a in first for b in second)

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_acceptance import MULTI_SEQ
 
 from aepoison import nn_core, poisoning
 from aepoison.detector import DetectorConfig, _scatter_windows, score, series_loss, window_batch
+from aepoison.harness import build_experiment
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.poisoning import (
     LAMBDA_EPS,
@@ -427,3 +429,25 @@ class TestPoisonResult:
     def test_unknown_termination_rejected(self):
         with pytest.raises(ValueError, match="termination"):
             PoisonResult([], 0, 0, False, 0.0, "gave-up", "interp")
+
+
+class TestLeverageBound:
+    """Under the pinned MULTI_SEQ settings the attack has more pull on the
+    detector than a poison: retrained with up to two verbatim copies of the
+    attack's own poison span beside the 10 clean sequences, the detector
+    still alerts on the attack at magnitude 0.2. Recorded largest residuals
+    at k = 2: 0.208 (SIN_BOTTOM) and 0.211 (SIN_TOP), against a threshold
+    of 0.2."""
+
+    @pytest.mark.parametrize("location", ["SIN_BOTTOM", "SIN_TOP"])
+    def test_copies_of_the_attack_leave_it_alerting(self, location):
+        cell = replace(MULTI_SEQ, attack_magnitude=0.2, attack_location=location)
+        data = build_experiment(cell)
+        dcfg = cell.detector_config()
+        cache = poisoning.TrainCache(data.train, dcfg, cell.train_config())
+        a, b = data.span
+        copy = PoisonPoint(data.attack.values[a:b], span=data.span)
+        for k in range(3):
+            params, _, _ = cache.fit((copy,) * k)
+            report = score(params, data.attack, dcfg)
+            assert report.alert_count > 0, f"{k} copies silenced the attack at {location}"
