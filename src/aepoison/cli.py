@@ -3,7 +3,8 @@
 Subcommands compose into a pipeline: `gen` a signal, `attack` it, `train` a
 detector, `score` series, `poison` a detector, `grid` a whole experiment
 matrix, `ingest` raw CSV data. All config files are JSON with a versioned
-`schema` field. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+`schema` field. Exit codes: 0 success, 1 usage error (a config with a
+missing or unknown key or an invalid value is one), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -35,16 +37,23 @@ _SCHEMAS = {
 }
 
 
+T = TypeVar("T")
+
+
 class UsageError(Exception):
     pass
 
 
-def _load_config(path: str, kind: str) -> dict:
+def _load_config(path: str, kind: str, build: Callable[[dict], T]) -> T:
+    """build(the file's JSON object); a missing key, an unknown key or a bad value is a usage error."""
     data = json.loads(Path(path).read_text())
     schema = data.pop("schema", None)
     if schema is not None and schema != _SCHEMAS[kind]:
         raise UsageError(f"{path}: expected schema {_SCHEMAS[kind]}, got {schema}")
-    return data
+    try:
+        return build(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _signal_spec(data: dict, seed_override: int | None) -> SignalSpec:
@@ -66,7 +75,7 @@ def _detector_parts(data: dict, threshold_override: float | None) -> tuple[Detec
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = _signal_spec(_load_config(args.spec, "signal"), args.seed)
+    spec = _load_config(args.spec, "signal", lambda data: _signal_spec(data, args.seed))
     series = generate(spec)
     export_csv(series, args.out)
     print(f"wrote {series.length}x{series.num_features} series to {args.out}")
@@ -74,9 +83,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    spec = _load_config(args.attack, "attack", lambda data: AttackSpec(**data))
     series = ingest_csv(args.series)
-    data = _load_config(args.attack, "attack")
-    spec = AttackSpec(**data)
     attacked, attack_range = inject_attack(series, args.feature, spec, args.period)
     export_csv(attacked, args.out)
     range_info = {
@@ -93,7 +101,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg, train_cfg = _detector_parts(_load_config(args.detector, "detector"), args.threshold)
+    cfg, train_cfg = _load_config(args.detector, "detector", lambda data: _detector_parts(data, args.threshold))
     batches = [detector_mod.window_batch(ingest_csv(p), cfg) for p in args.series]
     batch = np.concatenate(batches, axis=0)
     params, _, final_loss = nn_core.train(nn_core.init_params(cfg.model), batch, train_cfg)
@@ -114,14 +122,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_poison(args: argparse.Namespace) -> int:
-    cfg, train_cfg = _detector_parts(_load_config(args.detector, "detector"), args.threshold)
+    cfg, train_cfg = _load_config(args.detector, "detector", lambda data: _detector_parts(data, args.threshold))
     train_series = [ingest_csv(p) for p in args.train]
     val = ingest_csv(args.val)
     attack = ingest_csv(args.attack)
     clean = ingest_csv(args.clean)
-    range_info = _load_config(args.attack_range, "attack-range")
-    attack_range = (range_info["start"], range_info["stop"])
-    period = range_info["period"]
+    attack_range, period = _load_config(
+        args.attack_range, "attack-range", lambda data: ((data["start"], data["stop"]), data["period"])
+    )
 
     poison_cfg = PoisonConfig(
         init_mode="attack-based" if args.init == "attack" else "benign-data",
@@ -144,11 +152,7 @@ def _cmd_poison(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    data = _load_config(args.spec, "grid")
-    try:
-        spec = GridSpec.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{args.spec}: {exc}") from exc
+    spec = _load_config(args.spec, "grid", GridSpec.from_dict)
     records = run_grid(spec, out_dir=args.out_dir)
     export(records, args.out_dir)
     n_err = sum(1 for r in records if r.error)
@@ -163,8 +167,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         series = subsample(series, args.subsample)
     base = None
     if args.base:
-        stats = _load_config(args.base, "norm-stats")
-        base = NormStats(np.array(stats["min"]), np.array(stats["max"]))
+        base = _load_config(
+            args.base, "norm-stats", lambda data: NormStats(np.array(data["min"]), np.array(data["max"]))
+        )
     normalized, stats = normalize(series, base)
     export_csv(normalized, args.out)
     Path(args.stats_out).write_text(

@@ -1,6 +1,6 @@
 """Experiment orchestration: cells, grids, sweeps, persistence.
 
-A cell fully describes one poisoning experiment (signal family, detector,
+A cell fully describes one poisoning experiment (sine signal, detector,
 attack, algorithm, budgets, seed). Grids run the cartesian product of axis
 values over a base cell, flushing one JSONL record per run so interrupted
 grids resume without recomputing. All randomness derives from the cell seed
@@ -9,11 +9,11 @@ by a fixed counter scheme: stream k of cell seed s is s * 1_000_003 + k
 sequences); grid cells get their seed from the grid seed plus the cell
 index unless "seed" is itself an axis.
 
-Three values the source experiments leave unstated are fixed here, as this
+Four values the source experiments leave unstated are fixed here, as this
 harness's choices rather than reported values: the autoencoder's code layer
-is half its input width, a named attack location anchors two periods into
-the series, and a poison sequence spans the attack's window footprint plus
-one period of context on each side.
+is half its input width and its widening layers twice it, a named attack
+location anchors two periods into the series, and a poison sequence spans
+the attack's window footprint plus one period of context on each side.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _SEED_STRIDE = 1_000_003
+_INFLATION_FACTOR = 2
 
 _AXIS_NAMES = frozenset(
     {
@@ -77,12 +78,10 @@ class CellConfig:
     attack_duration: int = 7
     signal_length: int = 100
     period: int = 20
-    waveform: str = "sine"
     noise_std: float = 0.05
     channels: tuple[tuple[float, float], ...] = ((1.0, 0.0),)
     subsequence_length: int = 2
     threshold: float = 0.2
-    inflation_factor: int = 2
     init_scale: float = 0.3
     learning_rate: float = 0.3
     train_iterations: int = 2000
@@ -107,7 +106,6 @@ class CellConfig:
 
     def signal_spec(self, seed: int) -> SignalSpec:
         return SignalSpec(
-            waveform=self.waveform,
             period=self.period,
             length=self.signal_length,
             noise_std=self.noise_std,
@@ -121,7 +119,7 @@ class CellConfig:
         model = ModelConfig(
             input_size=input_size,
             code_size=max(1, input_size // 2),
-            inflation_factor=self.inflation_factor,
+            inflation_factor=_INFLATION_FACTOR,
             init_seed=self.stream_seed(2),
             init_scale=self.init_scale,
         )
@@ -347,10 +345,11 @@ class GridSpec:
         return cls(**data)
 
 
-def run_grid(spec: GridSpec, out_dir: str | Path | None = None) -> list[MetricsRecord]:
-    """One record per (cell, repetition); resumable via records.jsonl.
+def run_grid(spec: GridSpec, out_dir: str | Path) -> list[MetricsRecord]:
+    """One record per (cell, repetition), each appended to
+    ``out_dir/records.jsonl`` as it completes.
 
-    Completed (cell, repetition) pairs found in the output file are not
+    Completed (cell, repetition) pairs found in that file are not
     recomputed, and a row of that file that names no (cell, repetition) of
     the spec is left out; the returned list is sorted by cell coordinates so
     the result is independent of execution order.
@@ -358,23 +357,20 @@ def run_grid(spec: GridSpec, out_dir: str | Path | None = None) -> list[MetricsR
     runs = [(cell, rep) for cell in spec.cells() for rep in range(spec.repetitions)]
     wanted = {(json.dumps(cell.to_dict(), sort_keys=True), rep): (cell, rep) for cell, rep in runs}
     records: dict[tuple[str, int], MetricsRecord] = {}
-    jsonl = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        jsonl = out_path / "records.jsonl"
-        if jsonl.exists():
-            for line in jsonl.read_text().splitlines():
-                if line.strip():
-                    rec = MetricsRecord.from_json_dict(json.loads(line))
-                    if rec.key() in wanted:
-                        records[rec.key()] = rec
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
+    jsonl = out_path / "records.jsonl"
+    if jsonl.exists():
+        for line in jsonl.read_text().splitlines():
+            if line.strip():
+                rec = MetricsRecord.from_json_dict(json.loads(line))
+                if rec.key() in wanted:
+                    records[rec.key()] = rec
     for key, (cell, rep) in wanted.items():
         if key not in records:
             rec = records[key] = run_cell(cell, rep)
-            if jsonl is not None:
-                with jsonl.open("a") as fh:
-                    fh.write(json.dumps(rec.to_json_dict()) + "\n")
+            with jsonl.open("a") as fh:
+                fh.write(json.dumps(rec.to_json_dict()) + "\n")
     return sorted(records.values(), key=lambda r: r.key())
 
 
@@ -411,63 +407,55 @@ def max_poisonable_magnitude(records: Iterable[MetricsRecord]) -> float:
     return best
 
 
-def export(records: Sequence[MetricsRecord], out_dir: str | Path, formats: Sequence[str] = ("csv", "json")) -> list[Path]:
-    """Write records as CSV/JSON plus plot-data files (x/y series)."""
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def export(records: Sequence[MetricsRecord], out_dir: str | Path) -> list[Path]:
+    """Write records as CSV and JSON plus plot-data files (x/y series).
+
+    Its ``largest_successful_magnitude`` is not :func:`max_poisonable_magnitude`:
+    grid cells along the magnitude axis carry different seeds
+    (``GridSpec.cells``), so they are not one sweep.
+    """
     if not records:
         raise ValueError("no records to export")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
     cell_keys = sorted(records[0].cell.keys())
-    if "csv" in formats:
-        p = out_path / "records.csv"
-        with p.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            names = [f.name for f in dataclasses.fields(MetricsRecord) if f.name != "cell"]
-            writer.writerow(cell_keys + names)
-            for rec in records:
-                values = [rec.error or "" if name == "error" else getattr(rec, name) for name in names]
-                writer.writerow([rec.cell.get(k) for k in cell_keys] + values)
-        written.append(p)
-    if "json" in formats:
-        p = out_path / "records.json"
-        p.write_text(json.dumps([r.to_json_dict() for r in records], indent=2))
-        written.append(p)
+    names = [f.name for f in dataclasses.fields(MetricsRecord) if f.name != "cell"]
+    rows = (
+        [rec.cell.get(k) for k in cell_keys] + [rec.error or "" if n == "error" else getattr(rec, n) for n in names]
+        for rec in records
+    )
+    json_path = out_path / "records.json"
+    json_path.write_text(json.dumps([r.to_json_dict() for r in records], indent=2))
+    written = [_write_csv(out_path / "records.csv", cell_keys + names, rows), json_path]
 
     # plot data: poison points vs magnitude, one series per training size
-    by_size: dict[int, list[tuple[float, int]]] = {}
+    points: dict[tuple[int, float], list[int]] = {}
     for rec in records:
         if rec.success and rec.error is None:
-            size = rec.cell.get("training_set_size")
-            by_size.setdefault(size, []).append(
-                (rec.cell.get("attack_magnitude"), rec.poison_point_count)
-            )
-    p = out_path / "plot_points_vs_magnitude.csv"
-    with p.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["training_set_size", "attack_magnitude", "mean_poison_points"])
-        for size in sorted(by_size):
-            by_mag: dict[float, list[int]] = {}
-            for mag, pts in by_size[size]:
-                by_mag.setdefault(mag, []).append(pts)
-            for mag in sorted(by_mag):
-                writer.writerow([size, mag, float(np.mean(by_mag[mag]))])
-    written.append(p)
+            key = (rec.cell.get("training_set_size"), rec.cell.get("attack_magnitude"))
+            points.setdefault(key, []).append(rec.poison_point_count)
+    header = ["training_set_size", "attack_magnitude", "mean_poison_points"]
+    rows = ([size, mag, float(np.mean(pts))] for (size, mag), pts in sorted(points.items()))
+    written.append(_write_csv(out_path / "plot_points_vs_magnitude.csv", header, rows))
 
-    # plot data: max successful magnitude per (algorithm, training size)
+    # plot data: largest successful magnitude per (algorithm, training size)
     best: dict[tuple[str, int], float] = {}
     for rec in records:
         if rec.success and rec.engaged and rec.error is None:
             key = (rec.cell.get("algorithm"), rec.cell.get("training_set_size"))
             best[key] = max(best.get(key, 0.0), rec.cell.get("attack_magnitude", 0.0))
-    p = out_path / "plot_max_magnitude_vs_training_size.csv"
-    with p.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "training_set_size", "max_magnitude"])
-        for (algo, size), mag in sorted(best.items()):
-            writer.writerow([algo, size, mag])
-    written.append(p)
+    header = ["algorithm", "training_set_size", "largest_successful_magnitude"]
+    rows = ([algo, size, mag] for (algo, size), mag in sorted(best.items()))
+    written.append(_write_csv(out_path / "plot_max_magnitude_vs_training_size.csv", header, rows))
 
     # plot data: iteration counts per algorithm and magnitude
     iters: dict[tuple[str, float], list[int]] = {}
@@ -475,11 +463,7 @@ def export(records: Sequence[MetricsRecord], out_dir: str | Path, formats: Seque
         if rec.error is None:
             key = (rec.cell.get("algorithm"), rec.cell.get("attack_magnitude"))
             iters.setdefault(key, []).append(rec.optimization_iterations)
-    p = out_path / "plot_iterations_comparison.csv"
-    with p.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "attack_magnitude", "mean_iterations"])
-        for (algo, mag), values in sorted(iters.items()):
-            writer.writerow([algo, mag, float(np.mean(values))])
-    written.append(p)
+    header = ["algorithm", "attack_magnitude", "mean_iterations"]
+    rows = ([algo, mag, float(np.mean(values))] for (algo, mag), values in sorted(iters.items()))
+    written.append(_write_csv(out_path / "plot_iterations_comparison.csv", header, rows))
     return written

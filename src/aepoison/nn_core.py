@@ -205,17 +205,11 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return ModelParams(cfg, vec)
 
 
-def _as_batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
+def _batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
+    """x as a float64 (rows, input_size) array of at least one row."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != cfg.input_size:
         raise ValueError(f"expected batch of width {cfg.input_size}, got shape {x.shape}")
-    return x
-
-
-def _nonempty_batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    x = _as_batch(cfg, x)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     return x
@@ -265,16 +259,14 @@ def _forward(params: ModelParams, x: np.ndarray) -> _Work:
     return work
 
 
-def forward(params: ModelParams, window: np.ndarray) -> np.ndarray:
-    """Reconstruction of a flattened window (or batch of windows)."""
-    arr = np.asarray(window, dtype=np.float64)
-    out = _forward(params, _as_batch(params.config, arr)).acts[-1]
-    return out[0] if arr.ndim == 1 else out
+def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
+    """Reconstruction of a batch of flattened windows, one per row."""
+    return _forward(params, _batch(params.config, batch)).acts[-1]
 
 
 def loss(params: ModelParams, batch: np.ndarray) -> float:
     """Mean squared reconstruction error over all batch entries."""
-    return _mse(_forward(params, _nonempty_batch(params.config, batch)))
+    return _mse(_forward(params, _batch(params.config, batch)))
 
 
 def _deltas(cfg: ModelConfig, layers: _Layers, work: _Work) -> tuple[list, list, list]:
@@ -318,7 +310,7 @@ def _backward(cfg: ModelConfig, layers: _Layers, work: _Work, grads: _Layers) ->
 def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`loss` with respect to the flat parameters."""
     cfg = params.config
-    work = _forward(params, _nonempty_batch(cfg, batch))
+    work = _forward(params, _batch(cfg, batch))
     grad = np.empty(cfg.num_params)
     _backward(cfg, params.layers, work, _unflatten(cfg, grad))
     return grad
@@ -331,11 +323,9 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     target), so it matches finite differences of loss(params, batch).
     """
     cfg, layers = params.config, params.layers
-    arr = np.asarray(batch, dtype=np.float64)
-    outs, _, deltas = _deltas(cfg, layers, _forward(params, _nonempty_batch(cfg, arr)))
+    outs, _, deltas = _deltas(cfg, layers, _forward(params, _batch(cfg, batch)))
     # input enters the loss twice: as network input and as the target
-    gx = deltas[0] @ layers[0][0].T - outs[-1]
-    return gx[0] if arr.ndim == 1 else gx
+    return deltas[0] @ layers[0][0].T - outs[-1]
 
 
 def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +335,7 @@ def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.
     the derivative of <grad_w, v> with respect to the batch entries.
     """
     cfg, layers = params.config, params.layers
-    x = _nonempty_batch(cfg, batch)
+    x = _batch(cfg, batch)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (cfg.num_params,):
         raise ValueError(f"direction must have length {cfg.num_params}, got {v.shape}")
@@ -404,7 +394,7 @@ def train(
     that vector.
     """
     model_cfg = params.config
-    x = _nonempty_batch(model_cfg, data)
+    x = _batch(model_cfg, data)
     theta = params.flatten().copy()
     layers = _unflatten(model_cfg, theta)
     grad = np.empty_like(theta)

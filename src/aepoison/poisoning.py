@@ -101,7 +101,7 @@ class PoisonPoint:
             raise ValueError(f"unknown poison kind {self.kind!r}")
 
     def as_series(self, template: SeriesMatrix) -> SeriesMatrix:
-        return SeriesMatrix(self.values, template.feature_names, template.dt)
+        return template.with_values(self.values)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ class SignalSpec:
     waveform: str = "sine"
     period: int = 20
     length: int = 100
-    amplitude: float = 1.0
     noise_std: float = 0.0
     channels: tuple[tuple[float, float], ...] = ((1.0, 0.0),)
     seed: int = 0
@@ -91,10 +90,10 @@ class AttackSpec:
 
 
 def base_waveform(spec: SignalSpec) -> np.ndarray:
-    """Noiseless base waveform b(i), i = 0..length-1, range [-A, A]."""
+    """Noiseless unit-amplitude base waveform b(i), i = 0..length-1."""
     phase = np.arange(spec.length, dtype=np.float64) / spec.period
     wave = np.sin if spec.waveform == "sine" else np.cos
-    return spec.amplitude * wave(2.0 * np.pi * phase)
+    return wave(2.0 * np.pi * phase)
 
 
 def generate(spec: SignalSpec) -> SeriesMatrix:

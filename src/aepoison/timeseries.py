@@ -8,7 +8,6 @@ are frozen (read-only views), so values can be shared freely across threads.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -37,11 +36,10 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeriesMatrix:
-    """T x N multivariate series; `dt` is the sampling interval in seconds."""
+    """T x N multivariate series with one name per column."""
 
     values: np.ndarray
     feature_names: tuple[str, ...]
-    dt: float = 1.0
 
     def __post_init__(self) -> None:
         values = _frozen(np.atleast_2d(self.values))
@@ -74,7 +72,7 @@ class SeriesMatrix:
             raise KeyError(f"unknown feature {name!r}; have {list(self.feature_names)}") from None
 
     def with_values(self, values: np.ndarray) -> "SeriesMatrix":
-        return SeriesMatrix(values, self.feature_names, self.dt)
+        return SeriesMatrix(values, self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -158,17 +156,13 @@ def window(series: SeriesMatrix, cfg: WindowConfig) -> np.ndarray:
 
 
 def subsample(series: SeriesMatrix, factor: int) -> SeriesMatrix:
-    """Keep every `factor`-th row starting at row 0; dt scales by `factor`."""
+    """Keep every `factor`-th row starting at row 0."""
     if factor < 1:
         raise ValueError(f"subsample factor must be >= 1, got {factor}")
-    return SeriesMatrix(series.values[::factor], series.feature_names, series.dt * factor)
+    return series.with_values(series.values[::factor])
 
 
-def ingest_csv(
-    path: str | Path,
-    feature_selection: Sequence[str] | None = None,
-    dt: float = 1.0,
-) -> SeriesMatrix:
+def ingest_csv(path: str | Path, feature_selection: Sequence[str] | None = None) -> SeriesMatrix:
     """Read a comma-separated file into a SeriesMatrix.
 
     One header row of feature names, one data row per time step. Columns not
@@ -204,21 +198,17 @@ def ingest_csv(
             rows.append(parsed)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return SeriesMatrix(np.array(rows, dtype=np.float64), tuple(names), dt)
+    return SeriesMatrix(np.array(rows, dtype=np.float64), tuple(names))
 
 
-def export_csv(series: SeriesMatrix, path: str | Path | None = None) -> str:
-    """Write a series as CSV; returns the text.
+def export_csv(series: SeriesMatrix, path: str | Path) -> None:
+    """Write a series as CSV to `path`.
 
     12 significant digits, so ingest(export(s)) matches s to well under 1e-9
     relative error and re-exporting the round-tripped series is bit-stable.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(series.feature_names)
-    for row in series.values:
-        writer.writerow([format(v, ".12g") for v in row])
-    text = buf.getvalue()
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(series.feature_names)
+        for row in series.values:
+            writer.writerow([format(v, ".12g") for v in row])

@@ -200,6 +200,8 @@ def test_grid_refuses_a_removed_option(tmp_path):
     refused = [
         {"base": {**base, "retrain_mode": "reservoir"}},
         {"base": {**base, "attack_clip": 0.1}},
+        {"base": {**base, "waveform": "sine"}},
+        {"base": {**base, "inflation_factor": 2}},
         {"base": {"trainig_set_size": 3, "signal_length": 60}},
         {"base": base, "budgt": 1},
         {"base": base, "axes": [["attack_magnitude", [0.0]]]},
@@ -212,6 +214,63 @@ def test_grid_refuses_a_removed_option(tmp_path):
         out_dir = tmp_path / f"grid_out{i}"
         assert main(["--out-dir", str(out_dir), "grid", "--spec", str(grid_json)]) == 1, extra
         assert not (out_dir / "records.jsonl").exists()
+
+
+def test_config_that_cannot_be_built_is_usage_error(tmp_path, signal_json, detector_json):
+    # the same rule as a grid spec: exit 1, and no output file is written
+    series_csv = tmp_path / "series.csv"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    signal = json.loads(signal_json.read_text())
+    attack = {"schema": "aepoison/attack/v1", "location": 55, "magnitude": 0.1, "duration": 5}
+    detector = json.loads(detector_json.read_text())
+    bad = {
+        "signal_removed_key": {**signal, "amplitude": 2.0},
+        "signal_bad_value": {**signal, "period": 1},
+        "attack_misspelled": {**{k: v for k, v in attack.items() if k != "magnitude"}, "magnitud": 0.1},
+        "detector_unknown_model_key": {**detector, "model": {**detector["model"], "widening": 3}},
+        "detector_without_train": {k: v for k, v in detector.items() if k != "train"},
+    }
+    paths = {}
+    for name, data in bad.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    out = tmp_path / "out"
+    commands = [
+        ["gen", "--spec", str(paths["signal_removed_key"]), "--out", str(out)],
+        ["gen", "--spec", str(paths["signal_bad_value"]), "--out", str(out)],
+        ["attack", "--series", str(series_csv), "--attack", str(paths["attack_misspelled"]),
+         "--feature", "ch0", "--period", "20", "--out", str(out), "--range-out", str(tmp_path / "range.json")],
+        ["train", "--series", str(series_csv), "--detector", str(paths["detector_unknown_model_key"]),
+         "--out", str(out)],
+        ["train", "--series", str(series_csv), "--detector", str(paths["detector_without_train"]),
+         "--out", str(out)],
+        ["--out-dir", str(out), "poison", "--algo", "interp", "--train", str(series_csv),
+         "--val", str(series_csv), "--attack", str(series_csv), "--clean", str(series_csv),
+         "--attack-range", str(tmp_path / "missing-range.json"),
+         "--detector", str(paths["detector_unknown_model_key"])],
+    ]
+    for argv in commands:
+        assert main(argv) == 1, argv
+        assert not out.exists(), argv
+        assert not (tmp_path / "range.json").exists()
+
+
+def test_missing_config_file_is_runtime_error(tmp_path, signal_json):
+    series_csv = tmp_path / "series.csv"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    missing = str(tmp_path / "missing.json")
+    out = tmp_path / "out"
+    commands = [
+        ["attack", "--series", str(series_csv), "--attack", missing,
+         "--feature", "ch0", "--period", "20", "--out", str(out), "--range-out", str(tmp_path / "range.json")],
+        ["train", "--series", str(series_csv), "--detector", missing, "--out", str(out)],
+        ["--out-dir", str(out), "poison", "--algo", "interp", "--train", str(series_csv),
+         "--val", str(series_csv), "--attack", str(series_csv), "--clean", str(series_csv),
+         "--attack-range", missing, "--detector", missing],
+    ]
+    for argv in commands:
+        assert main(argv) == 2, argv
+        assert not out.exists(), argv
 
 
 def test_ingest_command(tmp_path):

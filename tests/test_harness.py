@@ -53,6 +53,8 @@ class TestCellConfig:
             ("code_ratio", 2),
             ("anchor_period_shift", 2),
             ("context_margin", 20),
+            ("waveform", "sine"),
+            ("inflation_factor", 2),
         ],
     )
     def test_removed_option_is_refused(self, key, value):
@@ -335,6 +337,19 @@ class TestExport:
         data = json.loads((tmp_path / "exp" / "records.json").read_text())
         assert data[0]["poison_point_count"] == records[0].poison_point_count
         assert data[0]["achieved_magnitude"] == records[0].achieved_magnitude
+
+    def test_max_magnitude_plot_names_its_own_rule(self, tmp_path):
+        # largest successful magnitude, not max_poisonable_magnitude: cells
+        # along the grid's magnitude axis carry different seeds
+        cell = {"algorithm": "interp", "training_set_size": 4}
+        records = [
+            replace(rung(m, success=ok), cell={**cell, "attack_magnitude": m})
+            for m, ok in ((0.1, True), (0.2, False), (0.3, True))
+        ]
+        export(records, tmp_path / "exp")
+        lines = (tmp_path / "exp" / "plot_max_magnitude_vs_training_size.csv").read_text().splitlines()
+        assert lines == ["algorithm,training_set_size,largest_successful_magnitude", "interp,4,0.3"]
+        assert max_poisonable_magnitude(records) == 0.1
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no records"):

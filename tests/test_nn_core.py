@@ -124,7 +124,7 @@ class TestModelParams:
 class TestForwardAndLoss:
     def test_zero_weights_odd_activation_gives_zero_output(self):
         p = init_params(small_cfg(init_scale=0.0))
-        out = forward(p, np.ones(4))
+        out = forward(p, np.ones((1, 4)))
         assert np.allclose(out, 0.0)
 
     def test_factored_identity_reproduces_subspace_inputs(self):
@@ -148,8 +148,15 @@ class TestForwardAndLoss:
 
     def test_empty_batch_rejected(self):
         p = init_params(small_cfg())
-        with pytest.raises(ValueError, match="empty"):
-            loss(p, np.zeros((0, 4)))
+        for fn in (loss, forward, grad_w, grad_x):
+            with pytest.raises(ValueError, match="empty"):
+                fn(p, np.zeros((0, 4)))
+
+    def test_single_window_must_be_a_one_row_batch(self):
+        p = init_params(small_cfg())
+        for fn in (loss, forward, grad_w, grad_x):
+            with pytest.raises(ValueError, match="shape"):
+                fn(p, np.ones(4))
 
 
 class TestGradients:

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_harness import fast_cell
 
-from aepoison import nn_core
+from aepoison import harness, nn_core
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -60,3 +61,44 @@ def test_counters_count_one_recorded_fit(tracing):
     assert trajectory.steps == 7
     assert work["fits"] == 1 and work["epochs"] == 7
     assert work["trajectory_bytes"] == 8 * (trajectory.steps + 1) * cfg.num_params == 7552
+
+
+def traced_cell(tracing, cell):
+    """Run one cell under Counters and Tracer, as a traced benchmark run
+    does; returns (per-layer metrics, names of the spans that fired, the
+    problems Counters.check found). The patcher must restore every original."""
+    patched = list(tracing.TRACED) + [(nn_core, "_backward")]
+    originals = [(home, name, getattr(home, name)) for home, name in patched]
+    patcher = tracing.Patcher()
+    try:
+        counters = tracing.Counters(patcher)
+        tracer = tracing.Tracer(patcher)
+        mark = counters.mark()
+        record = harness.run_cell(cell)
+        layer, totals = tracer.layer_metrics(counters.since(mark))
+        problems = counters.check()
+    finally:
+        patcher.restore()
+    assert all(getattr(home, name) is fn for home, name, fn in originals)
+    assert record.error is None and record.engaged
+    return layer, {name for name, t in totals.items() if t["calls"]}, problems
+
+
+def test_traced_backgrad_cell_fires_every_reversal_span(tracing):
+    # the checks of a traced backgrad-multi benchmark run, on one small cell:
+    # a path that bypasses hvp_both, grad_w or forward fails here
+    cell = fast_cell(algorithm="backgrad", attack_magnitude=0.3, adversarial_iterations=5)
+    layer, fired, problems = traced_cell(tracing, cell)
+    assert problems == []
+    assert not (tracing.COMMON_SPANS | tracing.REVERSAL_SPANS) - fired
+    iterations = layer["poisoning.poison_algorithm.iterations"]
+    assert iterations > 0
+    assert layer["poisoning.get_poison_grad.calls"] == iterations
+
+
+def test_traced_interp_cell_runs_no_reversal(tracing):
+    layer, fired, problems = traced_cell(tracing, fast_cell(attack_magnitude=0.3, adversarial_iterations=5))
+    assert problems == []
+    assert not (tracing.COMMON_SPANS | {"poison_interp"}) - fired
+    assert not fired & tracing.REVERSAL_SPANS
+    assert layer["poisoning.poison_algorithm.iterations"] > 0

@@ -16,13 +16,13 @@ from aepoison.timeseries import (
 )
 
 
-def series(values, names=None, dt=1.0):
+def series(values, names=None):
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if names is None:
         names = [f"f{i}" for i in range(arr.shape[1])]
-    return SeriesMatrix(arr, tuple(names), dt)
+    return SeriesMatrix(arr, tuple(names))
 
 
 class TestSeriesMatrix:
@@ -139,11 +139,7 @@ class TestSubsample:
         s = series(np.arange(7.0))
         out = subsample(s, 1)
         assert np.array_equal(out.values, s.values)
-        assert out.dt == s.dt
-
-    def test_dt_scaling_matches_five_second_rate(self):
-        out = subsample(series(np.arange(10.0), dt=1.0), 5)
-        assert out.dt == 5.0
+        assert out.feature_names == s.feature_names
 
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
