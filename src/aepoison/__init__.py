@@ -3,8 +3,6 @@
 from .timeseries import (
     NormStats,
     SeriesMatrix,
-    WindowConfig,
-    denormalize,
     export_csv,
     ingest_csv,
     normalize,

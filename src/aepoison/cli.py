@@ -24,7 +24,7 @@ from .harness import GridSpec, export, run_grid
 from .nn_core import ModelConfig, TrainConfig
 from .poisoning import PoisonConfig, poison_span, run_pipeline
 from .signals import AttackSpec, SignalSpec, generate, inject_attack
-from .timeseries import NormStats, WindowConfig, export_csv, ingest_csv, normalize, subsample
+from .timeseries import NormStats, export_csv, ingest_csv, normalize, subsample
 
 _SCHEMAS = {
     "signal": "aepoison/signal/v1",
@@ -64,14 +64,10 @@ def _signal_spec(data: dict, seed_override: int | None) -> SignalSpec:
     return SignalSpec(**data)
 
 
-def _detector_parts(data: dict, threshold_override: float | None) -> tuple[DetectorConfig, TrainConfig]:
+def _detector_parts(data: dict) -> tuple[DetectorConfig, TrainConfig]:
     train = data.pop("train")
     model = ModelConfig.from_dict(data.pop("model"))
-    window = WindowConfig(**data.pop("window"))
-    if threshold_override is not None:
-        data["threshold"] = threshold_override
-    cfg = DetectorConfig(model=model, window=window, **data)
-    return cfg, TrainConfig(**train)
+    return DetectorConfig(model=model, **data), TrainConfig(**train)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -93,7 +89,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         "stop": attack_range[1],
         "period": args.period,
         "feature": args.feature,
-        "effective_magnitude": spec.effective_magnitude,
+        "magnitude": spec.magnitude,
     }
     Path(args.range_out).write_text(json.dumps(range_info, indent=2))
     print(f"attack over rows [{attack_range[0]}, {attack_range[1]}) written to {args.out}")
@@ -101,7 +97,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg, train_cfg = _load_config(args.detector, "detector", lambda data: _detector_parts(data, args.threshold))
+    cfg, train_cfg = _load_config(args.detector, "detector", _detector_parts)
     batches = [detector_mod.window_batch(ingest_csv(p), cfg) for p in args.series]
     batch = np.concatenate(batches, axis=0)
     params, _, final_loss = nn_core.train(nn_core.init_params(cfg.model), batch, train_cfg)
@@ -112,8 +108,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     params, cfg = load_detector(args.model)
-    if args.threshold is not None:
-        cfg = DetectorConfig(cfg.model, cfg.window, args.threshold)
     series = ingest_csv(args.series)
     report = score(params, series, cfg)
     report.write_json(args.out)
@@ -122,7 +116,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_poison(args: argparse.Namespace) -> int:
-    cfg, train_cfg = _load_config(args.detector, "detector", lambda data: _detector_parts(data, args.threshold))
+    cfg, train_cfg = _load_config(args.detector, "detector", _detector_parts)
     train_series = [ingest_csv(p) for p in args.train]
     val = ingest_csv(args.val)
     attack = ingest_csv(args.attack)
@@ -136,7 +130,7 @@ def _cmd_poison(args: argparse.Namespace) -> int:
         seed=args.seed if args.seed is not None else 0,
         max_iters=args.max_iters,
     )
-    span = poison_span(attack.length, attack_range, cfg.window.length, period)
+    span = poison_span(attack.length, attack_range, cfg.window_length, period)
     _, result = run_pipeline(
         train_series, val, attack, clean, span, args.algo, poison_cfg, detector_cfg=cfg, train_cfg=train_cfg
     )
@@ -163,8 +157,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     features = args.features.split(",") if args.features else None
     series = ingest_csv(args.csv, feature_selection=features)
-    if args.subsample > 1:
+    try:
         series = subsample(series, args.subsample)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     base = None
     if args.base:
         base = _load_config(
@@ -194,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Poisoning attacks on online-trained autoencoder anomaly detectors.",
     )
     parser.add_argument("--seed", type=int, default=None, help="override config seeds")
-    parser.add_argument("--threshold", type=float, default=None, help="override detection threshold")
     parser.add_argument("--out-dir", default="out", help="default output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

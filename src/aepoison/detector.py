@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn_core
 from .nn_core import ModelConfig, ModelParams
-from .timeseries import SeriesMatrix, WindowConfig, window, window_rows
+from .timeseries import SeriesMatrix, window, window_rows
 
 __all__ = [
     "DetectorConfig",
@@ -35,21 +35,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectorConfig:
+    """A model over windows of `window_length` rows that start at every row."""
+
     model: ModelConfig
-    window: WindowConfig
+    window_length: int
     threshold: float = 0.2
 
     def __post_init__(self) -> None:
         if self.threshold <= 0:
             raise ValueError("threshold must be > 0")
-        if self.model.input_size % self.window.length != 0:
+        if self.window_length < 1:
+            raise ValueError(f"window length must be >= 1, got {self.window_length}")
+        if self.model.input_size % self.window_length != 0:
             raise ValueError(
-                f"model input {self.model.input_size} is not a multiple of window length {self.window.length}"
+                f"model input {self.model.input_size} is not a multiple of window length {self.window_length}"
             )
 
     @property
     def num_features(self) -> int:
-        return self.model.input_size // self.window.length
+        return self.model.input_size // self.window_length
 
 
 @dataclass(frozen=True)
@@ -79,16 +83,16 @@ def _check_series(series: SeriesMatrix, cfg: DetectorConfig) -> None:
         raise ValueError(
             f"series has {series.num_features} features, detector expects {cfg.num_features}"
         )
-    if series.length < cfg.window.length:
+    if series.length < cfg.window_length:
         raise ValueError(
-            f"series length {series.length} is shorter than the window length {cfg.window.length}"
+            f"series length {series.length} is shorter than the window length {cfg.window_length}"
         )
 
 
 def window_batch(series: SeriesMatrix, cfg: DetectorConfig) -> np.ndarray:
     """Flattened (count, l*N) window batch; rows are windows, time-major."""
     _check_series(series, cfg)
-    wins = window(series, cfg.window)
+    wins = window(series, cfg.window_length)
     return wins.reshape(wins.shape[0], -1)
 
 
@@ -103,20 +107,20 @@ def _scatter_rows(grad_batch: np.ndarray, rows: np.ndarray, series_len: int) -> 
 
 def _scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
     """:func:`_scatter_rows` over the windows of a series of this length."""
-    return _scatter_rows(grad_batch, window_rows(series_len, cfg.window), series_len)
+    return _scatter_rows(grad_batch, window_rows(series_len, cfg.window_length), series_len)
 
 
 def reconstruct_series(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> SeriesMatrix:
     """Model prediction for the whole series.
 
-    Every window is reconstructed; a time point covered by several windows
-    gets the mean of their predictions (points near the edges are covered by
-    fewer windows and use the mean over those that exist).
+    Every window is reconstructed; a time point gets the mean of the
+    predictions of the windows covering it (every point is covered; points
+    near the edges by fewer windows).
     """
     preds = nn_core.forward(params, window_batch(series, cfg))
     total = _scatter_windows(preds, series.length, cfg)
     cover = _scatter_windows(np.ones_like(preds), series.length, cfg)
-    return series.with_values(np.where(cover > 0, total / np.maximum(cover, 1.0), series.values))
+    return series.with_values(total / cover)
 
 
 def score(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> AlertReport:
@@ -146,12 +150,7 @@ def series_objective_grad(params: ModelParams, series: SeriesMatrix, cfg: Detect
 
 def save_detector(params: ModelParams, cfg: DetectorConfig, path: str | Path) -> None:
     """Bundle DetectorConfig + parameters in one binary checkpoint."""
-    meta = {
-        "window_length": cfg.window.length,
-        "window_stride": cfg.window.stride,
-        "threshold": cfg.threshold,
-        "model": params.config.to_dict(),
-    }
+    meta = {"window_length": cfg.window_length, "threshold": cfg.threshold, "model": params.config.to_dict()}
     np.savez(
         Path(path),
         detector=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
@@ -161,16 +160,13 @@ def save_detector(params: ModelParams, cfg: DetectorConfig, path: str | Path) ->
 
 def load_detector(path: str | Path) -> tuple[ModelParams, DetectorConfig]:
     """Inverse of :func:`save_detector`. Older checkpoints name the scoring
-    rule; one that names any rule but per-point-abs is refused."""
+    rule; one that names any rule but per-point-abs is refused. A header or
+    model key that no field reads (a file naming the removed window_stride or
+    layer counts) is refused with a TypeError that names it."""
     with np.load(Path(path)) as data:
         meta = json.loads(bytes(data["detector"]).decode())
-        rule = meta.get("residual_mode", "per-point-abs")
+        rule = meta.pop("residual_mode", "per-point-abs")
         if rule != "per-point-abs":
             raise ValueError(f"{path}: unsupported residual_mode {rule!r}; only per-point-abs scoring exists")
-        model_cfg = ModelConfig.from_dict(meta["model"])
-        cfg = DetectorConfig(
-            model=model_cfg,
-            window=WindowConfig(meta["window_length"], meta["window_stride"]),
-            threshold=meta["threshold"],
-        )
-        return ModelParams(model_cfg, data["params"]), cfg
+        model_cfg = ModelConfig.from_dict(meta.pop("model"))
+        return ModelParams(model_cfg, data["params"]), DetectorConfig(model_cfg, **meta)

@@ -33,7 +33,7 @@ from .detector import DetectorConfig
 from .nn_core import ModelConfig, TrainConfig
 from .poisoning import PoisonConfig, PoisonResult, poison_span, run_pipeline
 from .signals import AttackSpec, SignalSpec, anchor_index, generate, inject_attack
-from .timeseries import SeriesMatrix, WindowConfig
+from .timeseries import SeriesMatrix
 
 __all__ = [
     "CellConfig",
@@ -123,11 +123,7 @@ class CellConfig:
             init_seed=self.stream_seed(2),
             init_scale=self.init_scale,
         )
-        return DetectorConfig(
-            model=model,
-            window=WindowConfig(self.subsequence_length, 1),
-            threshold=self.threshold,
-        )
+        return DetectorConfig(model=model, window_length=self.subsequence_length, threshold=self.threshold)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(

@@ -63,17 +63,15 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Undercomplete autoencoder: widening layer, encoder to the code,
-    widening layer, linear read-out. Code must be strictly smaller than the
-    flattened input."""
+    """Undercomplete autoencoder with layers (in, f*in, code, f*in, in): a
+    widening layer, the encoder to the code and a widening layer, each with
+    `activation`, then a linear read-out. Code must be strictly smaller than
+    the flattened input."""
 
     input_size: int
     code_size: int
     inflation_factor: int = 2
-    encoder_layers: int = 1
-    decoder_layers: int = 1
     activation: str = "tanh"
-    output_activation: str = "linear"
     init_seed: int = 0
     init_scale: float = 0.1
 
@@ -84,29 +82,20 @@ class ModelConfig:
             raise ValueError(
                 f"code_size must satisfy 1 <= code < input_size, got {self.code_size} vs {self.input_size}"
             )
-        if self.inflation_factor < 1 or self.encoder_layers < 1 or self.decoder_layers < 1:
-            raise ValueError("inflation_factor and layer counts must be >= 1")
-        for act in (self.activation, self.output_activation):
-            if act not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}; have {sorted(_ACTIVATIONS)}")
+        if self.inflation_factor < 1:
+            raise ValueError("inflation_factor must be >= 1")
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}; have {sorted(_ACTIVATIONS)}")
         if self.init_scale < 0:
             raise ValueError("init_scale must be >= 0")
         # derived once; plain attributes, not fields, so repr/eq/hash/to_dict
-        # still see only the nine fields above
-        enc = np.linspace(self.inflated_size, self.code_size, self.encoder_layers + 1)
-        dec = np.linspace(self.code_size, self.inflated_size, self.decoder_layers + 1)
-        sizes = [self.input_size]
-        sizes.extend(max(1, int(round(s))) for s in enc)
-        sizes.extend(max(1, int(round(s))) for s in dec[1:])
-        sizes.append(self.input_size)
+        # still see only the six fields above
+        wide = self.inflation_factor * self.input_size
+        sizes = (self.input_size, wide, self.code_size, wide, self.input_size)
         dims = tuple(zip(sizes[:-1], sizes[1:]))
         object.__setattr__(self, "_dims", dims)
-        object.__setattr__(self, "_acts", (self.activation,) * (len(dims) - 1) + (self.output_activation,))
+        object.__setattr__(self, "_acts", (self.activation,) * 3 + ("linear",))
         object.__setattr__(self, "_num_params", sum(nin * nout + nout for nin, nout in dims))
-
-    @property
-    def inflated_size(self) -> int:
-        return self.inflation_factor * self.input_size
 
     def layer_dims(self) -> tuple[tuple[int, int], ...]:
         return self._dims

@@ -310,7 +310,7 @@ def get_poison_grad(
 
     # read-only checkpoint rows become models without a copy; dw and dyc
     # are owned here and updated in place
-    rows = window_rows(poison_series.length, detector_cfg.window)
+    rows = window_rows(poison_series.length, detector_cfg.window_length)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps, 0, -1):
             w_prev = ModelParams(model_cfg, trajectory.checkpoints[t - 1])

@@ -60,17 +60,13 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Constant-offset spoof of one feature.
-
-    `location` is a named anchor or an explicit time index; `clip` caps the
-    applied offset (Table-style clipping of over-large attacks).
-    """
+    """Constant-offset spoof of one feature; `location` is a named anchor or
+    an explicit time index."""
 
     location: str | int
     magnitude: float
     duration: int
     sign: str = "away-from-zero"
-    clip: float | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.location, str) and self.location not in ATTACK_LOCATIONS:
@@ -81,12 +77,6 @@ class AttackSpec:
             raise ValueError("duration must be >= 1")
         if self.sign not in ATTACK_SIGNS:
             raise ValueError(f"sign must be one of {ATTACK_SIGNS}")
-        if self.clip is not None and not (0.0 < self.clip <= self.magnitude):
-            raise ValueError("clip must be in (0, magnitude]")
-
-    @property
-    def effective_magnitude(self) -> float:
-        return self.magnitude if self.clip is None else min(self.magnitude, self.clip)
 
 
 def base_waveform(spec: SignalSpec) -> np.ndarray:
@@ -141,7 +131,7 @@ def inject_attack(
     """Apply a spoofed offset to one feature; returns (series, attack range).
 
     Named anchors are resolved against the target feature's first period of
-    `series` (exact on noiseless input). A zero effective offset leaves the
+    `series` (exact on noiseless input). A zero magnitude leaves the
     series untouched and reports an empty range.
     """
     feat = series.feature_index(target_feature) if isinstance(target_feature, str) else int(target_feature)
@@ -153,7 +143,7 @@ def inject_attack(
     stop = anchor + attack.duration
     if stop > series.length:
         raise ValueError(f"attack range [{anchor}, {stop}) overflows series of length {series.length}")
-    if attack.effective_magnitude == 0:
+    if attack.magnitude == 0:
         return series, (anchor, anchor)
     if attack.sign == "positive":
         direction = 1.0
@@ -162,5 +152,5 @@ def inject_attack(
     else:
         direction = 1.0 if series.values[anchor, feat] >= 0 else -1.0
     values = series.values.copy()
-    values[anchor:stop, feat] += direction * attack.effective_magnitude
+    values[anchor:stop, feat] += direction * attack.magnitude
     return series.with_values(values), (anchor, stop)

@@ -17,9 +17,7 @@ import numpy as np
 __all__ = [
     "SeriesMatrix",
     "NormStats",
-    "WindowConfig",
     "normalize",
-    "denormalize",
     "window",
     "window_rows",
     "subsample",
@@ -102,18 +100,6 @@ class NormStats:
         return cls(series.values.min(axis=0), series.values.max(axis=0))
 
 
-@dataclass(frozen=True)
-class WindowConfig:
-    length: int
-    stride: int = 1
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"window length must be >= 1, got {self.length}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-
-
 def normalize(series: SeriesMatrix, base: NormStats | None = None) -> tuple[SeriesMatrix, NormStats]:
     """Min-max map each feature to [0, 1] relative to `base` (computed from
     `series` itself when absent). Out-of-base values land outside [0, 1];
@@ -130,29 +116,22 @@ def normalize(series: SeriesMatrix, base: NormStats | None = None) -> tuple[Seri
     return series.with_values(mapped), stats
 
 
-def denormalize(series: SeriesMatrix, stats: NormStats) -> SeriesMatrix:
-    """Inverse of :func:`normalize` for non-degenerate features."""
-    if stats.min.shape[0] != series.num_features:
-        raise ValueError("normalization base does not match series width")
-    span = stats.max - stats.min
-    return series.with_values(series.values * span + stats.min)
-
-
-def window_rows(t: int, cfg: WindowConfig) -> np.ndarray:
+def window_rows(t: int, length: int) -> np.ndarray:
     """(count, length) index of the series row behind every window row.
 
-    Windows start at 0, stride, 2*stride, ...; count = (T - l)//stride + 1.
+    Windows start at every row 0, 1, ..., T - length; count = T - length + 1.
     """
-    if cfg.length > t:
-        raise ValueError(f"window length {cfg.length} exceeds series length {t}")
-    starts = np.arange((t - cfg.length) // cfg.stride + 1) * cfg.stride
-    return starts[:, None] + np.arange(cfg.length)
+    if length < 1:
+        raise ValueError(f"window length must be >= 1, got {length}")
+    if length > t:
+        raise ValueError(f"window length {length} exceeds series length {t}")
+    return np.arange(t - length + 1)[:, None] + np.arange(length)
 
 
-def window(series: SeriesMatrix, cfg: WindowConfig) -> np.ndarray:
-    """Overlapping subsequences as an array of shape (count, length, N),
-    gathered through :func:`window_rows`."""
-    return series.values[window_rows(series.length, cfg)]
+def window(series: SeriesMatrix, length: int) -> np.ndarray:
+    """Overlapping subsequences, one per start row, as an array of shape
+    (count, length, N), gathered through :func:`window_rows`."""
+    return series.values[window_rows(series.length, length)]
 
 
 def subsample(series: SeriesMatrix, factor: int) -> SeriesMatrix:

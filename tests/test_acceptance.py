@@ -18,7 +18,7 @@ from aepoison.detector import DetectorConfig, score, series_loss, series_objecti
 from aepoison.harness import CellConfig, build_experiment, magnitude_rungs, max_poisonable_magnitude, run_cell
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.poisoning import PoisonPoint, get_poison_grad
-from aepoison.timeseries import SeriesMatrix, WindowConfig
+from aepoison.timeseries import SeriesMatrix
 
 # ---------------------------------------------------------------------------
 # pinned experiment families
@@ -46,7 +46,7 @@ SINGLE_SEQ = CellConfig(
     seed=0,
 )
 
-# multi-sequence cells (window length 2, stride 1), used by AC-4/5/6
+# multi-sequence cells (windows of length 2, one per start row), used by AC-4/5/6
 MULTI_SEQ = CellConfig(
     training_set_size=10,
     attack_location="SIN_BOTTOM",
@@ -172,7 +172,7 @@ class TestAC1NumericalOracles:
         for probe in range(10):
             cfg = ModelConfig(input_size=2, code_size=1, inflation_factor=2, init_seed=probe, init_scale=0.4)
             params = nn_core.init_params(cfg)
-            dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
+            dcfg = DetectorConfig(model=cfg, window_length=2, threshold=0.2)
             values = rng.normal(size=(10, 1))
             s = SeriesMatrix(values, ("x",))
             g = series_objective_grad(params, s, dcfg)
@@ -219,7 +219,7 @@ class TestAC1NumericalOracles:
                 input_size=2, code_size=1, inflation_factor=1, init_seed=probe, init_scale=0.3
             )
             assert cfg.num_params <= 30
-            dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
+            dcfg = DetectorConfig(model=cfg, window_length=2, threshold=0.2)
             prng = np.random.default_rng(probe)
             poison_values = prng.normal(size=6) * 0.5
             attack = SeriesMatrix((prng.normal(size=8) * 0.5)[:, None], ("x",))

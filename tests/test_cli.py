@@ -37,14 +37,11 @@ def detector_json(tmp_path):
                     "input_size": 4,
                     "code_size": 2,
                     "inflation_factor": 2,
-                    "encoder_layers": 1,
-                    "decoder_layers": 1,
                     "activation": "tanh",
-                    "output_activation": "linear",
                     "init_seed": 3,
                     "init_scale": 0.5,
                 },
-                "window": {"length": 2, "stride": 1},
+                "window_length": 2,
                 "threshold": 0.2,
                 "train": {"learning_rate": 1.0, "max_epochs": 1500, "stop_loss": 0.003},
             }
@@ -223,12 +220,16 @@ def test_config_that_cannot_be_built_is_usage_error(tmp_path, signal_json, detec
     signal = json.loads(signal_json.read_text())
     attack = {"schema": "aepoison/attack/v1", "location": 55, "magnitude": 0.1, "duration": 5}
     detector = json.loads(detector_json.read_text())
+    windowless = {k: v for k, v in detector.items() if k != "window_length"}
     bad = {
         "signal_removed_key": {**signal, "amplitude": 2.0},
         "signal_bad_value": {**signal, "period": 1},
         "attack_misspelled": {**{k: v for k, v in attack.items() if k != "magnitude"}, "magnitud": 0.1},
+        "attack_removed_clip": {**attack, "clip": 0.05},
         "detector_unknown_model_key": {**detector, "model": {**detector["model"], "widening": 3}},
         "detector_without_train": {k: v for k, v in detector.items() if k != "train"},
+        "detector_old_window": {**windowless, "window": {"length": 2, "stride": 1}},
+        "detector_removed_layers": {**detector, "model": {**detector["model"], "encoder_layers": 1}},
     }
     paths = {}
     for name, data in bad.items():
@@ -238,17 +239,26 @@ def test_config_that_cannot_be_built_is_usage_error(tmp_path, signal_json, detec
     commands = [
         ["gen", "--spec", str(paths["signal_removed_key"]), "--out", str(out)],
         ["gen", "--spec", str(paths["signal_bad_value"]), "--out", str(out)],
-        ["attack", "--series", str(series_csv), "--attack", str(paths["attack_misspelled"]),
-         "--feature", "ch0", "--period", "20", "--out", str(out), "--range-out", str(tmp_path / "range.json")],
-        ["train", "--series", str(series_csv), "--detector", str(paths["detector_unknown_model_key"]),
-         "--out", str(out)],
+        *(
+            ["attack", "--series", str(series_csv), "--attack", str(paths[name]), "--feature", "ch0",
+             "--period", "20", "--out", str(out), "--range-out", str(tmp_path / "range.json")]
+            for name in ("attack_misspelled", "attack_removed_clip")
+        ),
         ["train", "--series", str(series_csv), "--detector", str(paths["detector_without_train"]),
          "--out", str(out)],
-        ["--out-dir", str(out), "poison", "--algo", "interp", "--train", str(series_csv),
-         "--val", str(series_csv), "--attack", str(series_csv), "--clean", str(series_csv),
-         "--attack-range", str(tmp_path / "missing-range.json"),
-         "--detector", str(paths["detector_unknown_model_key"])],
     ]
+    for name in ("detector_unknown_model_key", "detector_old_window", "detector_removed_layers"):
+        commands += [
+            ["train", "--series", str(series_csv), "--detector", str(paths[name]), "--out", str(out)],
+            ["--out-dir", str(out), "poison", "--algo", "interp", "--train", str(series_csv),
+             "--val", str(series_csv), "--attack", str(series_csv), "--clean", str(series_csv),
+             "--attack-range", str(tmp_path / "missing-range.json"), "--detector", str(paths[name])],
+        ]
+    # the threshold lives in the detector file; there is no global override
+    model = tmp_path / "detector.npz"
+    assert main(["train", "--series", str(series_csv), "--detector", str(detector_json), "--out", str(model)]) == 0
+    commands.append(["--threshold", "0.3", "score", "--model", str(model), "--series", str(series_csv),
+                     "--out", str(out)])
     for argv in commands:
         assert main(argv) == 1, argv
         assert not out.exists(), argv
@@ -295,6 +305,12 @@ def test_ingest_command(tmp_path):
     info = json.loads(stats.read_text())
     assert info["min"] == [0.0, 10.0]
     assert info["max"] == [10.0, 30.0]
+    # a factor below 1 is a usage error, and nothing is written
+    for factor in ("0", "-3"):
+        out, stats = tmp_path / f"norm{factor}.csv", tmp_path / f"stats{factor}.json"
+        argv = ["ingest", "--csv", str(raw), "--subsample", factor, "--out", str(out), "--stats-out", str(stats)]
+        assert main(argv) == 1, factor
+        assert not out.exists() and not stats.exists()
 
 
 def test_schema_mismatch_is_usage_error(tmp_path):

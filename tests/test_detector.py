@@ -18,7 +18,7 @@ from aepoison.detector import (
 )
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.signals import SignalSpec, generate
-from aepoison.timeseries import SeriesMatrix, WindowConfig
+from aepoison.timeseries import SeriesMatrix
 
 
 def series_1d(values):
@@ -30,10 +30,10 @@ def zero_model(window_len=2, features=1):
     input_size = window_len * features
     cfg = ModelConfig(
         input_size=input_size, code_size=max(1, input_size // 2), inflation_factor=1,
-        activation="linear", output_activation="linear", init_scale=0.0,
+        activation="linear", init_scale=0.0,
     )
     return nn_core.init_params(cfg), DetectorConfig(
-        model=cfg, window=WindowConfig(window_len, 1), threshold=0.2
+        model=cfg, window_length=window_len, threshold=0.2
     )
 
 
@@ -46,13 +46,13 @@ def subspace_detector():
     """
     cfg = ModelConfig(
         input_size=4, code_size=2, inflation_factor=1,
-        activation="linear", output_activation="linear", init_scale=0.0,
+        activation="linear", init_scale=0.0,
     )
     basis = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2.0)
     eye = np.eye(4)
     layers = ((eye, np.zeros(4)), (basis, np.zeros(2)), (basis.T, np.zeros(4)), (eye, np.zeros(4)))
     params = ModelParams(cfg, np.concatenate([a.ravel() for layer in layers for a in layer]))
-    dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
+    dcfg = DetectorConfig(model=cfg, window_length=2, threshold=0.2)
     return params, dcfg
 
 
@@ -68,7 +68,7 @@ def trained_sine_detector(channels=((1.0, 0.0), (0.5, 0.0)), size=6):
     ]
     n = len(channels)
     cfg = ModelConfig(input_size=2 * n, code_size=n, inflation_factor=2, init_seed=3, init_scale=0.5)
-    dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
+    dcfg = DetectorConfig(model=cfg, window_length=2, threshold=0.2)
     batch = np.concatenate([window_batch(s, dcfg) for s in train])
     params, _, _ = nn_core.train(nn_core.init_params(cfg), batch, TrainConfig(1.0, 3000, 0.003))
     return params, dcfg, spec0
@@ -85,7 +85,7 @@ class TestReconstructSeries:
         rng = np.random.default_rng(0)
         cfg = ModelConfig(input_size=2, code_size=1, inflation_factor=2, init_seed=4, init_scale=0.4)
         params = nn_core.init_params(cfg)
-        dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
+        dcfg = DetectorConfig(model=cfg, window_length=2, threshold=0.2)
         s = series_1d(rng.normal(size=4))
         batch = window_batch(s, dcfg)
         preds = nn_core.forward(params, batch)
@@ -133,7 +133,7 @@ class TestScore:
         s = series_1d(np.random.default_rng(5).normal(size=40))
         counts = []
         for theta in [0.05, 0.1, 0.2, 0.4, 0.8]:
-            cfg = DetectorConfig(dcfg.model, dcfg.window, theta)
+            cfg = DetectorConfig(dcfg.model, dcfg.window_length, theta)
             counts.append(score(params, s, cfg).alert_count)
         assert counts == sorted(counts, reverse=True)
 
@@ -171,7 +171,7 @@ class TestSeriesObjectiveGrad:
     def test_matches_finite_differences_on_10x1_series(self):
         cfg = ModelConfig(input_size=2, code_size=1, inflation_factor=2, init_seed=6, init_scale=0.4)
         params = nn_core.init_params(cfg)
-        dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
+        dcfg = DetectorConfig(model=cfg, window_length=2, threshold=0.2)
         s = series_1d(np.random.default_rng(8).normal(size=10))
         g = series_objective_grad(params, s, dcfg)
         h = 1e-6
@@ -190,7 +190,7 @@ class TestSeriesObjectiveGrad:
     def test_gradient_is_sum_of_per_window_contributions(self):
         cfg = ModelConfig(input_size=2, code_size=1, inflation_factor=2, init_seed=7, init_scale=0.4)
         params = nn_core.init_params(cfg)
-        dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
+        dcfg = DetectorConfig(model=cfg, window_length=2, threshold=0.2)
         s = series_1d(np.random.default_rng(9).normal(size=6))
         g = series_objective_grad(params, s, dcfg)
         batch = window_batch(s, dcfg)
@@ -203,31 +203,17 @@ class TestSeriesObjectiveGrad:
 
 
 class TestScatterWindows:
-    @pytest.mark.parametrize(
-        "length,features,stride,rows", [(2, 2, 1, 48), (100, 1, 1, 100), (3, 2, 2, 50), (4, 1, 3, 40)]
-    )
-    def test_matches_loop_reference_bit_for_bit(self, length, features, stride, rows):
+    @pytest.mark.parametrize("length,features,rows", [(2, 2, 48), (100, 1, 100), (3, 2, 50), (4, 1, 40)])
+    def test_matches_loop_reference_bit_for_bit(self, length, features, rows):
         size = length * features
         cfg = ModelConfig(input_size=size, code_size=max(1, size // 2))
-        dcfg = DetectorConfig(model=cfg, window=WindowConfig(length, stride), threshold=0.2)
-        count = (rows - length) // stride + 1
+        dcfg = DetectorConfig(model=cfg, window_length=length, threshold=0.2)
+        count = rows - length + 1
         grad_batch = np.random.default_rng(rows).normal(size=(count, size)) * 1e3
         expected = np.zeros((rows, features))
         for k in range(count):
-            expected[k * stride : k * stride + length] += grad_batch[k].reshape(length, features)
+            expected[k : k + length] += grad_batch[k].reshape(length, features)
         assert np.array_equal(_scatter_windows(grad_batch, rows, dcfg), expected)
-
-
-class TestOverlapConsistency:
-    def test_non_overlapping_stride_equals_plain_model(self):
-        cfg = ModelConfig(input_size=2, code_size=1, inflation_factor=2, init_seed=3, init_scale=0.4)
-        params = nn_core.init_params(cfg)
-        dcfg = DetectorConfig(model=cfg, window=WindowConfig(2, 2), threshold=0.2)
-        s = series_1d(np.random.default_rng(4).normal(size=8))
-        recon = reconstruct_series(params, s, dcfg)
-        batch = window_batch(s, dcfg)
-        preds = nn_core.forward(params, batch).reshape(-1, 1)
-        assert np.allclose(recon.values, preds, atol=1e-14)
 
 
 class TestDetectorCheckpoint:
@@ -268,6 +254,22 @@ class TestDetectorCheckpoint:
         flat[0] = np.nan
         np.savez(path, detector=meta, params=flat)
         with pytest.raises(ValueError, match="non-finite"):
+            load_detector(path)
+
+    @pytest.mark.parametrize("key", ["window_stride", "encoder_layers"])
+    def test_file_naming_a_removed_key_is_refused(self, tmp_path, key):
+        # files written before the window stride (a header key) and the layer
+        # counts (model keys) were removed
+        params, dcfg = zero_model()
+        path = tmp_path / "detector.npz"
+        save_detector(params, dcfg, path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["detector"]).decode())
+            flat = data["params"]
+        assert key not in meta and key not in meta["model"]
+        (meta["model"] if key == "encoder_layers" else meta)[key] = 1
+        np.savez(path, detector=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), params=flat)
+        with pytest.raises(TypeError, match=key):
             load_detector(path)
 
     def test_file_naming_a_removed_scoring_rule_is_refused(self, tmp_path):

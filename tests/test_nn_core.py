@@ -27,7 +27,7 @@ def small_cfg(**kw):
 
 def subspace_identity_model():
     """Linear model whose reconstruction is exact on a 2-D input subspace."""
-    cfg = small_cfg(inflation_factor=1, activation="linear", output_activation="linear")
+    cfg = small_cfg(inflation_factor=1, activation="linear")
     basis, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 2)))
     eye = np.eye(4)
     layers = ((eye, np.zeros(4)), (basis, np.zeros(2)), (basis.T, np.zeros(4)), (eye, np.zeros(4)))
@@ -80,10 +80,10 @@ class TestInitParams:
         assert ModelConfig(input_size=4, code_size=2).num_params == 118
         assert ModelConfig(input_size=100, code_size=50).num_params == 60_550
 
-    def test_config_identity_is_its_nine_fields(self):
+    def test_config_identity_is_its_six_fields(self):
         cfg = small_cfg(init_seed=7, init_scale=0.3)
         names = [f.name for f in fields(ModelConfig)]
-        assert len(names) == 9
+        assert len(names) == 6
         assert list(cfg.to_dict()) == names
         assert repr(cfg) == "ModelConfig(" + ", ".join(f"{k}={v!r}" for k, v in cfg.to_dict().items()) + ")"
         again = ModelConfig.from_dict(cfg.to_dict())
@@ -136,7 +136,7 @@ class TestForwardAndLoss:
         assert loss(params, batch) == pytest.approx(0.0, abs=1e-24)
 
     def test_zero_output_on_ones_gives_one(self):
-        cfg = small_cfg(init_scale=0.0, activation="linear", output_activation="linear")
+        cfg = small_cfg(init_scale=0.0, activation="linear")
         p = init_params(cfg)
         assert loss(p, np.ones((3, 4))) == pytest.approx(1.0)
 
@@ -225,8 +225,7 @@ class TestHvp:
         # one effective linear map: loss = mean((xW + b - x)^2); the
         # W-block Hessian is (2/(B*n)) X^T X (x) I, computable by hand
         cfg = ModelConfig(
-            input_size=3, code_size=2, inflation_factor=1, activation="linear",
-            output_activation="linear", init_seed=0, init_scale=0.2,
+            input_size=3, code_size=2, inflation_factor=1, activation="linear", init_seed=0, init_scale=0.2,
         )
         p = init_params(cfg)
         batch = np.random.default_rng(5).normal(size=(4, 3))
@@ -297,7 +296,7 @@ class TestTrain:
         assert loss(second_last, self.batch()) >= 0.01
 
     def test_loss_monotone_for_small_rate_on_linear_autoencoder(self):
-        cfg = small_cfg(activation="linear", output_activation="linear", init_seed=3)
+        cfg = small_cfg(activation="linear", init_seed=3)
         p = init_params(cfg)
         batch = self.batch()
         _, traj, _ = train(p, batch, TrainConfig(0.05, 200, stop_loss=1e-12, record_trajectory=True))

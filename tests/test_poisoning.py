@@ -24,7 +24,7 @@ from aepoison.poisoning import (
     train_test,
 )
 from aepoison.signals import AttackSpec, SignalSpec, generate, inject_attack
-from aepoison.timeseries import SeriesMatrix, WindowConfig
+from aepoison.timeseries import SeriesMatrix
 
 PERIOD = 20
 CHANNELS = ((1.0, 0.0), (0.5, 0.0))
@@ -47,7 +47,7 @@ def multi_seq_setup(size=10, magnitude=0.2, sign="away-from-zero", anchor=55, du
     model = ModelConfig(
         input_size=2 * n, code_size=n, inflation_factor=2, init_seed=3, init_scale=0.5
     )
-    dcfg = DetectorConfig(model=model, window=WindowConfig(2, 1), threshold=0.2)
+    dcfg = DetectorConfig(model=model, window_length=2, threshold=0.2)
     tcfg = TrainConfig(1.0, 3000, 0.003)
     span = poison_span(100, attack_range, 2, PERIOD)
     return train, val, clean, attacked, dcfg, tcfg, span
@@ -79,9 +79,9 @@ def tiny_series(values):
 def tiny_detector(activation="tanh", seed=0, scale=0.3):
     cfg = ModelConfig(
         input_size=2, code_size=1, inflation_factor=1, activation=activation,
-        output_activation="linear", init_seed=seed, init_scale=scale,
+        init_seed=seed, init_scale=scale,
     )
-    return DetectorConfig(model=cfg, window=WindowConfig(2, 1), threshold=0.2)
+    return DetectorConfig(model=cfg, window_length=2, threshold=0.2)
 
 
 class TestPoisonSpan:

@@ -91,14 +91,6 @@ class TestInjectAttack:
         assert np.array_equal(out.values, s.values)
         assert rng[0] == rng[1]
 
-    def test_clip_caps_offset(self):
-        # clipping protocol: requested 0.893, clipped to 0.55
-        s = generate(sine_spec())
-        spec = AttackSpec("SIN_TOP", 0.893, 4, clip=0.55)
-        out, rng = inject_attack(s, 0, spec, 20)
-        delta = np.abs(out.values - s.values)
-        assert delta.max() == pytest.approx(0.55)
-
     def test_only_target_feature_and_range_touched(self):
         s = generate(sine_spec(channels=((1.0, 0.0), (0.5, 0.1)), noise_std=0.05, seed=9))
         out, (a, b) = inject_attack(s, 0, AttackSpec(30, 0.4, 6, sign="positive"), 20)
@@ -126,7 +118,5 @@ class TestInjectAttack:
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
             AttackSpec("SIN_TOP", -0.1, 5)
-        with pytest.raises(ValueError):
-            AttackSpec("SIN_TOP", 0.3, 5, clip=0.4)
         with pytest.raises(ValueError):
             AttackSpec("NOWHERE", 0.3, 5)

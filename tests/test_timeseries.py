@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from aepoison.timeseries import (
     NormStats,
     SeriesMatrix,
-    WindowConfig,
-    denormalize,
     export_csv,
     ingest_csv,
     normalize,
@@ -81,47 +79,35 @@ class TestNormalize:
         with pytest.raises(ValueError, match="features"):
             normalize(series([1.0, 2.0]), base)
 
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=2,
-            max_size=40,
-        )
-    )
-    def test_normalize_denormalize_round_trip(self, values):
-        s = series(values)
-        out, stats = normalize(s)
-        if stats.degenerate.any():
-            return
-        back = denormalize(out, stats)
-        scale = max(1.0, np.abs(s.values).max())
-        assert np.max(np.abs(back.values - s.values)) / scale < 1e-12
-
 
 class TestWindow:
     def test_count_100_2_1(self):
-        assert window(series(np.arange(100.0)), WindowConfig(2, 1)).shape[0] == 99
+        assert window(series(np.arange(100.0)), 2).shape[0] == 99
 
     def test_first_window_rows(self):
-        wins = window(series(np.arange(5.0)), WindowConfig(2, 1))
+        wins = window(series(np.arange(5.0)), 2)
         assert wins.shape[0] == 4
         assert np.array_equal(wins[0][:, 0], [0.0, 1.0])
 
     def test_window_longer_than_series(self):
         with pytest.raises(ValueError, match="exceeds"):
-            window(series(np.arange(5.0)), WindowConfig(6, 1))
+            window(series(np.arange(5.0)), 6)
+
+    def test_length_below_one_rejected(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            window(series(np.arange(5.0)), 0)
 
     @settings(max_examples=200)
-    @given(st.integers(1, 200), st.integers(1, 20), st.integers(1, 10))
-    def test_count_formula(self, t, length, stride):
+    @given(st.integers(1, 200), st.integers(1, 20))
+    def test_count_formula(self, t, length):
         if length > t:
             return
-        wins = window(series(np.zeros(t)), WindowConfig(length, stride))
-        assert wins.shape[0] == (t - length) // stride + 1
+        wins = window(series(np.zeros(t)), length)
+        assert wins.shape[0] == t - length + 1
 
     @given(st.integers(2, 12), st.integers(20, 60))
     def test_interior_point_covered_exactly_length_times(self, length, t):
-        wins = window(series(np.arange(float(t))), WindowConfig(length, 1))
+        wins = window(series(np.arange(float(t))), length)
         cover = np.zeros(t)
         for k in range(wins.shape[0]):
             cover[k : k + length] += 1
