@@ -31,7 +31,6 @@ _SCHEMAS = {
     "attack": "aepoison/attack/v1",
     "detector": "aepoison/detector/v1",
     "grid": "aepoison/grid/v1",
-    "cell": "aepoison/cell/v1",
     "attack-range": "aepoison/attack-range/v1",
     "norm-stats": "aepoison/norm-stats/v1",
 }
@@ -107,7 +106,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    params, cfg = load_detector(args.model)
+    try:
+        params, cfg = load_detector(args.model)
+    except (KeyError, TypeError, ValueError) as exc:  # a key no field reads, or a bad value
+        raise UsageError(f"{args.model}: {type(exc).__name__}: {exc}") from exc
     series = ingest_csv(args.series)
     report = score(params, series, cfg)
     report.write_json(args.out)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn_core
 from .nn_core import ModelConfig, ModelParams
-from .timeseries import SeriesMatrix, window, window_rows
+from .timeseries import SeriesMatrix, window
 
 __all__ = [
     "DetectorConfig",
@@ -96,18 +96,22 @@ def window_batch(series: SeriesMatrix, cfg: DetectorConfig) -> np.ndarray:
     return wins.reshape(wins.shape[0], -1)
 
 
-def _scatter_rows(grad_batch: np.ndarray, rows: np.ndarray, series_len: int) -> np.ndarray:
-    """Sum per-window rows back onto the series rows ``rows`` names; a row
-    covered by several windows gets their sum, added in window order."""
-    blocks = grad_batch.reshape(*rows.shape, -1)
-    out = np.zeros((series_len, blocks.shape[-1]))
-    np.add.at(out, rows, blocks)
-    return out
-
-
 def _scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
-    """:func:`_scatter_rows` over the windows of a series of this length."""
-    return _scatter_rows(grad_batch, window_rows(series_len, cfg.window_length), series_len)
+    """Sum per-window rows back onto the series rows they came from; a row
+    covered by several windows gets their sum, added in window order (the
+    order of np.add.at, which this replaces with one slice-add per window or
+    per window position, whichever are fewer)."""
+    length, count = cfg.window_length, len(grad_batch)
+    blocks = grad_batch.reshape(count, length, -1)
+    out = np.zeros((series_len, blocks.shape[-1]))
+    if count < length:
+        for j in range(count):
+            out[j : j + length] += blocks[j]
+    else:
+        # position p of window j is row j + p: descending p adds in window order
+        for p in range(length - 1, -1, -1):
+            out[p : p + count] += blocks[:, p]
+    return out
 
 
 def reconstruct_series(params: ModelParams, series: SeriesMatrix, cfg: DetectorConfig) -> SeriesMatrix:
@@ -159,14 +163,10 @@ def save_detector(params: ModelParams, cfg: DetectorConfig, path: str | Path) ->
 
 
 def load_detector(path: str | Path) -> tuple[ModelParams, DetectorConfig]:
-    """Inverse of :func:`save_detector`. Older checkpoints name the scoring
-    rule; one that names any rule but per-point-abs is refused. A header or
-    model key that no field reads (a file naming the removed window_stride or
-    layer counts) is refused with a TypeError that names it."""
+    """Inverse of :func:`save_detector`. A header or model key that no field
+    reads (a file naming the removed residual_mode, window_stride or layer
+    counts) is refused with a TypeError that names it."""
     with np.load(Path(path)) as data:
         meta = json.loads(bytes(data["detector"]).decode())
-        rule = meta.pop("residual_mode", "per-point-abs")
-        if rule != "per-point-abs":
-            raise ValueError(f"{path}: unsupported residual_mode {rule!r}; only per-point-abs scoring exists")
         model_cfg = ModelConfig.from_dict(meta.pop("model"))
         return ModelParams(model_cfg, data["params"]), DetectorConfig(model_cfg, **meta)

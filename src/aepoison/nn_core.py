@@ -11,7 +11,8 @@ slope and delta, plus the residual) and one flat gradient buffer, which
 every epoch overwrites, with the bits of the plain allocating expressions,
 before it updates the vector in place; an epoch allocates no array. A
 trajectory records the vector after every step as a row of one read-only
-block, so the training process can be reversed step by step.
+block, so the training process can be reversed step by step; a reversal
+linearizes a block of checkpoints at once and runs each tangent pass alone.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
 layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
@@ -19,7 +20,9 @@ layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +38,8 @@ __all__ = [
     "loss",
     "grad_w",
     "grad_x",
+    "Linearization",
+    "linearize",
     "hvp_both",
     "train",
 ]
@@ -119,13 +124,17 @@ _Layers = Sequence[tuple[np.ndarray, np.ndarray]]
 
 
 def _unflatten(cfg: ModelConfig, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per-layer (W, b) views into a flat vector of cfg.num_params entries."""
+    """Per-layer (W, b) views into a flat vector of cfg.num_params entries, or
+    into each row of a (K, num_params) block as (K, in, out) weights and
+    (K, 1, out) biases, which broadcast over every model's batch rows."""
+    lead = vec.shape[:-1]
     layers = []
     pos = 0
     for nin, nout in cfg.layer_dims():
-        w = vec[pos : pos + nin * nout].reshape(nin, nout)
+        w = vec[..., pos : pos + nin * nout].reshape(*lead, nin, nout)
         pos += nin * nout
-        layers.append((w, vec[pos : pos + nout]))
+        b = vec[..., pos : pos + nout]
+        layers.append((w, b[:, None] if lead else b))
         pos += nout
     return tuple(layers)
 
@@ -211,7 +220,8 @@ def _batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
 class _Work:
     """Buffers for one batch: each layer's activation (acts[0] is the batch
     itself), output gradient, slope (None for a linear layer) and delta (a
-    linear layer's is its output gradient), plus the residual and its square.
+    linear layer's is its output gradient), plus the residual and its square;
+    for a (K, P) block of models each buffer but the batch is K-stacked.
     The first pass that needs a buffer makes it and later passes overwrite
     it: train keeps one _Work per fit and the public functions one per call,
     so nothing they return aliases another call's result."""
@@ -264,7 +274,7 @@ def _deltas(cfg: ModelConfig, layers: _Layers, work: _Work) -> tuple[list, list,
     there (None for a linear layer, whose slope is 1 and is not multiplied
     in), and its delta, the gradient with respect to its pre-activation."""
     outs, slopes, deltas = work.outs, work.slopes, work.deltas
-    outs[-1] = np.multiply(work.resid, 2.0 / work.resid.size, out=outs[-1])
+    outs[-1] = np.multiply(work.resid, 2.0 / work.acts[0].size, out=outs[-1])
     names = cfg.layer_activations()
     for i in range(len(layers) - 1, -1, -1):
         if names[i] == "linear":
@@ -273,7 +283,7 @@ def _deltas(cfg: ModelConfig, layers: _Layers, work: _Work) -> tuple[list, list,
             slopes[i] = _ACTIVATIONS[names[i]][1](work.acts[i + 1], slopes[i])
             deltas[i] = np.multiply(outs[i], slopes[i], out=deltas[i])
         if i:
-            outs[i - 1] = np.matmul(deltas[i], layers[i][0].T, out=outs[i - 1])
+            outs[i - 1] = np.matmul(deltas[i], layers[i][0].swapaxes(-1, -2), out=outs[i - 1])
     return outs, slopes, deltas
 
 
@@ -317,56 +327,93 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     return deltas[0] @ layers[0][0].T - outs[-1]
 
 
-def hvp_both(params: ModelParams, batch: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# What a Hessian-vector product needs of one model and batch before its
+# direction is known: per layer the weights, and the loss's activation, slope,
+# delta and curvature term (output gradient times f''); plus the hvp_both
+# buffers (a _Tangent) that all linearizations of one block share.
+Linearization = namedtuple("Linearization", "config weights acts slopes deltas curvs tangent")
+
+
+class _Tangent:
+    """hvp_both's buffers: per layer the tangents of the pre-activation, the
+    activation, the delta and the input gradient, a term of each sum, and the
+    results; each made by the first call and overwritten by later ones."""
+
+    def __init__(self, cfg: ModelConfig) -> None:
+        n_layers = len(cfg.layer_dims())
+        self.rz, self.ra, self.rd, self.rg, self.oterm, self.iterm, self.wterm = ([None] * n_layers for _ in range(7))
+        self.r_out = self.v = self.vlayers = None
+        self.r_grad = np.empty(cfg.num_params)  # every entry written by each call
+        self.r_layers = _unflatten(cfg, self.r_grad)
+
+
+def _linearize(cfg: ModelConfig, block: np.ndarray, x: np.ndarray) -> list[Linearization]:
+    """One Linearization per row of a (K, P) parameter block on the batch x,
+    all from one forward pass and loss sweep over the K-stacked layers: a
+    stacked matmul is one BLAS call per model and a ufunc works entry by
+    entry, so each model gets the bits of its own pass."""
+    layers = _unflatten(cfg, block)
+    work = _Work(x, len(layers))
+    acts = _forward_acts(cfg, layers, work)
+    outs, slopes, deltas = _deltas(cfg, layers, work)
+    names = cfg.layer_activations()
+    curvs = [s if s is None else outs[i] * _ACTIVATIONS[names[i]][2](acts[i + 1], s) for i, s in enumerate(slopes)]
+    # each model's views of the K-stacked arrays (None for a linear layer)
+    stacked = ([w for w, _ in layers], acts[1:], slopes, deltas, curvs)
+    per_model = (zip(*(repeat(None, len(block)) if a is None else a for a in arrays)) for arrays in stacked)
+    tangent = _Tangent(cfg)
+    return [Linearization(cfg, w, (x, *a), s, d, c, tangent) for w, a, s, d, c in zip(*per_model)]
+
+
+def linearize(params: ModelParams, batch: np.ndarray) -> Linearization:
+    """The direction-free half of :func:`hvp_both` at params on a batch."""
+    return _linearize(params.config, params.vector[None], _batch(params.config, batch))[0]
+
+
+def hvp_both(lin: Linearization, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact ((d2L/dw dw) v, (d2L/dx dw) v) in one tangent pass.
 
     The tangent direction v lives in parameter space; the second result is
-    the derivative of <grad_w, v> with respect to the batch entries.
+    the derivative of <grad_w, v> with respect to the batch entries. Both are
+    buffers of ``lin.tangent``: the next call on ``lin``, or on another
+    linearization of its block, overwrites them.
     """
-    cfg, layers = params.config, params.layers
-    x = _batch(cfg, batch)
+    cfg, ws, acts, slopes, deltas, curvs, t = lin
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (cfg.num_params,):
         raise ValueError(f"direction must have length {cfg.num_params}, got {v.shape}")
-    vlayers = _unflatten(cfg, v)
-    names = cfg.layer_activations()
-    n_layers = len(layers)
+    if v is not t.v:
+        t.v, t.vlayers = v, _unflatten(cfg, v)
+    rz, ra, rd, rg, oterm = t.rz, t.ra, t.rd, t.rg, t.oterm
+    # tangent forward sweep: ra[i] = directional derivative of acts[i + 1];
+    # the input does not move along v, so layer 0 has no ra term
+    for i, (vw, vb) in enumerate(t.vlayers):
+        z = rz[i] = np.matmul(acts[i], vw, out=rz[i])
+        if i:
+            np.add(z, np.matmul(ra[i - 1], ws[i], out=oterm[i]), out=z)
+        np.add(z, vb, out=z)
+        ra[i] = z if slopes[i] is None else np.multiply(slopes[i], z, out=ra[i])
 
-    work = _forward(params, x)
-    acts = work.acts
-    outs, slopes, deltas = _deltas(cfg, layers, work)
-    # tangent forward sweep: r_acts[i] = directional derivative of acts[i];
-    # the input does not move along v, so r_acts[0] = 0 and its terms drop
-    r_acts: list = [None] * (n_layers + 1)
-    r_zs: list = [None] * n_layers
-    for i in range(n_layers):
-        w, _ = layers[i]
-        vw, vb = vlayers[i]
-        rz = acts[i] @ vw + vb if i == 0 else acts[i] @ vw + r_acts[i] @ w + vb
-        r_zs[i] = rz
-        r_acts[i + 1] = rz if slopes[i] is None else slopes[i] * rz
-
-    # tangent reverse sweep; a linear layer has zero curvature
-    r_out = (2.0 / x.size) * r_acts[-1]
-    r_g = r_out
-    r_deltas: list = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
+    # tangent reverse sweep; a linear layer has zero curvature. Its last step,
+    # the last read of v (so v may be a previous r_grad), gives the input's
+    # gradient, from which the target's term is then taken.
+    g = t.r_out = np.multiply(ra[-1], 2.0 / acts[0].size, out=t.r_out)
+    for i in range(len(ws) - 1, -1, -1):
         if slopes[i] is None:
-            r_deltas[i] = r_g
+            rd[i] = g
         else:
-            curv = _ACTIVATIONS[names[i]][2](acts[i + 1], slopes[i])
-            r_deltas[i] = r_g * slopes[i] + outs[i] * curv * r_zs[i]
-        if i:
-            r_g = r_deltas[i] @ layers[i][0].T + deltas[i] @ vlayers[i][0].T
+            rd[i] = np.multiply(g, slopes[i], out=rd[i])
+            np.add(rd[i], np.multiply(curvs[i], rz[i], out=oterm[i]), out=rd[i])
+        g = rg[i] = np.matmul(rd[i], ws[i].T, out=rg[i])
+        np.add(g, np.matmul(deltas[i], t.vlayers[i][0].T, out=t.iterm[i]), out=g)
+    np.subtract(g, t.r_out, out=g)
 
-    r_grad = np.empty(cfg.num_params)
-    for i, (r_gw, r_gb) in enumerate(_unflatten(cfg, r_grad)):
-        np.matmul(acts[i].T, r_deltas[i], out=r_gw)
+    for i, (r_gw, r_gb) in enumerate(t.r_layers):
+        np.matmul(acts[i].T, rd[i], out=r_gw)
         if i:
-            r_gw += r_acts[i].T @ deltas[i]
-        _row_sum(r_deltas[i], r_gb)
-    r_gx = r_deltas[0] @ layers[0][0].T + deltas[0] @ vlayers[0][0].T - r_out
-    return r_grad, r_gx
+            np.add(r_gw, np.matmul(ra[i - 1].T, deltas[i], out=t.wterm[i]), out=r_gw)
+        _row_sum(rd[i], r_gb)
+    return t.r_grad, g
 
 
 def train(

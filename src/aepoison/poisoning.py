@@ -27,14 +27,14 @@ import numpy as np
 from . import nn_core
 from .detector import (
     DetectorConfig,
-    _scatter_rows,
+    _scatter_windows,
     score,
     series_loss,
     series_objective_grad,
     window_batch,
 )
 from .nn_core import ModelParams, TrainConfig, TrainTrajectory
-from .timeseries import SeriesMatrix, window_rows
+from .timeseries import SeriesMatrix
 
 __all__ = [
     "PoisonConfig",
@@ -55,6 +55,7 @@ _TERMINATIONS = ("goal-met", "lambda-floor", "iter-budget", "over-poison-unrecov
 DECAY = 0.9  # step-rate decay after a rejected step
 LAMBDA_EPS = 1e-5  # floor of the adversarial learning rate
 INTERP_EPS = 1e-7  # floor of an interp step
+REVERSE_BLOCK = 16  # checkpoints get_poison_grad linearizes in one stacked pass
 
 
 @dataclass(frozen=True)
@@ -277,50 +278,40 @@ def get_poison_grad(
     poison sequence, obtained by reversing the training run.
 
     Starting from the trained endpoint's weight gradient on the attack, each
-    reverse step accumulates the poison's influence through that step's
-    weight update via one mixed and one weight-space Hessian-vector product
-    of the loss on the poison alone, evaluated at the recorded pre-step
-    weights: the exact adjoint of the unrolled training loop, at the
-    trajectory's own learning rate.
+    reverse step, at the trajectory's own learning rate, accumulates the
+    poison's influence through that step's weight update via one mixed and
+    one weight-space Hessian-vector product at the recorded pre-step weights,
+    linearized REVERSE_BLOCK checkpoints at a time. Both are Hessians of the
+    loss on the candidate's windows alone, not of the whole training loss the
+    fit descended (the adjoint of the unrolled fit is ROADMAP item 1).
     """
     alpha = trajectory.learning_rate
     model_cfg = detector_cfg.model
-    template = attack_series
-    poison_series = poison.as_series(template)
+    poison_series = poison.as_series(attack_series)
     pois_batch = window_batch(poison_series, detector_cfg)
     atk_batch = window_batch(attack_series, detector_cfg)
 
-    w_final = ModelParams(model_cfg, trajectory.checkpoints[-1])
-    dw = nn_core.grad_w(w_final, atk_batch)
+    cps = trajectory.checkpoints
+    dw = nn_core.grad_w(ModelParams(model_cfg, cps[-1]), atk_batch)
     dyc = np.zeros_like(poison.values)
-    steps = trajectory.steps
-    if steps == 0:
-        return dyc
-
-    # The reverse recursion multiplies dw by (I - alpha*H) each step; when
-    # training ran at a rate where some |1 - alpha*h| > 1 this product grows
-    # exponentially. Rescaling dw and dyc together is lossless downstream
-    # (the poison update uses only the normalized direction), so cap the
-    # magnitude instead of overflowing.
-    def rescale(dw: np.ndarray, dyc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        peak = float(np.max(np.abs(dw))) if dw.size else 0.0
-        if peak > 1e50:
-            return dw / peak, dyc / peak
-        return dw, dyc
-
-    # read-only checkpoint rows become models without a copy; dw and dyc
-    # are owned here and updated in place
-    rows = window_rows(poison_series.length, detector_cfg.window_length)
+    # dw and dyc are owned here and updated in place; step t reverses the
+    # update made from checkpoint t - 1. The reverse recursion multiplies dw
+    # by (I - alpha*H) each step; when training ran at a rate where some
+    # |1 - alpha*h| > 1 this product grows exponentially. Rescaling dw and dyc
+    # together is lossless downstream (the poison update uses only the
+    # normalized direction), so cap the magnitude instead of overflowing.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps, 0, -1):
-            w_prev = ModelParams(model_cfg, trajectory.checkpoints[t - 1])
-            r_gw, r_gx = nn_core.hvp_both(w_prev, pois_batch, dw)
-            r_gy = _scatter_rows(r_gx, rows, poison_series.length)
-            r_gy *= alpha
-            dyc -= r_gy
-            r_gw *= alpha
-            dw -= r_gw
-            dw, dyc = rescale(dw, dyc)
+        for end in range(trajectory.steps, 0, -REVERSE_BLOCK):
+            for lin in reversed(nn_core._linearize(model_cfg, cps[max(end - REVERSE_BLOCK, 0) : end], pois_batch)):
+                r_gw, r_gx = nn_core.hvp_both(lin, dw)
+                r_gy = _scatter_windows(r_gx, poison_series.length, detector_cfg)
+                r_gy *= alpha
+                dyc -= r_gy
+                r_gw *= alpha
+                dw -= r_gw
+                peak = float(np.maximum.reduce(np.abs(dw), axis=None))  # np.max without its Python wrapper
+                if peak > 1e50:
+                    dw, dyc = dw / peak, dyc / peak
     if not np.isfinite(dyc).all():
         raise FloatingPointError("training reversal produced a non-finite poison gradient")
     return dyc

@@ -203,7 +203,7 @@ class TestAC1NumericalOracles:
             dn = ModelParams(params.config, flat - eps * v)
             fd_hw = (nn_core.grad_w(up, batch) - nn_core.grad_w(dn, batch)) / (2 * eps)
             fd_hx = (nn_core.grad_x(up, batch) - nn_core.grad_x(dn, batch)) / (2 * eps)
-            hw, hx = nn_core.hvp_both(params, batch, v)
+            hw, hx = nn_core.hvp_both(nn_core.linearize(params, batch), v)
             worst_hw = max(worst_hw, np.max(np.abs(hw - fd_hw)) / max(np.max(np.abs(fd_hw)), 1e-30))
             worst_hx = max(worst_hx, np.max(np.abs(hx - fd_hx)) / max(np.max(np.abs(fd_hx)), 1e-30))
         report(

@@ -2,8 +2,10 @@
 and at numpy's baseline SIMD level.
 
 Training updates one flat vector in place, writes every epoch into one set of
-work buffers with ``out=`` and sums tall deltas' rows with einsum; these checks
-compare that path with plain allocating loops and ``sum(axis=0)``. Each
+work buffers with ``out=`` and sums tall deltas' rows with einsum, and a
+reversal linearizes a block of checkpoints with K-stacked matmuls and ufuncs;
+these checks compare those paths with plain allocating loops and
+``sum(axis=0)``. Each
 kernel runs in a child process with ``OPENBLAS_CORETYPE`` set in the child's
 environment only, once with numpy's default dispatch and once with
 ``NPY_DISABLE_CPU_FEATURES`` naming every dispatch target above numpy's
@@ -28,7 +30,9 @@ CHECKS = (
     "tests/test_nn_core.py::TestTrain::test_single_seq_model_matches_plain_loop_bit_exact",
     "tests/test_nn_core.py::TestTrain::test_multi_seq_shape_matches_plain_loop_bit_exact",
     "tests/test_nn_core.py::TestRowSum",
+    "tests/test_nn_core.py::TestLinearize",
     "tests/test_poisoning.py::TestGetPoisonGrad::test_matches_public_reference_loop_bit_exact",
+    "tests/test_poisoning.py::TestGetPoisonGrad::test_any_count_of_checkpoint_blocks_matches_reference_loop",
 )
 # CPU flags each kernel needs, as /proc/cpuinfo names them (pni is SSE3)
 KERNEL_FLAGS = {

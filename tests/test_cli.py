@@ -265,6 +265,35 @@ def test_config_that_cannot_be_built_is_usage_error(tmp_path, signal_json, detec
         assert not (tmp_path / "range.json").exists()
 
 
+def test_refused_detector_file_is_usage_error(tmp_path, signal_json, detector_json):
+    # a detector file naming a removed key, or holding a bad value, is refused
+    # as a config file is: exit 1 and no report; a missing one is a runtime error
+    series_csv = tmp_path / "series.csv"
+    model = tmp_path / "detector.npz"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    assert main(["train", "--series", str(series_csv), "--detector", str(detector_json), "--out", str(model)]) == 0
+    with np.load(model) as data:
+        meta = json.loads(bytes(data["detector"]).decode())
+        flat = data["params"]
+    nan_params = flat.copy()
+    nan_params[0] = np.nan
+    bad = {
+        "window_stride": ({**meta, "window_stride": 1}, flat),
+        "residual_mode": ({**meta, "residual_mode": "per-point-abs"}, flat),
+        "encoder_layers": ({**meta, "model": {**meta["model"], "encoder_layers": 1}}, flat),
+        "nan_parameter": (meta, nan_params),
+    }
+    out = tmp_path / "report.json"
+    for name, (header, params) in bad.items():
+        path = tmp_path / f"{name}.npz"
+        np.savez(path, detector=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), params=params)
+        assert main(["score", "--model", str(path), "--series", str(series_csv), "--out", str(out)]) == 1, name
+        assert not out.exists(), name
+    missing = ["score", "--model", str(tmp_path / "missing.npz"), "--series", str(series_csv), "--out", str(out)]
+    assert main(missing) == 2
+    assert main(["score", "--model", str(model), "--series", str(series_csv), "--out", str(out)]) == 0
+
+
 def test_missing_config_file_is_runtime_error(tmp_path, signal_json):
     series_csv = tmp_path / "series.csv"
     assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0

@@ -203,17 +203,33 @@ class TestSeriesObjectiveGrad:
 
 
 class TestScatterWindows:
-    @pytest.mark.parametrize("length,features,rows", [(2, 2, 48), (100, 1, 100), (3, 2, 50), (4, 1, 40)])
-    def test_matches_loop_reference_bit_for_bit(self, length, features, rows):
+    @staticmethod
+    def check_against_loop(length, features, rows, signed_zeros):
         size = length * features
         cfg = ModelConfig(input_size=size, code_size=max(1, size // 2))
         dcfg = DetectorConfig(model=cfg, window_length=length, threshold=0.2)
         count = rows - length + 1
         grad_batch = np.random.default_rng(rows).normal(size=(count, size)) * 1e3
+        if signed_zeros:
+            # -0.0 in every other entry, and rows whose every window gives -0.0
+            grad_batch[:, ::2] = -0.0
+            grad_batch[: count // 2, features : 2 * features] = -0.0
         expected = np.zeros((rows, features))
         for k in range(count):
             expected[k : k + length] += grad_batch[k].reshape(length, features)
-        assert np.array_equal(_scatter_windows(grad_batch, rows, dcfg), expected)
+        got = _scatter_windows(grad_batch, rows, dcfg)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    # (30, 2, 40) and (100, 1, 100) have fewer windows than window rows
+    CASES = [(2, 2, 48), (100, 1, 100), (3, 2, 50), (4, 1, 40), (30, 2, 40)]
+
+    @pytest.mark.parametrize("length,features,rows", CASES)
+    def test_matches_loop_reference_bit_for_bit(self, length, features, rows):
+        self.check_against_loop(length, features, rows, signed_zeros=False)
+
+    @pytest.mark.parametrize("length,features,rows", CASES)
+    def test_signed_zeros_match_loop_reference_bit_for_bit(self, length, features, rows):
+        self.check_against_loop(length, features, rows, signed_zeros=True)
 
 
 class TestDetectorCheckpoint:
@@ -237,13 +253,6 @@ class TestDetectorCheckpoint:
         meta["residual_mode"] = rule
         np.savez(path, detector=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), params=flat)
         return params, dcfg
-
-    def test_older_file_naming_per_point_abs_loads(self, tmp_path):
-        path = tmp_path / "detector.npz"
-        params, dcfg = self.saved_with_scoring_rule(path, "per-point-abs")
-        loaded_params, loaded_cfg = load_detector(path)
-        assert loaded_cfg == dcfg
-        assert np.array_equal(loaded_params.flatten(), params.flatten())
 
     def test_file_with_a_nan_parameter_is_refused(self, tmp_path):
         params, dcfg = zero_model()
@@ -273,7 +282,9 @@ class TestDetectorCheckpoint:
             load_detector(path)
 
     def test_file_naming_a_removed_scoring_rule_is_refused(self, tmp_path):
+        # per-point-abs is the only rule, so the key that named it is refused too
         path = tmp_path / "detector.npz"
-        self.saved_with_scoring_rule(path, "window-mse")
-        with pytest.raises(ValueError, match="window-mse"):
-            load_detector(path)
+        for rule in ("window-mse", "per-point-abs"):
+            self.saved_with_scoring_rule(path, rule)
+            with pytest.raises(TypeError, match="residual_mode"):
+                load_detector(path)

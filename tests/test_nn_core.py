@@ -14,9 +14,11 @@ from aepoison.nn_core import (
     grad_x,
     hvp_both,
     init_params,
+    linearize,
     loss,
     train,
 )
+from aepoison.poisoning import REVERSE_BLOCK
 
 
 def small_cfg(**kw):
@@ -220,6 +222,89 @@ class TestGradWBuffers:
             p = ModelParams(cfg, p.flatten() - 0.5 * g)
 
 
+def allocating_state(params, x):
+    """Reference direction-free half of an HVP for tanh/linear models, every
+    product a fresh array: per layer the activation, slope (None for the
+    linear read-out), delta and curvature term outs * f''."""
+    names = params.config.layer_activations()
+    acts = [x]
+    for (w, b), name in zip(params.layers, names):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if name == "tanh" else z)
+    slopes, deltas, curvs = [None] * 4, [None] * 4, [None] * 4
+    out = (2.0 / x.size) * (acts[-1] - x)
+    for i in range(3, -1, -1):
+        if names[i] == "tanh":
+            slopes[i] = 1.0 - acts[i + 1] * acts[i + 1]
+            curvs[i] = out * (-2.0 * acts[i + 1] * slopes[i])
+        deltas[i] = out if slopes[i] is None else out * slopes[i]
+        out = deltas[i] @ params.layers[i][0].T
+    return acts, slopes, deltas, curvs
+
+
+def allocating_hvp(params, x, v):
+    """Reference ((d2L/dw dw) v, (d2L/dx dw) v) with fresh arrays: the
+    arithmetic of hvp_both's tangent pass."""
+    acts, slopes, deltas, curvs = allocating_state(params, x)
+    layers, vlayers = params.layers, ModelParams(params.config, v).layers
+    r_acts, r_zs = [None], []
+    for i, ((w, _), (vw, vb)) in enumerate(zip(layers, vlayers)):
+        rz = acts[i] @ vw + vb if i == 0 else acts[i] @ vw + r_acts[i] @ w + vb
+        r_zs.append(rz)
+        r_acts.append(rz if slopes[i] is None else slopes[i] * rz)
+    r_out = (2.0 / x.size) * r_acts[-1]
+    r_g, r_deltas = r_out, [None] * 4
+    for i in range(3, -1, -1):
+        r_deltas[i] = r_g if slopes[i] is None else r_g * slopes[i] + curvs[i] * r_zs[i]
+        r_g = r_deltas[i] @ layers[i][0].T + deltas[i] @ vlayers[i][0].T
+    parts = []
+    for i in range(4):
+        r_gw = acts[i].T @ r_deltas[i] if i == 0 else acts[i].T @ r_deltas[i] + r_acts[i].T @ deltas[i]
+        parts += [r_gw.ravel(), r_deltas[i].sum(axis=0)]
+    return np.concatenate(parts), r_g - r_out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLinearize:
+    SHAPES = [(4, 2, 48), (4, 2, 990), (100, 50, 16)]  # MULTI_SEQ poison and training rows, SINGLE_SEQ
+
+    @staticmethod
+    def trajectory(input_size, code_size, rows, steps):
+        cfg = ModelConfig(input_size=input_size, code_size=code_size, init_seed=6, init_scale=0.4)
+        x = np.sin(np.linspace(0, 40, rows * input_size)).reshape(rows, input_size) * 0.8
+        _, traj, _ = train(init_params(cfg), x, TrainConfig(0.5, steps, 1e-12, record_trajectory=True))
+        assert traj.steps == steps
+        return cfg, x, traj.checkpoints
+
+    @pytest.mark.parametrize("input_size,code_size,rows", SHAPES)
+    @pytest.mark.parametrize("models", [1, REVERSE_BLOCK - 1, REVERSE_BLOCK, REVERSE_BLOCK + 1])
+    def test_stacked_state_matches_plain_pass_bit_for_bit(self, input_size, code_size, rows, models):
+        cfg, x, cps = self.trajectory(input_size, code_size, rows, models - 1)
+        lins = nn_core._linearize(cfg, cps, x)
+        assert len(lins) == models
+        for lin, vec in zip(lins, cps):
+            p = ModelParams(cfg, vec)
+            assert all(same_bits(w, ref) for w, (ref, _) in zip(lin.weights, p.layers))
+            for got, ref in zip((lin.acts, lin.slopes, lin.deltas, lin.curvs), allocating_state(p, x)):
+                assert [g is None for g in got] == [r is None for r in ref]
+                assert all(same_bits(g, r) for g, r in zip(got, ref) if r is not None)
+
+    @pytest.mark.parametrize("input_size,code_size,rows", SHAPES)
+    def test_tangent_pass_matches_allocating_reference_bit_exact(self, input_size, code_size, rows):
+        cfg, x, cps = self.trajectory(input_size, code_size, rows, REVERSE_BLOCK + 2)
+        v = np.random.default_rng(rows).normal(size=cfg.num_params)
+        for lin, vec in zip(nn_core._linearize(cfg, cps, x), cps):
+            # v is the last result, overwritten by the call that reads it
+            expected = allocating_hvp(ModelParams(cfg, vec), x, v.copy())
+            got = hvp_both(lin, v)
+            assert all(same_bits(g, e) for g, e in zip(got, expected))
+            v = got[0]
+
+
 class TestHvp:
     def test_single_linear_layer_closed_form(self):
         # one effective linear map: loss = mean((xW + b - x)^2); the
@@ -236,7 +321,7 @@ class TestHvp:
             grad_w(ModelParams(cfg, flat + eps * v), batch)
             - grad_w(ModelParams(cfg, flat - eps * v), batch)
         ) / (2 * eps)
-        assert np.max(np.abs(hvp_both(p, batch, v)[0] - fd)) / np.max(np.abs(fd)) < 1e-7
+        assert np.max(np.abs(hvp_both(linearize(p, batch), v)[0] - fd)) / np.max(np.abs(fd)) < 1e-7
 
     def test_hvp_linear_in_direction(self):
         p = init_params(small_cfg(init_seed=2, init_scale=0.3))
@@ -245,9 +330,9 @@ class TestHvp:
         v1 = rng.normal(size=p.config.num_params)
         v2 = rng.normal(size=p.config.num_params)
         a, b = 0.7, -1.3
-        combo_w, combo_x = hvp_both(p, batch, a * v1 + b * v2)
-        w1, x1 = hvp_both(p, batch, v1)
-        w2, x2 = hvp_both(p, batch, v2)
+        combo_w, combo_x = hvp_both(linearize(p, batch), a * v1 + b * v2)
+        w1, x1 = hvp_both(linearize(p, batch), v1)
+        w2, x2 = hvp_both(linearize(p, batch), v2)
         assert np.max(np.abs(combo_w - (a * w1 + b * w2))) < 1e-10
         assert np.max(np.abs(combo_x - (a * x1 + b * x2))) < 1e-10
 
@@ -262,14 +347,14 @@ class TestHvp:
         dn = ModelParams(p.config, flat - eps * v)
         fd_w = (grad_w(up, batch) - grad_w(dn, batch)) / (2 * eps)
         fd_x = (grad_x(up, batch) - grad_x(dn, batch)) / (2 * eps)
-        hw, hx = hvp_both(p, batch, v)
+        hw, hx = hvp_both(linearize(p, batch), v)
         assert np.max(np.abs(hw - fd_w)) / np.max(np.abs(fd_w)) < 1e-4
         assert np.max(np.abs(hx - fd_x)) / np.max(np.abs(fd_x)) < 1e-4
 
     def test_direction_length_checked(self):
         p = init_params(small_cfg())
         with pytest.raises(ValueError, match="direction"):
-            hvp_both(p, np.zeros((2, 4)), np.zeros(3))
+            hvp_both(linearize(p, np.zeros((2, 4))), np.zeros(3))
 
 
 class TestTrain:
@@ -500,7 +585,7 @@ class TestWorkBuffers:
         p = init_params(ModelConfig(input_size=4, code_size=2, init_seed=0, init_scale=0.5))
         x = self.batch()
         v = np.random.default_rng(0).normal(size=p.config.num_params)
-        calls = [lambda: (forward(p, x),), lambda: (grad_w(p, x),), lambda: (grad_x(p, x),), lambda: hvp_both(p, x, v)]
+        calls = [lambda: (forward(p, x),), lambda: (grad_w(p, x),), lambda: (grad_x(p, x),), lambda: hvp_both(linearize(p, x), v)]
         for call in calls:
             first, second = call(), call()
             assert not any(np.shares_memory(a, b) for a in first for b in second)

@@ -224,7 +224,10 @@ class TestGetPoisonGrad:
             ) / (2 * h)
         assert np.max(np.abs(analytic[:, 0] - fd)) / np.max(np.abs(fd)) < 1e-6
 
-    def test_matches_public_reference_loop_bit_exact(self):
+    @staticmethod
+    def reversal_and_reference_loop(steps):
+        """get_poison_grad's arguments for a fit of `steps` epochs on clean
+        plus poison windows, and that reversal as a loop of public calls."""
         train, _, clean, attacked, dcfg, _, span = multi_seq_setup(size=3)
         poison = PoisonPoint(clean.values[span[0] : span[1]], span=span)
         poison_series = poison.as_series(attacked)
@@ -232,21 +235,44 @@ class TestGetPoisonGrad:
         data = np.vstack([window_batch(s, dcfg) for s in train] + [pois_batch])
         w0 = nn_core.init_params(dcfg.model)
         lr = 0.8
-        _, traj, _ = nn_core.train(w0, data, TrainConfig(lr, 150, 1e-9, record_trajectory=True))
-        assert traj.steps == 150
+        _, traj, _ = nn_core.train(w0, data, TrainConfig(lr, steps, 1e-9, record_trajectory=True))
+        assert traj.steps == steps
 
         # reference: validated weights and fresh arrays at every step
         cfg, cps = dcfg.model, traj.checkpoints
         dw = nn_core.grad_w(ModelParams(cfg, cps[-1]), window_batch(attacked, dcfg))
         dyc = np.zeros_like(poison.values)
         for t in range(traj.steps, 0, -1):
-            r_gw, r_gx = nn_core.hvp_both(ModelParams(cfg, cps[t - 1]), pois_batch, dw)
+            r_gw, r_gx = nn_core.hvp_both(nn_core.linearize(ModelParams(cfg, cps[t - 1]), pois_batch), dw)
             dyc = dyc - lr * _scatter_windows(r_gx, poison_series.length, dcfg)
             dw = dw - lr * r_gw
             assert np.max(np.abs(dw)) <= 1e50  # get_poison_grad would rescale
-        got = get_poison_grad(traj, attacked, poison, dcfg)
+        return (traj, attacked, poison, dcfg), dyc
+
+    def test_matches_public_reference_loop_bit_exact(self):
+        args, expected = self.reversal_and_reference_loop(150)
+        got = get_poison_grad(*args)
         assert np.any(got != 0.0)
-        assert np.array_equal(got, dyc)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "steps", [0, 1, poisoning.REVERSE_BLOCK - 1, poisoning.REVERSE_BLOCK, poisoning.REVERSE_BLOCK + 1]
+    )
+    def test_any_count_of_checkpoint_blocks_matches_reference_loop(self, steps):
+        args, expected = self.reversal_and_reference_loop(steps)
+        got = get_poison_grad(*args)
+        assert np.any(got != 0.0) or steps == 0
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("steps", [0, 1, poisoning.REVERSE_BLOCK, 2 * poisoning.REVERSE_BLOCK + 3])
+    def test_one_hvp_both_call_per_reverse_step(self, steps, monkeypatch):
+        args, _ = self.reversal_and_reference_loop(steps)
+        calls = []
+        hvp_both = nn_core.hvp_both
+        monkeypatch.setattr(nn_core, "hvp_both", lambda lin, v: calls.append(lin) or hvp_both(lin, v))
+        get_poison_grad(*args)
+        assert len(calls) == steps == args[0].steps
+        assert len({id(lin) for lin in calls}) == steps
 
     def test_no_training_steps_gives_zero_gradient(self):
         dcfg = tiny_detector()
