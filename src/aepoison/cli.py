@@ -3,8 +3,8 @@
 Subcommands compose into a pipeline: `gen` a signal, `attack` it, `train` a
 detector, `score` series, `poison` a detector, `grid` a whole experiment
 matrix, `ingest` raw CSV data. All config files are JSON with a versioned
-`schema` field. Exit codes: 0 success, 1 usage error (a config with a
-missing or unknown key or an invalid value is one), 2 runtime failure.
+`schema` field. Exit codes: 0 success, 1 usage error (a bad flag value or a
+config with a missing or unknown key or a bad value), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from . import detector as detector_mod
-from . import nn_core
 from .detector import DetectorConfig, load_detector, save_detector, score
 from .harness import GridSpec, export, run_grid
 from .nn_core import ModelConfig, TrainConfig
-from .poisoning import PoisonConfig, poison_span, run_pipeline
+from .poisoning import ExperimentData, PoisonConfig, TrainCache, poison_span, run_pipeline
 from .signals import AttackSpec, SignalSpec, generate, inject_attack
 from .timeseries import NormStats, export_csv, ingest_csv, normalize, subsample
 
@@ -97,9 +95,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg, train_cfg = _load_config(args.detector, "detector", _detector_parts)
-    batches = [detector_mod.window_batch(ingest_csv(p), cfg) for p in args.series]
-    batch = np.concatenate(batches, axis=0)
-    params, _, final_loss = nn_core.train(nn_core.init_params(cfg.model), batch, train_cfg)
+    params, _, final_loss = TrainCache([ingest_csv(p) for p in args.series], cfg, train_cfg).fit(())
     save_detector(params, cfg, args.out)
     print(f"trained to loss {final_loss:.6f}; checkpoint at {args.out}")
     return 0
@@ -119,23 +115,27 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_poison(args: argparse.Namespace) -> int:
     cfg, train_cfg = _load_config(args.detector, "detector", _detector_parts)
-    train_series = [ingest_csv(p) for p in args.train]
-    val = ingest_csv(args.val)
+    try:
+        poison_cfg = PoisonConfig(
+            init_mode="attack-based" if args.init == "attack" else "benign-data",
+            seed=args.seed if args.seed is not None else 0,
+            max_iters=args.max_iters,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     attack = ingest_csv(args.attack)
-    clean = ingest_csv(args.clean)
     attack_range, period = _load_config(
         args.attack_range, "attack-range", lambda data: ((data["start"], data["stop"]), data["period"])
     )
-
-    poison_cfg = PoisonConfig(
-        init_mode="attack-based" if args.init == "attack" else "benign-data",
-        seed=args.seed if args.seed is not None else 0,
-        max_iters=args.max_iters,
+    data = ExperimentData(
+        train=tuple(ingest_csv(p) for p in args.train),
+        val=ingest_csv(args.val),
+        clean=ingest_csv(args.clean),
+        attack=attack,
+        attack_range=attack_range,
+        span=poison_span(attack.length, attack_range, cfg.window_length, period),
     )
-    span = poison_span(attack.length, attack_range, cfg.window_length, period)
-    _, result = run_pipeline(
-        train_series, val, attack, clean, span, args.algo, poison_cfg, detector_cfg=cfg, train_cfg=train_cfg
-    )
+    _, result = run_pipeline(data, args.algo, poison_cfg, detector_cfg=cfg, train_cfg=train_cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.write_json(out_dir / "poison_result.json")

@@ -31,9 +31,8 @@ import numpy as np
 
 from .detector import DetectorConfig
 from .nn_core import ModelConfig, TrainConfig
-from .poisoning import PoisonConfig, PoisonResult, poison_span, run_pipeline
+from .poisoning import ExperimentData, PoisonConfig, PoisonResult, poison_span, run_pipeline
 from .signals import AttackSpec, SignalSpec, anchor_index, generate, inject_attack
-from .timeseries import SeriesMatrix
 
 __all__ = [
     "CellConfig",
@@ -153,18 +152,6 @@ class CellConfig:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class ExperimentData:
-    """Generated inputs for one cell."""
-
-    train: tuple[SeriesMatrix, ...]
-    val: SeriesMatrix
-    clean: SeriesMatrix
-    attack: SeriesMatrix
-    attack_range: tuple[int, int]
-    span: tuple[int, int]
-
-
 def build_experiment(cell: CellConfig) -> ExperimentData:
     """Generate training/validation/attack series for a cell.
 
@@ -234,22 +221,21 @@ def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
     t0 = time.perf_counter()
     result: PoisonResult | None = None
     data: ExperimentData | None = None
+    outcome = dict(
+        success=False,
+        baseline_attack_alerts=0,
+        poison_point_count=0,
+        clean_pads=0,
+        optimization_iterations=0,
+        achieved_magnitude=0.0,
+        termination="error",
+    )
     try:
         data = build_experiment(cell)
         baseline, result = run_pipeline(
-            data.train,
-            data.val,
-            data.attack,
-            data.clean,
-            data.span,
-            cell.algorithm,
-            cell.poison_config(),
-            detector_cfg=cell.detector_config(),
-            train_cfg=cell.train_config(),
+            data, cell.algorithm, cell.poison_config(), detector_cfg=cell.detector_config(), train_cfg=cell.train_config()
         )
-        record = MetricsRecord(
-            cell=cell.to_dict(),
-            repetition=repetition,
+        outcome = dict(
             success=result.success,
             baseline_attack_alerts=baseline.alerts_attack,
             poison_point_count=result.adversarial_point_count,
@@ -257,22 +243,10 @@ def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
             optimization_iterations=result.iterations,
             achieved_magnitude=result.achieved_magnitude,
             termination=result.termination,
-            wall_time_s=time.perf_counter() - t0,
         )
     except Exception as exc:  # cell failures are data, not crashes
-        record = MetricsRecord(
-            cell=cell.to_dict(),
-            repetition=repetition,
-            success=False,
-            baseline_attack_alerts=0,
-            poison_point_count=0,
-            clean_pads=0,
-            optimization_iterations=0,
-            achieved_magnitude=0.0,
-            termination="error",
-            wall_time_s=time.perf_counter() - t0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        outcome["error"] = f"{type(exc).__name__}: {exc}"
+    record = MetricsRecord(cell=cell.to_dict(), repetition=repetition, wall_time_s=time.perf_counter() - t0, **outcome)
     if keep_result:
         return record, result, data
     return record

@@ -18,7 +18,7 @@ counts on validation data, the attack, and the poison inputs themselves
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -37,6 +37,7 @@ from .nn_core import ModelParams, TrainConfig, TrainTrajectory
 from .timeseries import SeriesMatrix
 
 __all__ = [
+    "ExperimentData",
     "PoisonConfig",
     "PoisonPoint",
     "PoisonResult",
@@ -56,6 +57,24 @@ DECAY = 0.9  # step-rate decay after a rejected step
 LAMBDA_EPS = 1e-5  # floor of the adversarial learning rate
 INTERP_EPS = 1e-7  # floor of an interp step
 REVERSE_BLOCK = 16  # checkpoints get_poison_grad linearizes in one stacked pass
+
+
+@dataclass(frozen=True)
+class ExperimentData:
+    """One run's inputs: the clean training sequences, the validation series,
+    the clean series and its attacked copy, the attacked rows, and the rows
+    a poison sequence spans."""
+
+    train: tuple[SeriesMatrix, ...]
+    val: SeriesMatrix
+    clean: SeriesMatrix
+    attack: SeriesMatrix
+    attack_range: tuple[int, int]
+    span: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        if not self.train:
+            raise ValueError("empty training set")
 
 
 @dataclass(frozen=True)
@@ -118,17 +137,7 @@ class IterationLog:
     points_so_far: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "lambda": self.lam,
-            "alerts_val": self.alerts_val,
-            "alerts_attack": self.alerts_attack,
-            "alerts_candidate": self.alerts_candidate,
-            "attack_loss": self.attack_loss,
-            "accepted": self.accepted,
-            "action": self.action,
-            "points_so_far": self.points_so_far,
-        }
+        return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -256,15 +265,15 @@ def train_test(state: _RunState, candidate: PoisonPoint | None = None) -> TrainT
     the attack, and every poison input."""
     poisons = tuple(state.points) if candidate is None else (*state.points, candidate)
     params, trajectory, _ = state.cache.fit(poisons)
-    cfg, template = state.detector_cfg, state.template
+    cfg, template, data = state.detector_cfg, state.template, state.data
     return TrainTestResult(
         params=params,
         trajectory=trajectory,
-        alerts_val=score(params, state.val, cfg).alert_count,
-        alerts_attack=score(params, state.attack, cfg).alert_count,
+        alerts_val=score(params, data.val, cfg).alert_count,
+        alerts_attack=score(params, data.attack, cfg).alert_count,
         alerts_poisons=sum(score(params, p.as_series(template), cfg).alert_count for p in state.points),
         alerts_candidate=score(params, candidate.as_series(template), cfg).alert_count if candidate is not None else 0,
-        attack_loss=series_loss(params, state.attack, cfg),
+        attack_loss=series_loss(params, data.attack, cfg),
     )
 
 
@@ -329,10 +338,7 @@ class _RunState:
     of a successful run.
     """
 
-    train_seqs: Sequence[SeriesMatrix]
-    val: SeriesMatrix
-    attack: SeriesMatrix
-    clean: SeriesMatrix
+    data: ExperimentData
     algorithm: str
     poison_cfg: PoisonConfig
     detector_cfg: DetectorConfig
@@ -347,17 +353,14 @@ class _RunState:
     def __post_init__(self) -> None:
         if self.algorithm not in ("interp", "backgrad"):
             raise ValueError(f"algorithm must be interp or backgrad, got {self.algorithm!r}")
-        self.train_seqs = tuple(self.train_seqs)
-        if not self.train_seqs:
-            raise ValueError("empty training set")
         self.train_cfg = replace(self.train_cfg, record_trajectory=self.algorithm == "backgrad")
-        self.magnitude = float(np.max(np.abs(self.attack.values - self.clean.values)))
-        self.cache = TrainCache(self.train_seqs, self.detector_cfg, self.train_cfg)
+        self.magnitude = float(np.max(np.abs(self.data.attack.values - self.data.clean.values)))
+        self.cache = TrainCache(self.data.train, self.detector_cfg, self.train_cfg)
         self.pad_rng = np.random.default_rng([self.poison_cfg.seed, 0xADD])
 
     @property
     def template(self) -> SeriesMatrix:
-        return self.train_seqs[0]
+        return self.data.train[0]
 
     def pad_clean(self, result: TrainTestResult, candidate: PoisonPoint | None) -> tuple[TrainTestResult, bool]:
         """Append clean training sequences while validation alerts persist,
@@ -366,9 +369,9 @@ class _RunState:
         Returns the latest result and whether validation is clean; False with
         the budget exhausted means the model is over-poisoned beyond repair.
         """
-        while result.alerts_val > 0 and self.clean_pads < len(self.train_seqs):
-            idx = int(self.pad_rng.integers(len(self.train_seqs)))
-            seq = self.train_seqs[idx]
+        while result.alerts_val > 0 and self.clean_pads < len(self.data.train):
+            idx = int(self.pad_rng.integers(len(self.data.train)))
+            seq = self.data.train[idx]
             self.points.append(
                 PoisonPoint(
                     seq.values,
@@ -452,7 +455,7 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
             state.record(i, lam, result, True, "goal met, current poison committed")
             return state.finish("goal-met", grad_iters, result)
 
-        dyc = get_poison_grad(result.trajectory, state.attack, y_c, state.detector_cfg)
+        dyc = get_poison_grad(result.trajectory, state.data.attack, y_c, state.detector_cfg)
         grad_iters += 1
         gmax = float(np.max(np.abs(dyc)))
         if gmax < 1e-12:
@@ -497,7 +500,7 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
     """
     cfg = state.poison_cfg
     span = y_c0.span
-    target = state.attack.values[span[0] : span[1]]
+    target = state.data.attack.values[span[0] : span[1]]
     if target.shape != y_c0.values.shape:
         raise ValueError(
             f"initial poison shape {y_c0.values.shape} does not match its span of the attack {target.shape}"
@@ -550,13 +553,7 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
 
 
 def init_poison(
-    attack: SeriesMatrix,
-    params: ModelParams,
-    cfg: PoisonConfig,
-    *,
-    detector_cfg: DetectorConfig,
-    span: tuple[int, int],
-    clean: SeriesMatrix,
+    data: ExperimentData, params: ModelParams, cfg: PoisonConfig, detector_cfg: DetectorConfig
 ) -> PoisonPoint:
     """Choose the starting poison sequence.
 
@@ -566,10 +563,11 @@ def init_poison(
     quiet sequence to the attack); if it fails to converge it falls back to
     the benign values, flagged in `source`.
     """
+    attack, span = data.attack, data.span
     lo, hi = span
 
     def benign(source: str) -> PoisonPoint:
-        return PoisonPoint(clean.values[lo:hi], iteration_born=0, span=span, source=source)
+        return PoisonPoint(data.clean.values[lo:hi], iteration_born=0, span=span, source=source)
 
     if cfg.init_mode == "benign-data":
         return benign("benign-init")
@@ -609,11 +607,7 @@ def init_poison(
 
 
 def run_pipeline(
-    train: Sequence[SeriesMatrix],
-    val: SeriesMatrix,
-    attack: SeriesMatrix,
-    clean: SeriesMatrix,
-    span: tuple[int, int],
+    data: ExperimentData,
     algorithm: str,
     poison_cfg: PoisonConfig,
     *,
@@ -627,8 +621,8 @@ def run_pipeline(
     The run's state, with its one retraining oracle, is set up once, and the
     baseline is fitted once.
     """
-    state = _RunState(train, val, attack, clean, algorithm, poison_cfg, detector_cfg, train_cfg)
+    state = _RunState(data, algorithm, poison_cfg, detector_cfg, train_cfg)
     baseline = train_test(state)
-    y0 = init_poison(attack, baseline.params, poison_cfg, detector_cfg=detector_cfg, span=span, clean=clean)
+    y0 = init_poison(data, baseline.params, poison_cfg, detector_cfg)
     algo = poison_backgrad if algorithm == "backgrad" else poison_interp
     return baseline, algo(state, baseline, y0)

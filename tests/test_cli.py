@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from aepoison.cli import main
+from aepoison.detector import load_detector
+from aepoison.nn_core import TrainConfig
+from aepoison.poisoning import TrainCache
 from aepoison.timeseries import ingest_csv
 
 
@@ -292,6 +295,34 @@ def test_refused_detector_file_is_usage_error(tmp_path, signal_json, detector_js
     missing = ["score", "--model", str(tmp_path / "missing.npz"), "--series", str(series_csv), "--out", str(out)]
     assert main(missing) == 2
     assert main(["score", "--model", str(model), "--series", str(series_csv), "--out", str(out)]) == 0
+
+
+def test_poison_max_iters_below_one_is_usage_error(tmp_path, signal_json, detector_json):
+    # a bad flag value is refused as a bad config value is: exit 1, no result
+    series_csv = tmp_path / "series.csv"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    range_json = tmp_path / "range.json"
+    range_json.write_text(json.dumps({"schema": "aepoison/attack-range/v1", "start": 55, "stop": 60, "period": 20}))
+    for iters in ("0", "-1"):
+        out = tmp_path / f"poison{iters}"
+        argv = ["--out-dir", str(out), "poison", "--algo", "interp", "--train", str(series_csv),
+                "--val", str(series_csv), "--attack", str(series_csv), "--clean", str(series_csv),
+                "--attack-range", str(range_json), "--detector", str(detector_json), "--max-iters", iters]
+        assert main(argv) == 1, iters
+        assert not (out / "poison_result.json").exists(), iters
+
+
+def test_train_fits_as_a_run_fits_its_baseline(tmp_path, signal_json, detector_json):
+    # the saved detector is, bit for bit, the clean fit run_pipeline uses as its baseline
+    paths = [tmp_path / f"train{i}.csv" for i in range(2)]
+    for i, path in enumerate(paths):
+        assert main(["--seed", str(100 + i), "gen", "--spec", str(signal_json), "--out", str(path)]) == 0
+    model = tmp_path / "model.npz"
+    assert main(["train", "--series", *map(str, paths), "--detector", str(detector_json), "--out", str(model)]) == 0
+    params, cfg = load_detector(model)
+    train_cfg = TrainConfig(**json.loads(detector_json.read_text())["train"])
+    baseline, _, _ = TrainCache([ingest_csv(p) for p in paths], cfg, train_cfg).fit(())
+    assert params.flatten().tobytes() == baseline.flatten().tobytes()
 
 
 def test_missing_config_file_is_runtime_error(tmp_path, signal_json):

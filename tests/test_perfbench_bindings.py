@@ -9,6 +9,7 @@ import pytest
 from test_harness import fast_cell
 
 from aepoison import harness, nn_core
+from aepoison.timeseries import SeriesMatrix
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -42,6 +43,14 @@ def test_instruments_install_and_restore(tracing):
     finally:
         patcher.restore()
     assert all(getattr(home, name) is fn for home, name, fn in originals)
+
+
+def test_kept_run_data_has_what_the_end_state_check_reads():
+    # child.contract_violations reads data.train[0], data.val and data.attack
+    _, _, data = harness.run_cell(fast_cell(), keep_result=True)
+    assert isinstance(data.train, tuple) and data.train
+    assert all(isinstance(s, SeriesMatrix) for s in data.train)
+    assert isinstance(data.val, SeriesMatrix) and isinstance(data.attack, SeriesMatrix)
 
 
 def test_counters_count_one_recorded_fit(tracing):

@@ -12,6 +12,7 @@ from aepoison.harness import build_experiment
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.poisoning import (
     LAMBDA_EPS,
+    ExperimentData,
     IterationLog,
     PoisonConfig,
     PoisonPoint,
@@ -50,12 +51,12 @@ def multi_seq_setup(size=10, magnitude=0.2, sign="away-from-zero", anchor=55, du
     dcfg = DetectorConfig(model=model, window_length=2, threshold=0.2)
     tcfg = TrainConfig(1.0, 3000, 0.003)
     span = poison_span(100, attack_range, 2, PERIOD)
-    return train, val, clean, attacked, dcfg, tcfg, span
+    return ExperimentData(tuple(train), val, clean, attacked, attack_range, span), dcfg, tcfg
 
 
-def run_state(train, val, attacked, clean, dcfg, tcfg, algorithm="interp"):
+def run_state(data, dcfg, tcfg, algorithm="interp"):
     """A run set up as run_pipeline sets it up, for tests that need a bare fit."""
-    return _RunState(train, val, attacked, clean, algorithm, PoisonConfig(), dcfg, tcfg)
+    return _RunState(data, algorithm, PoisonConfig(), dcfg, tcfg)
 
 
 @pytest.fixture
@@ -84,6 +85,13 @@ def tiny_detector(activation="tanh", seed=0, scale=0.3):
     return DetectorConfig(model=cfg, window_length=2, threshold=0.2)
 
 
+class TestExperimentData:
+    def test_no_training_sequence_is_refused(self):
+        data, _, _ = multi_seq_setup(size=1)
+        with pytest.raises(ValueError, match="empty training set"):
+            replace(data, train=())
+
+
 class TestPoisonSpan:
     def test_window_footprint_plus_margin(self):
         assert poison_span(100, (55, 62), 2, 20) == (34, 83)
@@ -101,31 +109,32 @@ class TestPoisonSpan:
 
 class TestTrainTest:
     def test_zero_magnitude_attack_never_alerts(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.0)
-        res = train_test(run_state(train, val, attacked, clean, dcfg, tcfg))
+        data, dcfg, tcfg = multi_seq_setup(size=6, magnitude=0.0)
+        res = train_test(run_state(data, dcfg, tcfg))
         assert res.alerts_attack == 0
         assert res.alerts_val == 0
 
     def test_significant_attack_alerts(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.5)
-        res = train_test(run_state(train, val, attacked, clean, dcfg, tcfg))
+        data, dcfg, tcfg = multi_seq_setup(size=6, magnitude=0.5)
+        res = train_test(run_state(data, dcfg, tcfg))
         assert res.alerts_attack > 0
 
     def test_candidate_windows_appended_last(self, train_batches):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=4)
-        state = run_state(train, val, attacked, clean, dcfg, replace(tcfg, max_epochs=5))
+        data, dcfg, tcfg = multi_seq_setup(size=4)
+        state = run_state(data, dcfg, replace(tcfg, max_epochs=5))
+        clean, span = data.clean, data.span
         state.points.append(PoisonPoint(clean.values, span=(0, clean.length), kind="clean-pad"))
         cand = PoisonPoint(clean.values[span[0] : span[1]], span=span)
         train_test(state, cand)
-        expected = [window_batch(s, dcfg) for s in train]
-        expected += [window_batch(p.as_series(train[0]), dcfg) for p in (*state.points, cand)]
+        expected = [window_batch(s, dcfg) for s in data.train]
+        expected += [window_batch(p.as_series(data.train[0]), dcfg) for p in (*state.points, cand)]
         assert len(train_batches) == 1
         assert np.array_equal(train_batches[0], np.concatenate(expected))
 
 
 class TestTrainCache:
     def test_run_windows_each_clean_sequence_once_and_seeds_once(self, monkeypatch, train_batches):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.3)
+        data, dcfg, tcfg = multi_seq_setup(size=6, magnitude=0.3)
         windowed, seeded = [], []
         real_window_batch, real_init = poisoning.window_batch, nn_core.init_params
 
@@ -139,19 +148,17 @@ class TestTrainCache:
 
         monkeypatch.setattr(poisoning, "window_batch", counting_window_batch)
         monkeypatch.setattr(nn_core, "init_params", counting_init)
-        run_pipeline(
-            train, val, attacked, clean, span, "interp", PoisonConfig(seed=1, max_iters=3),
-            detector_cfg=dcfg, train_cfg=tcfg,
-        )
+        run_pipeline(data, "interp", PoisonConfig(seed=1, max_iters=3), detector_cfg=dcfg, train_cfg=tcfg)
         assert len(train_batches) >= 2
-        assert [sum(w is s for w in windowed) for s in train] == [1] * len(train)
+        assert [sum(w is s for w in windowed) for s in data.train] == [1] * len(data.train)
         assert len(seeded) == 1
 
     def test_oracle_keeps_no_fit(self):
         # a run's fits live only as long as the caller holds them
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=3)
-        state = run_state(train, val, attacked, clean, dcfg, replace(tcfg, max_epochs=20), algorithm="backgrad")
-        params, trajectory, _ = state.cache.fit((PoisonPoint(clean.values[span[0] : span[1]], span=span),))
+        data, dcfg, tcfg = multi_seq_setup(size=3)
+        state = run_state(data, dcfg, replace(tcfg, max_epochs=20), algorithm="backgrad")
+        a, b = data.span
+        params, trajectory, _ = state.cache.fit((PoisonPoint(data.clean.values[a:b], span=data.span),))
         assert trajectory is not None
         fitted = weakref.ref(params)
         del params, trajectory
@@ -228,11 +235,12 @@ class TestGetPoisonGrad:
     def reversal_and_reference_loop(steps):
         """get_poison_grad's arguments for a fit of `steps` epochs on clean
         plus poison windows, and that reversal as a loop of public calls."""
-        train, _, clean, attacked, dcfg, _, span = multi_seq_setup(size=3)
-        poison = PoisonPoint(clean.values[span[0] : span[1]], span=span)
+        exp, dcfg, _ = multi_seq_setup(size=3)
+        attacked, (a, b) = exp.attack, exp.span
+        poison = PoisonPoint(exp.clean.values[a:b], span=exp.span)
         poison_series = poison.as_series(attacked)
         pois_batch = window_batch(poison_series, dcfg)
-        data = np.vstack([window_batch(s, dcfg) for s in train] + [pois_batch])
+        data = np.vstack([window_batch(s, dcfg) for s in exp.train] + [pois_batch])
         w0 = nn_core.init_params(dcfg.model)
         lr = 0.8
         _, traj, _ = nn_core.train(w0, data, TrainConfig(lr, steps, 1e-9, record_trajectory=True))
@@ -285,40 +293,35 @@ class TestGetPoisonGrad:
 
 class TestInitPoison:
     def test_benign_mode_returns_pure_signal_slice(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=4)
+        data, dcfg, tcfg = multi_seq_setup(size=4)
         params, _, _ = nn_core.train(
             nn_core.init_params(dcfg.model),
-            np.concatenate([window_batch(s, dcfg) for s in train]),
+            np.concatenate([window_batch(s, dcfg) for s in data.train]),
             tcfg,
         )
-        p = init_poison(
-            attacked, params, PoisonConfig(init_mode="benign-data"),
-            detector_cfg=dcfg, span=span, clean=clean,
-        )
-        assert np.array_equal(p.values, clean.values[span[0] : span[1]])
+        p = init_poison(data, params, PoisonConfig(init_mode="benign-data"), dcfg)
+        span = data.span
+        assert np.array_equal(p.values, data.clean.values[span[0] : span[1]])
         assert p.source == "benign-init"
 
     def test_quiet_attack_returned_unchanged(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.05)
-        base = train_test(run_state(train, val, attacked, clean, dcfg, tcfg))
-        p = init_poison(
-            attacked, base.params, PoisonConfig(init_mode="attack-based"),
-            detector_cfg=dcfg, span=span, clean=clean,
-        )
+        data, dcfg, tcfg = multi_seq_setup(size=6, magnitude=0.05)
+        base = train_test(run_state(data, dcfg, tcfg))
+        p = init_poison(data, base.params, PoisonConfig(init_mode="attack-based"), dcfg)
+        span = data.span
         assert p.iteration_born == 0
-        assert np.array_equal(p.values, attacked.values[span[0] : span[1]])
+        assert np.array_equal(p.values, data.attack.values[span[0] : span[1]])
 
     def test_attack_based_reduces_loss_and_is_quiet(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=10, magnitude=0.3)
-        base = train_test(run_state(train, val, attacked, clean, dcfg, tcfg))
+        data, dcfg, tcfg = multi_seq_setup(size=10, magnitude=0.3)
+        base = train_test(run_state(data, dcfg, tcfg))
+        attacked, span = data.attack, data.span
         attack_slice = attacked.values[span[0] : span[1]]
         assert score(base.params, SeriesMatrix(attack_slice, attacked.feature_names), dcfg).alert_count > 0
         p = init_poison(
-            attacked, base.params,
-            PoisonConfig(init_mode="attack-based", adv_learning_rate=0.05, max_iters=200),
-            detector_cfg=dcfg, span=span, clean=clean,
+            data, base.params, PoisonConfig(init_mode="attack-based", adv_learning_rate=0.05, max_iters=200), dcfg
         )
-        cand = p.as_series(train[0])
+        cand = p.as_series(data.train[0])
         assert score(base.params, cand, dcfg).alert_count == 0
         loss_attack = series_loss(base.params, SeriesMatrix(attack_slice, attacked.feature_names), dcfg)
         assert series_loss(base.params, cand, dcfg) < loss_attack
@@ -326,9 +329,9 @@ class TestInitPoison:
 
 class TestPoisonInterp:
     def test_quiet_attack_succeeds_with_zero_points(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=6, magnitude=0.05)
+        data, dcfg, tcfg = multi_seq_setup(size=6, magnitude=0.05)
         r = run_pipeline(
-            train, val, attacked, clean, span, "interp", PoisonConfig(seed=1),
+            data, "interp", PoisonConfig(seed=1),
             detector_cfg=dcfg, train_cfg=tcfg,
         )[1]
         assert r.success
@@ -337,25 +340,26 @@ class TestPoisonInterp:
         assert r.termination == "goal-met"
 
     def test_first_accepted_point_is_the_midpoint(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=10, magnitude=0.2)
-        y0 = clean.values[span[0] : span[1]]  # the benign-data initial poison
+        data, dcfg, tcfg = multi_seq_setup(size=10, magnitude=0.2)
+        span = data.span
+        y0 = data.clean.values[span[0] : span[1]]  # the benign-data initial poison
         r = run_pipeline(
-            train, val, attacked, clean, span, "interp", PoisonConfig(seed=1, max_iters=60),
+            data, "interp", PoisonConfig(seed=1, max_iters=60),
             detector_cfg=dcfg, train_cfg=tcfg,
         )[1]
         adversarial = [p for p in r.points if p.kind == "adversarial"]
         assert adversarial, "no poison accepted"
-        target = attacked.values[span[0] : span[1]]
+        target = data.attack.values[span[0] : span[1]]
         expected_first = y0 + (target - y0) / 2.0
         assert np.allclose(adversarial[0].values, expected_first, atol=1e-12)
 
     def test_accepted_points_form_monotone_interpolation(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=10, magnitude=0.25)
+        data, dcfg, tcfg = multi_seq_setup(size=10, magnitude=0.25)
         r = run_pipeline(
-            train, val, attacked, clean, span, "interp", PoisonConfig(seed=1, max_iters=80),
+            data, "interp", PoisonConfig(seed=1, max_iters=80),
             detector_cfg=dcfg, train_cfg=tcfg,
         )[1]
-        target = attacked.values[span[0] : span[1]]
+        target = data.attack.values[data.span[0] : data.span[1]]
         gaps = [
             np.max(np.abs(target - p.values)) for p in r.points if p.kind == "adversarial"
         ]
@@ -363,16 +367,16 @@ class TestPoisonInterp:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_prefix_replay_reproduces_accepted_outcomes(self):
-        train, val, clean, attacked, dcfg, tcfg, span = multi_seq_setup(size=8, magnitude=0.2)
+        data, dcfg, tcfg = multi_seq_setup(size=8, magnitude=0.2)
         pcfg = PoisonConfig(seed=1, max_iters=40)
         r = run_pipeline(
-            train, val, attacked, clean, span, "interp", pcfg,
+            data, "interp", pcfg,
             detector_cfg=dcfg, train_cfg=tcfg,
         )[1]
         accepted = [e for e in r.iteration_log if e.accepted and e.points_so_far > 0]
         assert accepted
         for entry in accepted[:3]:
-            state = run_state(train, val, attacked, clean, dcfg, tcfg)
+            state = run_state(data, dcfg, tcfg)
             state.points.extend(r.points[: entry.points_so_far])
             replay = train_test(state)
             assert (replay.alerts_val, replay.alerts_attack) == (entry.alerts_val, entry.alerts_attack)
@@ -380,14 +384,14 @@ class TestPoisonInterp:
 
 class TestPoisonBackgrad:
     def backgrad_setup(self, size=10, magnitude=0.2):
-        train, val, clean, attacked, dcfg, _, span = multi_seq_setup(size=size, magnitude=magnitude)
+        data, dcfg, _ = multi_seq_setup(size=size, magnitude=magnitude)
         tcfg = TrainConfig(1.0, 3000, 0.003, record_trajectory=True)
-        return train, val, clean, attacked, dcfg, tcfg, span
+        return data, dcfg, tcfg
 
     def test_zero_magnitude_attack_is_immediate_success(self):
-        train, val, clean, attacked, dcfg, tcfg, span = self.backgrad_setup(size=6, magnitude=0.0)
+        data, dcfg, tcfg = self.backgrad_setup(size=6, magnitude=0.0)
         r = run_pipeline(
-            train, val, attacked, clean, span, "backgrad", PoisonConfig(seed=2, max_iters=10),
+            data, "backgrad", PoisonConfig(seed=2, max_iters=10),
             detector_cfg=dcfg, train_cfg=tcfg,
         )[1]
         assert r.success
@@ -396,19 +400,19 @@ class TestPoisonBackgrad:
         assert r.termination == "goal-met"
 
     def test_alerting_initial_poison_rejected(self):
-        train, val, clean, attacked, dcfg, tcfg, span = self.backgrad_setup(size=6, magnitude=0.5)
+        data, dcfg, tcfg = self.backgrad_setup(size=6, magnitude=0.5)
         # benign init over the attacked series starts from the alerting attack slice
         with pytest.raises(ValueError, match="initial poison"):
             run_pipeline(
-                train, val, attacked, attacked, span, "backgrad", PoisonConfig(seed=2, max_iters=5),
+                replace(data, clean=data.attack), "backgrad", PoisonConfig(seed=2, max_iters=5),
                 detector_cfg=dcfg, train_cfg=tcfg,
             )
 
     def test_pinned_bottom_cell_regression(self):
         # sine SIN_BOTTOM, magnitude 0.2, 10 training sequences, theta 0.2
-        train, val, clean, attacked, dcfg, tcfg, span = self.backgrad_setup(size=10, magnitude=0.2)
+        data, dcfg, tcfg = self.backgrad_setup(size=10, magnitude=0.2)
         r = run_pipeline(
-            train, val, attacked, clean, span, "backgrad",
+            data, "backgrad",
             PoisonConfig(adv_learning_rate=0.3, seed=42, max_iters=40),
             detector_cfg=dcfg, train_cfg=tcfg,
         )[1]
@@ -420,10 +424,10 @@ class TestPoisonBackgrad:
         assert r.final_alerts == (0, 0, 0)
 
     def test_lambda_bookkeeping(self):
-        train, val, clean, attacked, dcfg, tcfg, span = self.backgrad_setup(size=6, magnitude=0.3)
+        data, dcfg, tcfg = self.backgrad_setup(size=6, magnitude=0.3)
         pcfg = PoisonConfig(adv_learning_rate=0.3, seed=2, max_iters=12)
         r = run_pipeline(
-            train, val, attacked, clean, span, "backgrad", pcfg,
+            data, "backgrad", pcfg,
             detector_cfg=dcfg, train_cfg=tcfg,
         )[1]
         lams = [e.lam for e in r.iteration_log]
@@ -438,7 +442,7 @@ class TestPoisonResult:
         r = PoisonResult(
             points=[p], clean_pads=0, iterations=2, success=True,
             achieved_magnitude=0.25, termination="goal-met", algorithm="interp",
-            iteration_log=[IterationLog(1, 0.3, 0, 0, 0, 0.001, True, "ok", 1)],
+            iteration_log=[IterationLog(1, 0.3, 2, 3, 4, 0.001, True, "ok", 5)],
         )
         jpath = tmp_path / "result.json"
         r.write_json(jpath)
@@ -446,6 +450,10 @@ class TestPoisonResult:
         assert data["success"] is True
         assert data["poison_points"] == 1
         assert data["iteration_log"][0]["accepted"] is True
+        assert list(data["iteration_log"][0].items()) == [
+            ("iteration", 1), ("lambda", 0.3), ("alerts_val", 2), ("alerts_attack", 3), ("alerts_candidate", 4),
+            ("attack_loss", 0.001), ("accepted", True), ("action", "ok"), ("points_so_far", 5),
+        ]
         cpath = tmp_path / "points.csv"
         r.write_points_csv(cpath, ("a", "b"))
         lines = cpath.read_text().splitlines()
