@@ -78,7 +78,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     spec = _load_config(args.attack, "attack", lambda data: AttackSpec(**data))
     series = ingest_csv(args.series)
-    attacked, attack_range = inject_attack(series, args.feature, spec, args.period)
+    try:  # an unknown feature, a bad period, or rows past the series end
+        attacked, attack_range = inject_attack(series, args.feature, spec, args.period)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
     export_csv(attacked, args.out)
     range_info = {
         "schema": _SCHEMAS["attack-range"],
@@ -124,16 +127,17 @@ def _cmd_poison(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     attack = ingest_csv(args.attack)
-    attack_range, period = _load_config(
-        args.attack_range, "attack-range", lambda data: ((data["start"], data["stop"]), data["period"])
+    span = _load_config(
+        args.attack_range,
+        "attack-range",
+        lambda data: poison_span(attack.length, (data["start"], data["stop"]), cfg.window_length, data["period"]),
     )
     data = ExperimentData(
         train=tuple(ingest_csv(p) for p in args.train),
         val=ingest_csv(args.val),
         clean=ingest_csv(args.clean),
         attack=attack,
-        attack_range=attack_range,
-        span=poison_span(attack.length, attack_range, cfg.window_length, period),
+        span=span,
     )
     _, result = run_pipeline(data, args.algo, poison_cfg, detector_cfg=cfg, train_cfg=train_cfg)
     out_dir = Path(args.out_dir)

@@ -2,7 +2,7 @@
 
 A cell fully describes one poisoning experiment (sine signal, detector,
 attack, algorithm, budgets, seed). Grids run the cartesian product of axis
-values over a base cell, flushing one JSONL record per run so interrupted
+values over a base cell, flushing one JSONL record per cell so interrupted
 grids resume without recomputing. All randomness derives from the cell seed
 by a fixed counter scheme: stream k of cell seed s is s * 1_000_003 + k
 (k = 0 validation noise, 1 attack-base noise, 2 model init, 3.. training
@@ -178,7 +178,7 @@ def build_experiment(cell: CellConfig) -> ExperimentData:
     )
     attack, attack_range = inject_attack(clean, 0, spec, cell.period)
     span = poison_span(cell.signal_length, attack_range, cell.subsequence_length, cell.period)
-    return ExperimentData(train, val, clean, attack, attack_range, span)
+    return ExperimentData(train, val, clean, attack, span)
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,6 @@ class MetricsRecord:
     poison_point_count: int
     clean_pads: int
     optimization_iterations: int
-    achieved_magnitude: float
     termination: str
     wall_time_s: float
     error: str | None = None
@@ -227,7 +226,6 @@ def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
         poison_point_count=0,
         clean_pads=0,
         optimization_iterations=0,
-        achieved_magnitude=0.0,
         termination="error",
     )
     try:
@@ -241,7 +239,6 @@ def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
             poison_point_count=result.adversarial_point_count,
             clean_pads=result.clean_pads,
             optimization_iterations=result.iterations,
-            achieved_magnitude=result.achieved_magnitude,
             termination=result.termination,
         )
     except Exception as exc:  # cell failures are data, not crashes
@@ -258,7 +255,6 @@ class GridSpec:
 
     axes: dict
     base: CellConfig = field(default_factory=CellConfig)
-    repetitions: int = 1
     budget: int = 256
     seed: int = 0
 
@@ -273,12 +269,9 @@ class GridSpec:
         for name, values in axes.items():
             if not values:
                 raise ValueError(f"axis {name!r} is empty")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.cell_count() * self.repetitions > self.budget:
-            raise ValueError(
-                f"{self.cell_count()} cells x {self.repetitions} repetitions exceeds budget {self.budget}"
-            )
+        if self.cell_count() > self.budget:
+            raise ValueError(f"{self.cell_count()} cells exceed budget {self.budget}")
+        self.cells()  # a bad axis value is refused here, as a bad base value is
 
     def cell_count(self) -> int:
         n = 1
@@ -300,7 +293,6 @@ class GridSpec:
             "schema": "aepoison/grid/v1",
             "axes": self.axes,
             "base": self.base.to_dict(),
-            "repetitions": self.repetitions,
             "budget": self.budget,
             "seed": self.seed,
         }
@@ -308,7 +300,7 @@ class GridSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "GridSpec":
         """Refuses (TypeError) a key that names no field, so a misspelled
-        budget or repetition count is not silently replaced by its default."""
+        budget or seed is not silently replaced by its default."""
         data = {k: v for k, v in data.items() if k != "schema"}
         if "base" in data:
             data["base"] = CellConfig.from_dict(data["base"])
@@ -316,16 +308,15 @@ class GridSpec:
 
 
 def run_grid(spec: GridSpec, out_dir: str | Path) -> list[MetricsRecord]:
-    """One record per (cell, repetition), each appended to
-    ``out_dir/records.jsonl`` as it completes.
+    """One record per cell, each run once (replicates come from the seed
+    axis) and appended to ``out_dir/records.jsonl`` as it completes.
 
-    Completed (cell, repetition) pairs found in that file are not
-    recomputed, and a row of that file that names no (cell, repetition) of
-    the spec is left out; the returned list is sorted by cell coordinates so
-    the result is independent of execution order.
+    Cells with a record (repetition 0) in that file are not recomputed, and
+    a row of that file that names no cell of the spec is left out; the
+    returned list is sorted by cell coordinates so the result is
+    independent of execution order.
     """
-    runs = [(cell, rep) for cell in spec.cells() for rep in range(spec.repetitions)]
-    wanted = {(json.dumps(cell.to_dict(), sort_keys=True), rep): (cell, rep) for cell, rep in runs}
+    wanted = {(json.dumps(cell.to_dict(), sort_keys=True), 0): cell for cell in spec.cells()}
     records: dict[tuple[str, int], MetricsRecord] = {}
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -336,9 +327,9 @@ def run_grid(spec: GridSpec, out_dir: str | Path) -> list[MetricsRecord]:
                 rec = MetricsRecord.from_json_dict(json.loads(line))
                 if rec.key() in wanted:
                     records[rec.key()] = rec
-    for key, (cell, rep) in wanted.items():
+    for key, cell in wanted.items():
         if key not in records:
-            rec = records[key] = run_cell(cell, rep)
+            rec = records[key] = run_cell(cell)
             with jsonl.open("a") as fh:
                 fh.write(json.dumps(rec.to_json_dict()) + "\n")
     return sorted(records.values(), key=lambda r: r.key())

@@ -62,14 +62,13 @@ REVERSE_BLOCK = 16  # checkpoints get_poison_grad linearizes in one stacked pass
 @dataclass(frozen=True)
 class ExperimentData:
     """One run's inputs: the clean training sequences, the validation series,
-    the clean series and its attacked copy, the attacked rows, and the rows
-    a poison sequence spans."""
+    the clean series and its attacked copy, and the rows a poison sequence
+    spans."""
 
     train: tuple[SeriesMatrix, ...]
     val: SeriesMatrix
     clean: SeriesMatrix
     attack: SeriesMatrix
-    attack_range: tuple[int, int]
     span: tuple[int, int]
 
     def __post_init__(self) -> None:
@@ -163,7 +162,6 @@ class PoisonResult:
     clean_pads: int
     iterations: int
     success: bool
-    achieved_magnitude: float
     termination: str
     algorithm: str
     iteration_log: list[IterationLog] = field(default_factory=list)
@@ -187,7 +185,6 @@ class PoisonResult:
             "iterations": self.iterations,
             "clean_pads": self.clean_pads,
             "poison_points": self.adversarial_point_count,
-            "achieved_magnitude": self.achieved_magnitude,
             "final_alerts": {
                 "validation": self.final_alerts[0],
                 "attack": self.final_alerts[1],
@@ -224,10 +221,12 @@ def poison_span(
     series_len: int, attack_range: tuple[int, int], window_len: int, margin: int
 ) -> tuple[int, int]:
     """Rows a poison sequence must cover: every window touching the attack
-    plus `margin` rows of context on each side, clipped to the series."""
+    plus `margin` rows of context on each side, clipped to the series. The
+    attack range must lie in the series; an empty one, [a, a), stands for row a."""
     a, b = attack_range
-    if b <= a:
-        b = a + 1
+    if not (0 <= a < series_len and a <= b <= series_len):
+        raise ValueError(f"attack range [{a}, {b}) is not within the {series_len} rows of the series")
+    b = max(b, a + 1)
     start = max(0, a - (window_len - 1) - margin)
     stop = min(series_len, b + (window_len - 1) + margin)
     if stop - start < window_len:
@@ -334,8 +333,6 @@ class _RunState:
     Constructing it is the one place a run is set up. It builds the run's
     retraining oracle and clean-pad RNG; `train_cfg` records trajectories
     exactly when the algorithm is backgrad, which reverses its fits.
-    `magnitude` is max |attack - clean|, reported as the achieved magnitude
-    of a successful run.
     """
 
     data: ExperimentData
@@ -343,7 +340,6 @@ class _RunState:
     poison_cfg: PoisonConfig
     detector_cfg: DetectorConfig
     train_cfg: TrainConfig
-    magnitude: float = field(init=False)
     cache: TrainCache = field(init=False)
     pad_rng: np.random.Generator = field(init=False)
     points: list[PoisonPoint] = field(default_factory=list)
@@ -354,7 +350,6 @@ class _RunState:
         if self.algorithm not in ("interp", "backgrad"):
             raise ValueError(f"algorithm must be interp or backgrad, got {self.algorithm!r}")
         self.train_cfg = replace(self.train_cfg, record_trajectory=self.algorithm == "backgrad")
-        self.magnitude = float(np.max(np.abs(self.data.attack.values - self.data.clean.values)))
         self.cache = TrainCache(self.data.train, self.detector_cfg, self.train_cfg)
         self.pad_rng = np.random.default_rng([self.poison_cfg.seed, 0xADD])
 
@@ -402,13 +397,11 @@ class _RunState:
 
     def finish(self, termination: str, iterations: int, final: TrainTestResult) -> PoisonResult:
         """The run's result, ending on the retrained detector `final`."""
-        success = termination == "goal-met"
         return PoisonResult(
             points=list(self.points),
             clean_pads=self.clean_pads,
             iterations=iterations,
-            success=success,
-            achieved_magnitude=self.magnitude if success else 0.0,
+            success=termination == "goal-met",
             termination=termination,
             algorithm=self.algorithm,
             iteration_log=list(self.log),

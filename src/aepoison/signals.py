@@ -1,10 +1,10 @@
 """Synthetic periodic signals and spoofed-sensor attack injection.
 
-Signals are built from one base waveform; each channel is an affine map of it
-plus independent Gaussian noise, deterministic under the spec seed. Attacks
-add a constant offset to one feature over a contiguous range (a spoofed
-sensor reading); the offset is applied after noise so the injected deviation
-is exact.
+Signals are built from one unit-amplitude sine; each channel is an affine map
+of it plus independent Gaussian noise, deterministic under the spec seed.
+Attacks add a constant offset to one feature over a contiguous range (a
+spoofed sensor reading); the offset is applied after noise so the injected
+deviation is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .timeseries import SeriesMatrix
 __all__ = [
     "SignalSpec",
     "AttackSpec",
-    "WAVEFORMS",
     "ATTACK_LOCATIONS",
     "generate",
     "base_waveform",
@@ -26,14 +25,12 @@ __all__ = [
     "inject_attack",
 ]
 
-WAVEFORMS = ("sine", "cosine")
 ATTACK_LOCATIONS = ("SIN_TOP", "SIN_BOTTOM", "SIN_SIDE")
 ATTACK_SIGNS = ("away-from-zero", "positive", "negative")
 
 
 @dataclass(frozen=True)
 class SignalSpec:
-    waveform: str = "sine"
     period: int = 20
     length: int = 100
     noise_std: float = 0.0
@@ -41,8 +38,6 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.waveform not in WAVEFORMS:
-            raise ValueError(f"waveform must be one of {WAVEFORMS}, got {self.waveform!r}")
         if self.period < 2:
             raise ValueError(f"period must be >= 2, got {self.period}")
         if self.length < self.period:
@@ -80,10 +75,9 @@ class AttackSpec:
 
 
 def base_waveform(spec: SignalSpec) -> np.ndarray:
-    """Noiseless unit-amplitude base waveform b(i), i = 0..length-1."""
+    """Noiseless unit-amplitude sine b(i) = sin(2 pi i / period), i = 0..length-1."""
     phase = np.arange(spec.length, dtype=np.float64) / spec.period
-    wave = np.sin if spec.waveform == "sine" else np.cos
-    return wave(2.0 * np.pi * phase)
+    return np.sin(2.0 * np.pi * phase)
 
 
 def generate(spec: SignalSpec) -> SeriesMatrix:
@@ -118,7 +112,7 @@ def _anchor_in(col: np.ndarray, location: str | int, period: int) -> int:
 
 def anchor_index(spec: SignalSpec, location: str | int) -> int:
     """Resolve an attack location to a time index of the noiseless base
-    waveform (named anchors fall in its first period)."""
+    sine (named anchors fall in its first period)."""
     return _anchor_in(base_waveform(spec), location, spec.period)
 
 

@@ -357,14 +357,14 @@ class TestAC6InitialPoisonEffect:
             attack_init.error is None
             and benign.error is None
             and attack_init.poison_point_count <= benign.poison_point_count
-            and attack_init.achieved_magnitude >= benign.achieved_magnitude
+            and (attack_init.success or not benign.success)
         )
         report(
             "AC-6",
             ok,
-            f"attack-based init: {attack_init.poison_point_count} points, magnitude "
-            f"{attack_init.achieved_magnitude}; benign init: {benign.poison_point_count} points, "
-            f"magnitude {benign.achieved_magnitude}",
+            f"attack-based init: {attack_init.poison_point_count} points, success "
+            f"{attack_init.success}; benign init: {benign.poison_point_count} points, "
+            f"success {benign.success}",
         )
 
 

@@ -17,7 +17,6 @@ def signal_json(tmp_path):
         json.dumps(
             {
                 "schema": "aepoison/signal/v1",
-                "waveform": "sine",
                 "period": 20,
                 "length": 100,
                 "noise_std": 0.05,
@@ -204,7 +203,11 @@ def test_grid_refuses_a_removed_option(tmp_path):
         {"base": {**base, "inflation_factor": 2}},
         {"base": {"trainig_set_size": 3, "signal_length": 60}},
         {"base": base, "budgt": 1},
+        {"base": base, "repetitions": 1},
         {"base": base, "axes": [["attack_magnitude", [0.0]]]},
+        # an axis value is checked as the same value in base is
+        {"base": base, "axes": {"algorithm": ["magic"]}},
+        {"base": base, "axes": {"training_set_size": [0]}},
     ]
     for i, extra in enumerate(refused):
         grid_json = tmp_path / f"grid{i}.json"
@@ -226,6 +229,7 @@ def test_config_that_cannot_be_built_is_usage_error(tmp_path, signal_json, detec
     windowless = {k: v for k, v in detector.items() if k != "window_length"}
     bad = {
         "signal_removed_key": {**signal, "amplitude": 2.0},
+        "signal_removed_waveform": {**signal, "waveform": "sine"},
         "signal_bad_value": {**signal, "period": 1},
         "attack_misspelled": {**{k: v for k, v in attack.items() if k != "magnitude"}, "magnitud": 0.1},
         "attack_removed_clip": {**attack, "clip": 0.05},
@@ -241,6 +245,7 @@ def test_config_that_cannot_be_built_is_usage_error(tmp_path, signal_json, detec
     out = tmp_path / "out"
     commands = [
         ["gen", "--spec", str(paths["signal_removed_key"]), "--out", str(out)],
+        ["gen", "--spec", str(paths["signal_removed_waveform"]), "--out", str(out)],
         ["gen", "--spec", str(paths["signal_bad_value"]), "--out", str(out)],
         *(
             ["attack", "--series", str(series_csv), "--attack", str(paths[name]), "--feature", "ch0",
@@ -310,6 +315,38 @@ def test_poison_max_iters_below_one_is_usage_error(tmp_path, signal_json, detect
                 "--attack-range", str(range_json), "--detector", str(detector_json), "--max-iters", iters]
         assert main(argv) == 1, iters
         assert not (out / "poison_result.json").exists(), iters
+
+
+def test_attack_unknown_feature_or_overflowing_range_is_usage_error(tmp_path, signal_json):
+    series_csv = tmp_path / "series.csv"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    attack = {"schema": "aepoison/attack/v1", "location": 55, "magnitude": 0.1, "duration": 5}
+    cases = {"unknown_feature": (attack, "ch9"), "overflow": ({**attack, "location": 97}, "ch0")}
+    for name, (spec, feature) in cases.items():
+        attack_json = tmp_path / f"{name}.json"
+        attack_json.write_text(json.dumps(spec))
+        out, range_out = tmp_path / f"{name}.csv", tmp_path / f"{name}-range.json"
+        argv = ["attack", "--series", str(series_csv), "--attack", str(attack_json), "--feature", feature,
+                "--period", "20", "--out", str(out), "--range-out", str(range_out)]
+        assert main(argv) == 1, name
+        assert not out.exists() and not range_out.exists(), name
+
+
+def test_poison_range_outside_the_series_is_usage_error(tmp_path, signal_json, detector_json):
+    # rows the attacked series does not have are refused, not clipped to its edge
+    series_csv = tmp_path / "series.csv"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    for start, stop in ((500, 507), (-50, -40), (98, 103)):
+        range_json = tmp_path / f"range{start}.json"
+        range_json.write_text(
+            json.dumps({"schema": "aepoison/attack-range/v1", "start": start, "stop": stop, "period": 20})
+        )
+        out = tmp_path / f"poison{start}"
+        argv = ["--out-dir", str(out), "poison", "--algo", "interp", "--train", str(series_csv),
+                "--val", str(series_csv), "--attack", str(series_csv), "--clean", str(series_csv),
+                "--attack-range", str(range_json), "--detector", str(detector_json), "--max-iters", "1"]
+        assert main(argv) == 1, (start, stop)
+        assert not (out / "poison_result.json").exists(), (start, stop)
 
 
 def test_train_fits_as_a_run_fits_its_baseline(tmp_path, signal_json, detector_json):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aepoison import nn_core, poisoning
+from aepoison import harness, nn_core, poisoning
 from aepoison.harness import (
     CellConfig,
     GridSpec,
@@ -38,6 +38,13 @@ def fast_cell(**kw):
     )
     defaults.update(kw)
     return CellConfig(**defaults)
+
+
+def attacked_rows(data):
+    """[start, stop) of the rows the attack changed, which must be contiguous."""
+    rows = np.flatnonzero((data.attack.values != data.clean.values).any(axis=1))
+    assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
+    return int(rows[0]), int(rows[-1]) + 1
 
 
 class TestCellConfig:
@@ -88,14 +95,14 @@ class TestBuildExperiment:
     def test_attack_anchored_in_middle_period(self):
         cell = fast_cell(attack_magnitude=0.3, signal_length=100)
         data = build_experiment(cell)
-        start, stop = data.attack_range
+        start, stop = attacked_rows(data)
         assert stop - start == cell.attack_duration
         assert start == 15 + 2 * 20  # SIN_BOTTOM of a sine + 2 periods
 
     def test_anchor_backs_off_when_it_would_overflow(self):
         # length 60: anchor 55 + duration 7 overflows, retreat one period
         data = build_experiment(fast_cell(attack_magnitude=0.3, signal_length=60))
-        assert data.attack_range[0] == 35
+        assert attacked_rows(data)[0] == 35
 
     def test_attack_touches_only_target_feature(self):
         data = build_experiment(fast_cell(attack_magnitude=0.4))
@@ -168,7 +175,7 @@ class TestGridSpec:
         spec = GridSpec(axes={"attack_magnitude": [0.1, 0.2], "training_set_size": [4, 6]}, budget=4)
         assert spec.cell_count() == 4
         with pytest.raises(ValueError, match="budget"):
-            GridSpec(axes={"attack_magnitude": [0.1, 0.2]}, repetitions=3, budget=5)
+            GridSpec(axes={"attack_magnitude": [0.1, 0.2, 0.3]}, budget=2)
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown grid axes"):
@@ -189,16 +196,25 @@ class TestGridSpec:
         spec = GridSpec(axes={"seed": [11, 22]}, base=fast_cell())
         assert [c.seed for c in spec.cells()] == [11, 22]
 
+    def test_bad_axis_value_refused_as_a_bad_base_value_is(self):
+        for axes in ({"algorithm": ["interp", "magic"]}, {"training_set_size": [0]}):
+            with pytest.raises(ValueError):
+                GridSpec(axes=axes, base=fast_cell())
+
     def test_unknown_top_level_key_refused(self):
         with pytest.raises(TypeError, match="repetitons"):
             GridSpec.from_dict({"axes": {"attack_magnitude": [0.1]}, "repetitons": 3, "budgt": 1})
+        # replicates come from the seed axis, so a repetition count is a removed key
+        with pytest.raises(TypeError, match="repetitions"):
+            GridSpec.from_dict({"axes": {"attack_magnitude": [0.1]}, "repetitions": 3})
 
     def test_json_round_trip(self):
-        spec = GridSpec(axes={"attack_magnitude": [0.1]}, base=fast_cell(), repetitions=2, budget=8)
+        spec = GridSpec(axes={"attack_magnitude": [0.1]}, base=fast_cell(), budget=8)
         again = GridSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again.axes == spec.axes
         assert again.base == spec.base
-        assert again.repetitions == 2
+        assert again.budget == 8
+        assert "repetitions" not in spec.to_dict()
 
 
 class TestRunGrid:
@@ -209,9 +225,19 @@ class TestRunGrid:
             budget=8,
         )
 
-    def test_one_record_per_cell(self, tmp_path):
+    def test_one_record_per_cell(self, tmp_path, monkeypatch):
+        runs = []
+        real_run_cell = harness.run_cell
+
+        def counting_run_cell(cell, *args, **kwargs):
+            runs.append(cell)
+            return real_run_cell(cell, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cell", counting_run_cell)
         records = run_grid(self.grid(), out_dir=tmp_path / "g")
         assert len(records) == 4
+        assert runs == self.grid().cells()
+        assert {r.repetition for r in records} == {0}
 
     def test_determinism_across_runs(self, tmp_path):
         a = run_grid(self.grid(), out_dir=tmp_path / "a")
@@ -229,6 +255,18 @@ class TestRunGrid:
         second = run_grid(self.grid(), out_dir=out)
         assert (out / "records.jsonl").read_text() == jsonl
         assert [r.to_json_dict() for r in second] == [r.to_json_dict() for r in first]
+
+    def test_resume_reads_rows_that_name_a_removed_metric(self, tmp_path, monkeypatch):
+        # rows written before achieved_magnitude was removed still count as done
+        out = tmp_path / "old"
+        first = run_grid(self.grid(), out_dir=out)
+        jsonl = out / "records.jsonl"
+        rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        jsonl.write_text("".join(json.dumps({**row, "achieved_magnitude": 0.0}) + "\n" for row in rows))
+        monkeypatch.setattr(harness, "run_cell", lambda *a, **k: pytest.fail("a completed cell was rerun"))
+        second = run_grid(self.grid(), out_dir=out)
+        assert [r.to_json_dict() for r in second] == [r.to_json_dict() for r in first]
+        assert "achieved_magnitude" not in second[0].to_json_dict()
 
     def test_resume_leaves_out_rows_of_cells_not_in_the_spec(self, tmp_path):
         # a row written before a cell field was removed names no cell of the spec
@@ -267,7 +305,6 @@ def rung(magnitude, engaged=True, success=True, error=None):
         poison_point_count=0,
         clean_pads=0,
         optimization_iterations=0,
-        achieved_magnitude=0.0,
         termination="error" if error else ("goal-met" if success else "iter-budget"),
         wall_time_s=0.0,
         error=error,
@@ -336,7 +373,9 @@ class TestExport:
         export(records, tmp_path / "exp")
         data = json.loads((tmp_path / "exp" / "records.json").read_text())
         assert data[0]["poison_point_count"] == records[0].poison_point_count
-        assert data[0]["achieved_magnitude"] == records[0].achieved_magnitude
+        assert data[0]["optimization_iterations"] == records[0].optimization_iterations
+        assert "achieved_magnitude" not in data[0]
+        assert "achieved_magnitude" not in (tmp_path / "exp" / "records.csv").read_text()
 
     def test_max_magnitude_plot_names_its_own_rule(self, tmp_path):
         # largest successful magnitude, not max_poisonable_magnitude: cells

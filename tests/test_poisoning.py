@@ -33,7 +33,7 @@ CHANNELS = ((1.0, 0.0), (0.5, 0.0))
 
 def make_series(seed, channels=CHANNELS):
     return generate(
-        SignalSpec(waveform="sine", period=PERIOD, length=100, noise_std=0.05, channels=channels, seed=seed)
+        SignalSpec(period=PERIOD, length=100, noise_std=0.05, channels=channels, seed=seed)
     )
 
 
@@ -51,7 +51,7 @@ def multi_seq_setup(size=10, magnitude=0.2, sign="away-from-zero", anchor=55, du
     dcfg = DetectorConfig(model=model, window_length=2, threshold=0.2)
     tcfg = TrainConfig(1.0, 3000, 0.003)
     span = poison_span(100, attack_range, 2, PERIOD)
-    return ExperimentData(tuple(train), val, clean, attacked, attack_range, span), dcfg, tcfg
+    return ExperimentData(tuple(train), val, clean, attacked, span), dcfg, tcfg
 
 
 def run_state(data, dcfg, tcfg, algorithm="interp"):
@@ -105,6 +105,16 @@ class TestPoisonSpan:
 
     def test_never_shorter_than_window(self):
         assert poison_span(10, (0, 1), 4, 0)[1] - poison_span(10, (0, 1), 4, 0)[0] >= 4
+
+    def test_empty_range_of_a_zero_magnitude_attack_spans_its_row(self):
+        assert poison_span(100, (55, 55), 2, 20) == poison_span(100, (55, 56), 2, 20)
+        assert poison_span(100, (99, 99), 2, 0) == (98, 100)
+
+    @pytest.mark.parametrize("attack_range", [(500, 507), (-50, -40), (95, 101), (100, 100), (60, 55)])
+    def test_range_outside_the_series_is_refused(self, attack_range):
+        # clipping it would poison an edge of the series the attack never touched
+        with pytest.raises(ValueError, match="not within the 100 rows"):
+            poison_span(100, attack_range, 2, 20)
 
 
 class TestTrainTest:
@@ -441,7 +451,7 @@ class TestPoisonResult:
         p = PoisonPoint(np.ones((3, 2)), iteration_born=1, span=(5, 8))
         r = PoisonResult(
             points=[p], clean_pads=0, iterations=2, success=True,
-            achieved_magnitude=0.25, termination="goal-met", algorithm="interp",
+            termination="goal-met", algorithm="interp",
             iteration_log=[IterationLog(1, 0.3, 2, 3, 4, 0.001, True, "ok", 5)],
         )
         jpath = tmp_path / "result.json"

@@ -12,7 +12,7 @@ from aepoison.signals import (
 
 
 def sine_spec(**kw):
-    defaults = dict(waveform="sine", period=20, length=100, noise_std=0.0, seed=0)
+    defaults = dict(period=20, length=100, noise_std=0.0, seed=0)
     defaults.update(kw)
     return SignalSpec(**defaults)
 
@@ -57,9 +57,6 @@ class TestAnchorIndex:
         assert anchor_index(spec, "SIN_BOTTOM") == 15
         assert anchor_index(spec, "SIN_SIDE") in (0, 10)
 
-    def test_cosine_top_at_zero(self):
-        assert anchor_index(sine_spec(waveform="cosine"), "SIN_TOP") == 0
-
     def test_explicit_index_passthrough(self):
         assert anchor_index(sine_spec(), 42) == 42
 
@@ -67,10 +64,9 @@ class TestAnchorIndex:
         with pytest.raises(ValueError, match="out of range"):
             anchor_index(sine_spec(), 100)
 
-    @pytest.mark.parametrize("waveform", ["sine", "cosine"])
-    @pytest.mark.parametrize("period", [4, 9, 20, 33])
-    def test_anchors_are_true_extrema_by_exhaustive_scan(self, waveform, period):
-        spec = sine_spec(waveform=waveform, period=period, length=3 * period)
+    @pytest.mark.parametrize("period", [4, 9, 20, 33], ids=lambda period: f"{period}-sine")
+    def test_anchors_are_true_extrema_by_exhaustive_scan(self, period):
+        spec = sine_spec(period=period, length=3 * period)
         base = base_waveform(spec)[:period]
         top = anchor_index(spec, "SIN_TOP")
         bottom = anchor_index(spec, "SIN_BOTTOM")
