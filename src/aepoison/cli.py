@@ -54,8 +54,6 @@ def _load_config(path: str, kind: str, build: Callable[[dict], T]) -> T:
 
 
 def _signal_spec(data: dict, seed_override: int | None) -> SignalSpec:
-    if "channels" in data:
-        data["channels"] = tuple(tuple(c) for c in data["channels"])
     if seed_override is not None:
         data["seed"] = seed_override
     return SignalSpec(**data)

@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,7 +37,6 @@ from .signals import AttackSpec, SignalSpec, anchor_index, generate, inject_atta
 
 __all__ = [
     "CellConfig",
-    "ExperimentData",
     "GridSpec",
     "MetricsRecord",
     "build_experiment",
@@ -146,9 +146,6 @@ class CellConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellConfig":
-        data = dict(data)
-        if "channels" in data:
-            data["channels"] = tuple(tuple(c) for c in data["channels"])
         return cls(**data)
 
 
@@ -311,8 +308,9 @@ def run_grid(spec: GridSpec, out_dir: str | Path) -> list[MetricsRecord]:
     """One record per cell, each run once (replicates come from the seed
     axis) and appended to ``out_dir/records.jsonl`` as it completes.
 
-    Cells with a record (repetition 0) in that file are not recomputed, and
-    a row of that file that names no cell of the spec is left out; the
+    Cells with a record (repetition 0) in that file are not recomputed, a
+    row of that file that names no cell of the spec is left out, and a last
+    row with no newline (a write cut short) is removed and its cell rerun; the
     returned list is sorted by cell coordinates so the result is
     independent of execution order.
     """
@@ -322,7 +320,11 @@ def run_grid(spec: GridSpec, out_dir: str | Path) -> list[MetricsRecord]:
     out_path.mkdir(parents=True, exist_ok=True)
     jsonl = out_path / "records.jsonl"
     if jsonl.exists():
-        for line in jsonl.read_text().splitlines():
+        raw = jsonl.read_bytes()
+        complete = raw.rfind(b"\n") + 1
+        if complete < len(raw):
+            os.truncate(jsonl, complete)
+        for line in raw[:complete].decode().splitlines():
             if line.strip():
                 rec = MetricsRecord.from_json_dict(json.loads(line))
                 if rec.key() in wanted:

@@ -432,7 +432,6 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
         )
 
     lam = cfg.adv_learning_rate
-    orig_lam = cfg.adv_learning_rate
     y_c = y_c0
     grad_iters = 0
 
@@ -474,7 +473,7 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
             if len(state.points) != fitted:  # points are append-only
                 result = train_test(state, y_c)
         else:
-            lam = orig_lam
+            lam = cfg.adv_learning_rate
             state.record(i, lam, result2, True, "candidate accepted")
             y_c = y_new
             result = result2

@@ -286,6 +286,27 @@ class TestRunGrid:
         header = (out / "records.csv").read_text().splitlines()[0].split(",")
         assert "attack_clip" not in header and "training_set_size" in header
 
+    def test_resume_reruns_the_cell_of_a_row_cut_short(self, tmp_path):
+        # an interrupted append leaves a last row with no newline
+        out = tmp_path / "cut"
+        first = run_grid(self.grid(), out_dir=out)
+        jsonl = out / "records.jsonl"
+        lines = jsonl.read_text().splitlines(keepends=True)
+        jsonl.write_text(lines[0] + lines[1][: len(lines[1]) // 2])
+        second = run_grid(self.grid(), out_dir=out)
+        resumed = jsonl.read_text().splitlines(keepends=True)
+        assert resumed[0] == lines[0]
+        assert [json.loads(line)["cell"] for line in resumed] == [json.loads(line)["cell"] for line in lines]
+        timeless = [{**r.to_json_dict(), "wall_time_s": 0} for r in first]
+        assert [{**r.to_json_dict(), "wall_time_s": 0} for r in second] == timeless
+
+    def test_resume_refuses_a_complete_row_that_does_not_parse(self, tmp_path):
+        out = tmp_path / "bad"
+        out.mkdir()
+        (out / "records.jsonl").write_text('{"cell": \n')
+        with pytest.raises(json.JSONDecodeError):
+            run_grid(self.grid(), out_dir=out)
+
     def test_partial_results_flushed_incrementally(self, tmp_path):
         out = tmp_path / "partial"
         run_grid(GridSpec(axes={"attack_magnitude": [0.0]}, base=fast_cell(), budget=2), out_dir=out)
