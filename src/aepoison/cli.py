@@ -158,18 +158,29 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+def _norm_base(data: dict, features: tuple[str, ...]) -> NormStats:
+    """The stats of a --stats-out file, which must name `features` in order."""
+    if data["features"] != list(features):
+        raise ValueError(f"base normalizes features {data['features']}, the selection is {list(features)}")
+    base = NormStats(np.array(data["min"]), np.array(data["max"]))
+    if len(base.min) != len(features):
+        raise ValueError(f"base has {len(base.min)} min/max entries for {len(features)} features")
+    return base
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     features = args.features.split(",") if args.features else None
-    series = ingest_csv(args.csv, feature_selection=features)
+    try:
+        series = ingest_csv(args.csv, feature_selection=features)
+    except KeyError as exc:  # a selected column the CSV lacks
+        raise UsageError(f"KeyError: {exc}") from exc
     try:
         series = subsample(series, args.subsample)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     base = None
     if args.base:
-        base = _load_config(
-            args.base, "norm-stats", lambda data: NormStats(np.array(data["min"]), np.array(data["max"]))
-        )
+        base = _load_config(args.base, "norm-stats", lambda data: _norm_base(data, series.feature_names))
     normalized, stats = normalize(series, base)
     export_csv(normalized, args.out)
     Path(args.stats_out).write_text(

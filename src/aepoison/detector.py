@@ -153,13 +153,11 @@ def series_objective_grad(params: ModelParams, series: SeriesMatrix, cfg: Detect
 
 
 def save_detector(params: ModelParams, cfg: DetectorConfig, path: str | Path) -> None:
-    """Bundle DetectorConfig + parameters in one binary checkpoint."""
+    """Bundle DetectorConfig + parameters in one binary checkpoint at exactly
+    `path` (np.savez appends .npz to a file name, not to an open file)."""
     meta = {"window_length": cfg.window_length, "threshold": cfg.threshold, "model": params.config.to_dict()}
-    np.savez(
-        Path(path),
-        detector=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        params=params.flatten(),
-    )
+    with Path(path).open("wb") as fh:
+        np.savez(fh, detector=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), params=params.flatten())
 
 
 def load_detector(path: str | Path) -> tuple[ModelParams, DetectorConfig]:

@@ -145,7 +145,9 @@ def ingest_csv(path: str | Path, feature_selection: Sequence[str] | None = None)
     """Read a comma-separated file into a SeriesMatrix.
 
     One header row of feature names, one data row per time step. Columns not
-    in `feature_selection` are dropped; selection order is preserved.
+    in `feature_selection` are dropped; selection order is preserved. Header
+    cells and selected names are stripped of surrounding whitespace; a
+    selected name the header lacks is a KeyError.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -155,12 +157,12 @@ def ingest_csv(path: str | Path, feature_selection: Sequence[str] | None = None)
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        names = list(feature_selection) if feature_selection is not None else header
+        names = [name.strip() for name in feature_selection] if feature_selection is not None else header
         try:
             cols = [header.index(name) for name in names]
         except ValueError:
             missing = [n for n in names if n not in header]
-            raise ValueError(f"{path}: column(s) {missing} not found in header {header}") from None
+            raise KeyError(f"{path}: column(s) {missing} not found in header {header}") from None
         rows: list[list[float]] = []
         for row_no, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):

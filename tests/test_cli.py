@@ -410,6 +410,59 @@ def test_ingest_command(tmp_path):
         assert not out.exists() and not stats.exists()
 
 
+def test_ingest_base_must_name_the_selected_features_in_order(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("a,b\n0,10\n10,30\n")
+    base = tmp_path / "base.json"
+    argv = ["ingest", "--csv", str(raw), "--features", "b,a", "--out", str(tmp_path / "ba.csv"), "--stats-out", str(base)]
+    assert main(argv) == 0
+
+    def ingest(features, base_path):
+        out, stats = tmp_path / "norm.csv", tmp_path / "stats.json"
+        argv = ["ingest", "--csv", str(raw), "--features", features, "--base", str(base_path)]
+        rc = main([*argv, "--out", str(out), "--stats-out", str(stats)])
+        written = out.exists() and stats.exists()
+        out.unlink(missing_ok=True)
+        stats.unlink(missing_ok=True)
+        return rc, written
+
+    assert ingest("b,a", base) == (0, True)
+    # the same names in another order would put b's range on column a
+    assert ingest("a,b", base) == (1, False)
+    # a base of the wrong width, by its names or by its min/max entries
+    assert ingest("a", base) == (1, False)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({**json.loads(base.read_text()), "features": ["b"]}))
+    assert ingest("b", wide) == (1, False)
+
+
+def test_ingest_of_a_column_the_csv_lacks_is_usage_error(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("a,b\n0,10\n10,30\n")
+    out, stats = tmp_path / "norm.csv", tmp_path / "stats.json"
+    assert main(["ingest", "--csv", str(raw), "--features", "a,XYZ", "--out", str(out), "--stats-out", str(stats)]) == 1
+    assert not out.exists() and not stats.exists()
+
+
+def test_ingest_strips_the_selected_names(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("a,b\n0,10\n10,30\n")
+    out, stats = tmp_path / "norm.csv", tmp_path / "stats.json"
+    assert main(["ingest", "--csv", str(raw), "--features", "b, a", "--out", str(out), "--stats-out", str(stats)]) == 0
+    assert ingest_csv(out).feature_names == ("b", "a")
+    assert json.loads(stats.read_text())["features"] == ["b", "a"]
+
+
+def test_train_writes_the_path_score_reads(tmp_path, signal_json, detector_json):
+    # a path without the .npz suffix is written as given, not as model.npz
+    series_csv = tmp_path / "series.csv"
+    model = tmp_path / "model"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    assert main(["train", "--series", str(series_csv), "--detector", str(detector_json), "--out", str(model)]) == 0
+    assert main(["score", "--model", str(model), "--series", str(series_csv), "--out", str(tmp_path / "r.json")]) == 0
+    assert model.is_file() and not list(tmp_path.glob("*.npz"))
+
+
 def test_schema_mismatch_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "aepoison/grid/v1", "waveform": "sine"}))

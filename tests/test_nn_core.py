@@ -210,9 +210,10 @@ def allocating_grad_w(params, x):
 
 
 class TestGradWBuffers:
-    @pytest.mark.parametrize("input_size,code_size,rows", [(4, 2, 990), (100, 50, 16)])
+    @pytest.mark.parametrize("input_size,code_size,rows", [(4, 2, 990), (4, 2, 1038), (4, 2, 131), (100, 50, 16)])
     def test_matches_allocating_reference_bit_exact(self, input_size, code_size, rows):
-        # the MULTI_SEQ and SINGLE_SEQ model shapes
+        # the MULTI_SEQ and SINGLE_SEQ model shapes; 990 and 1038 rows add
+        # biases by tiles of 30 and 6 rows, 131 (a prime) and 16 row by row
         cfg = ModelConfig(input_size=input_size, code_size=code_size, init_seed=6, init_scale=0.4)
         x = np.sin(np.linspace(0, 40, rows * input_size)).reshape(rows, input_size) * 0.8
         p = init_params(cfg)
@@ -392,6 +393,28 @@ class TestTrain:
         p = init_params(small_cfg(init_seed=1, init_scale=0.5))
         with pytest.raises(TrainingDiverged):
             train(p, self.batch(), TrainConfig(50.0, 2000, stop_loss=1e-12))
+
+    @pytest.mark.parametrize("scale,lr,check", [(1e-50, 1e200, "weights"), (1.0, 1e20, "loss")])
+    def test_diverges_at_the_step_of_an_isfinite_reference_loop(self, scale, lr, check):
+        # tiny inputs and a huge step: the weights overflow at step 2 while the
+        # loss is still finite; the second run's loss overflows first
+        x = np.sin(np.linspace(0, 60, 990 * 4)).reshape(990, 4) * 0.8 * scale
+        p = init_params(small_cfg(init_seed=1))
+        steps = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                if not np.isfinite(loss(p, x)):
+                    fired = "loss"
+                    break
+                theta = p.flatten() - lr * grad_w(p, x)
+                steps += 1
+                if not np.isfinite(theta).all():
+                    fired = "weights"
+                    break
+                p = ModelParams(p.config, theta)
+        assert fired == check and steps > 1
+        with pytest.raises(TrainingDiverged, match=f"at step {steps}$"):
+            train(init_params(small_cfg(init_seed=1)), x, TrainConfig(lr, 100, stop_loss=1e-300))
 
     def test_deterministic_training(self):
         a, _, _ = train(init_params(small_cfg(init_seed=2)), self.batch(), TrainConfig(0.3, 200, 1e-9))

@@ -150,8 +150,15 @@ class TestCsv:
     def test_missing_column_named_in_error(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("LIT101,FIT101\n1,2\n")
-        with pytest.raises(ValueError, match="XYZ"):
+        with pytest.raises(KeyError, match="XYZ"):
             ingest_csv(p, ["XYZ"])
+
+    def test_selected_names_are_stripped_as_header_cells_are(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("a, b ,c\n1,2,3\n")
+        s = ingest_csv(p, [" c", "b ", "a"])
+        assert s.feature_names == ("c", "b", "a")
+        assert np.array_equal(s.values, [[3.0, 2.0, 1.0]])
 
     def test_non_numeric_cell_cites_row(self, tmp_path):
         p = tmp_path / "data.csv"
