@@ -53,20 +53,22 @@ def _load_config(path: str, kind: str, build: Callable[[dict], T]) -> T:
         raise UsageError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _signal_spec(data: dict, seed_override: int | None) -> SignalSpec:
-    if seed_override is not None:
-        data["seed"] = seed_override
-    return SignalSpec(**data)
+def _seeded(data: dict, seed: int | None, key: str = "seed") -> dict:
+    """data with data[key] set to the global --seed, when one is given."""
+    if seed is not None:
+        data[key] = seed
+    return data
 
 
-def _detector_parts(data: dict) -> tuple[DetectorConfig, TrainConfig]:
+def _detector_parts(data: dict, seed: int | None = None) -> tuple[DetectorConfig, TrainConfig]:
+    """The detector file's configs; a given seed replaces the model's init_seed."""
     train = data.pop("train")
-    model = ModelConfig.from_dict(data.pop("model"))
+    model = ModelConfig.from_dict(_seeded(data.pop("model"), seed, "init_seed"))
     return DetectorConfig(model=model, **data), TrainConfig(**train)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = _load_config(args.spec, "signal", lambda data: _signal_spec(data, args.seed))
+    spec = _load_config(args.spec, "signal", lambda data: SignalSpec(**_seeded(data, args.seed)))
     series = generate(spec)
     export_csv(series, args.out)
     print(f"wrote {series.length}x{series.num_features} series to {args.out}")
@@ -95,7 +97,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg, train_cfg = _load_config(args.detector, "detector", _detector_parts)
+    cfg, train_cfg = _load_config(args.detector, "detector", lambda data: _detector_parts(data, args.seed))
     params, _, final_loss = TrainCache([ingest_csv(p) for p in args.series], cfg, train_cfg).fit(())
     save_detector(params, cfg, args.out)
     print(f"trained to loss {final_loss:.6f}; checkpoint at {args.out}")
@@ -150,7 +152,7 @@ def _cmd_poison(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    spec = _load_config(args.spec, "grid", GridSpec.from_dict)
+    spec = _load_config(args.spec, "grid", lambda data: GridSpec.from_dict(_seeded(data, args.seed)))
     records = run_grid(spec, out_dir=args.out_dir)
     export(records, args.out_dir)
     n_err = sum(1 for r in records if r.error)

@@ -98,7 +98,12 @@ class CellConfig:
             raise ValueError("training_set_size must be >= 1")
         if self.subsequence_length > self.signal_length:
             raise ValueError("subsequence length cannot exceed the signal length")
-        object.__setattr__(self, "channels", tuple((float(s), float(o)) for s, o in self.channels))
+        # the parts a run builds refuse their bad values now, not in run_cell
+        object.__setattr__(self, "channels", self.signal_spec(0).channels)
+        self.attack_spec(self.attack_location)
+        self.detector_config()
+        self.train_config()
+        self.poison_config()
 
     def stream_seed(self, k: int) -> int:
         return self.seed * _SEED_STRIDE + k
@@ -110,6 +115,11 @@ class CellConfig:
             noise_std=self.noise_std,
             channels=self.channels,
             seed=seed,
+        )
+
+    def attack_spec(self, location: str | int) -> AttackSpec:
+        return AttackSpec(
+            location=location, magnitude=self.attack_magnitude, duration=self.attack_duration, sign=self.attack_sign
         )
 
     def detector_config(self) -> DetectorConfig:
@@ -167,13 +177,7 @@ def build_experiment(cell: CellConfig) -> ExperimentData:
             anchor -= cell.period
     else:
         anchor = int(cell.attack_location)
-    spec = AttackSpec(
-        location=anchor,
-        magnitude=cell.attack_magnitude,
-        duration=cell.attack_duration,
-        sign=cell.attack_sign,
-    )
-    attack, attack_range = inject_attack(clean, 0, spec, cell.period)
+    attack, attack_range = inject_attack(clean, 0, cell.attack_spec(anchor), cell.period)
     span = poison_span(cell.signal_length, attack_range, cell.subsequence_length, cell.period)
     return ExperimentData(train, val, clean, attack, span)
 

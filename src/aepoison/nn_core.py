@@ -9,15 +9,12 @@ is plain full-batch gradient descent on a copy of that vector. Each fit
 makes one set of work buffers (every layer's activation, output gradient,
 slope and delta, plus the residual) and one flat gradient buffer, which
 every epoch overwrites, with the bits of the plain allocating expressions,
-before it updates the vector in place; an epoch allocates no array. The
-hidden layers share one activation, so their activations, output gradients
-and slopes each live in one flat buffer, and one ufunc pass makes every
-hidden slope (and, for a Hessian-vector product, every curvature term); a
-tall batch adds each bias to a tile of rows, then the tile to the
-activation seen as rows of that tile's size. A
-trajectory records the vector after every step as a row of one read-only
-block, so the training process can be reversed step by step; a reversal
-linearizes a block of checkpoints at once and runs each tangent pass alone.
+before it updates the vector in place; an epoch allocates no array. A tall
+batch adds each bias to a tile of rows, then the tile to the activation
+seen as rows of that tile's size. A trajectory records the vector after
+every step as a row of one read-only block, so the training process can be
+reversed step by step; a reversal linearizes a block of checkpoints at once
+and runs each tangent pass alone.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
 layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
@@ -28,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from math import isfinite, isqrt, prod
+from math import isfinite, isqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,19 +47,14 @@ __all__ = [
     "train",
 ]
 
-# (f(z) into out, f'(z) from a = f(z) into out, f''(z) from a and f'(z)), each
-# with its plain expression's arithmetic. The linear layer's identity, slope 1
-# and curvature 0 are applied by skipping.
+# (f(z) into out, f'(z) from a = f(z) into out or a new array if out is None,
+# f''(z) from a and f'(z)), each with its plain expression's arithmetic. The
+# linear layer's identity, slope 1 and curvature 0 are applied by skipping.
 _ACTIVATIONS: dict[str, tuple[Callable | None, Callable | None, Callable | None]] = {
     "tanh": (
         np.tanh,
         lambda a, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out),
         lambda a, slope: -2.0 * a * slope,
-    ),
-    "sigmoid": (
-        lambda z, out: np.divide(1.0, np.add(np.exp(np.negative(z, out=out), out=out), 1.0, out=out), out=out),
-        lambda a, out: np.multiply(a, np.subtract(1.0, a, out=out), out=out),
-        lambda a, slope: slope * (1.0 - 2.0 * a),
     ),
     "linear": (None, None, None),
 }
@@ -105,14 +97,10 @@ class ModelConfig:
         sizes = (self.input_size, wide, self.code_size, wide, self.input_size)
         dims = tuple(zip(sizes[:-1], sizes[1:]))
         object.__setattr__(self, "_dims", dims)
-        object.__setattr__(self, "_acts", (self.activation,) * 3 + ("linear",))
         object.__setattr__(self, "_num_params", sum(nin * nout + nout for nin, nout in dims))
 
     def layer_dims(self) -> tuple[tuple[int, int], ...]:
         return self._dims
-
-    def layer_activations(self) -> tuple[str, ...]:
-        return self._acts
 
     @property
     def num_params(self) -> int:
@@ -223,21 +211,6 @@ def _batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
 # the public functions check their batch once and pass params.layers down.
 
 
-def _flat_views(shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One flat buffer and its consecutive contiguous views of these shapes."""
-    flat = np.empty(sum(prod(shape) for shape in shapes))
-    return flat, _split(flat, shapes)
-
-
-def _split(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    views, pos = [], 0
-    for shape in shapes:
-        size = prod(shape)
-        views.append(flat[pos : pos + size].reshape(shape))
-        pos += size
-    return views
-
-
 # A batch adds its biases by tiles when that runs at least this many fewer of
 # numpy's inner loops: a ufunc over a (rows, width) array runs one loop of
 # width entries per row, about 4-5 ns each on a narrow layer, and copying a
@@ -254,23 +227,20 @@ class _Work:
     itself), output gradient, slope (None for a linear layer) and delta (a
     linear layer's is its output gradient), plus the residual and its square;
     for a (K, P) block of models each buffer but the batch is K-stacked.
-    The hidden layers' activations, output gradients and slopes are views of
-    the flat hidden_acts, hidden_outs and hidden_slopes. Where tiles save
-    _TILE_MIN_SAVED inner loops, bias_tiles holds per layer a tile of k batch
-    rows for its bias, the activation seen as rows / k rows of k * width
-    entries, and the tile seen as one such row; k is the largest divisor of
-    rows up to its square root.
-    The activations and tiles are made with the _Work, the rest by the first
-    pass that needs them, and later passes overwrite them: train keeps one
-    _Work per fit and the public functions one per call, so nothing they
-    return aliases another call's result."""
+    Where tiles save _TILE_MIN_SAVED inner loops, bias_tiles holds per layer
+    a tile of k batch rows for its bias, the activation seen as rows / k rows
+    of k * width entries, and the tile seen as one such row; k is the largest
+    divisor of rows up to its square root.
+    The activations (each its own array, so the tile views reshape it) and
+    tiles are made with the _Work, the rest by the first pass that writes
+    them, and later passes overwrite them: train keeps one _Work per fit and
+    the public functions one per call, so nothing they return aliases
+    another call's result."""
 
     def __init__(self, cfg: ModelConfig, x: np.ndarray, models: tuple[int, ...] = ()) -> None:
-        self.activate, self.slope, _ = _ACTIVATIONS[cfg.activation]
+        self.activate, self.slope, self.curv = _ACTIVATIONS[cfg.activation]
         rows = len(x)
-        self.shapes = [(*models, rows, nout) for _, nout in cfg.layer_dims()[:-1]]
-        self.hidden_acts, acts = _flat_views(self.shapes)
-        self.acts = [x, *acts, np.empty((*models, rows, cfg.input_size))]
+        self.acts = [x, *(np.empty((*models, rows, nout)) for _, nout in cfg.layer_dims())]
         self.bias_tiles = None
         k = max(d for d in range(1, isqrt(rows) + 1) if rows % d == 0)
         if rows - rows // k >= _TILE_MIN_SAVED:
@@ -279,18 +249,8 @@ class _Work:
                 tile = np.empty((*models, k, z.shape[-1]))
                 wide = k * z.shape[-1]
                 self.bias_tiles.append((tile, z.reshape(*models, -1, wide), tile.reshape(*models, 1, wide)))
-        self.hidden_outs = self.hidden_slopes = self.outs = self.slopes = None
-        self.deltas = [None] * (len(acts) + 1)
+        self.outs, self.slopes, self.deltas = ([None] * (len(self.acts) - 1) for _ in range(3))
         self.resid = self.sq = None
-
-    def make_sweep_buffers(self) -> None:
-        self.hidden_outs, outs = _flat_views(self.shapes)
-        self.outs = [*outs, None]
-        if self.slope is None:
-            self.slopes = [None] * len(self.outs)
-        else:
-            self.hidden_slopes, slopes = _flat_views(self.shapes)
-            self.slopes = [*slopes, None]
 
 
 def _forward_acts(cfg: ModelConfig, layers: _Layers, work: _Work) -> list[np.ndarray]:
@@ -338,16 +298,17 @@ def _deltas(cfg: ModelConfig, layers: _Layers, work: _Work) -> tuple[list, list,
     gradient with respect to its output acts[i + 1], its activation slope
     there (None for a linear layer, whose slope is 1 and is not multiplied
     in), and its delta, the gradient with respect to its pre-activation."""
-    if work.outs is None:
-        work.make_sweep_buffers()
     outs, slopes, deltas = work.outs, work.slopes, work.deltas
-    if work.hidden_slopes is not None:  # every hidden layer's slope in one pass
-        work.slope(work.hidden_acts, work.hidden_slopes)
-    outs[-1] = np.multiply(work.resid, 2.0 / work.acts[0].size, out=outs[-1])
-    for i in range(len(layers) - 1, -1, -1):
-        deltas[i] = outs[i] if slopes[i] is None else np.multiply(outs[i], slopes[i], out=deltas[i])
+    last = len(layers) - 1
+    outs[last] = np.multiply(work.resid, 2.0 / work.acts[0].size, out=outs[last])
+    for i in range(last, -1, -1):
+        if work.slope is None or i == last:  # the read-out is linear
+            deltas[i] = outs[i]
+        else:
+            slopes[i] = work.slope(work.acts[i + 1], slopes[i])
+            deltas[i] = np.multiply(outs[i], slopes[i], out=deltas[i])
         if i:
-            np.matmul(deltas[i], layers[i][0].swapaxes(-1, -2), out=outs[i - 1])
+            outs[i - 1] = np.matmul(deltas[i], layers[i][0].swapaxes(-1, -2), out=outs[i - 1])
     return outs, slopes, deltas
 
 
@@ -415,17 +376,12 @@ def _linearize(cfg: ModelConfig, block: np.ndarray, x: np.ndarray) -> list[Linea
     """One Linearization per row of a (K, P) parameter block on the batch x,
     all from one forward pass and loss sweep over the K-stacked layers: a
     stacked matmul is one BLAS call per model and a ufunc works entry by
-    entry, so each model gets the bits of its own pass; every hidden layer's
-    curvature term comes from one pass over the flat hidden buffers."""
+    entry, so each model gets the bits of its own pass."""
     layers = _unflatten(cfg, block)
     work = _Work(cfg, x, block.shape[:-1])
     acts = _forward_acts(cfg, layers, work)
-    _, slopes, deltas = _deltas(cfg, layers, work)
-    curv = _ACTIVATIONS[cfg.activation][2]
-    if curv is None:
-        curvs = slopes
-    else:
-        curvs = [*_split(work.hidden_outs * curv(work.hidden_acts, work.hidden_slopes), work.shapes), None]
+    outs, slopes, deltas = _deltas(cfg, layers, work)
+    curvs = [s if s is None else outs[i] * work.curv(acts[i + 1], s) for i, s in enumerate(slopes)]
     # each model's views of the K-stacked arrays (None for a linear layer)
     stacked = ([w for w, _ in layers], acts[1:], slopes, deltas, curvs)
     per_model = (zip(*(repeat(None, len(block)) if a is None else a for a in arrays)) for arrays in stacked)

@@ -126,7 +126,7 @@ class TestAC1NumericalOracles:
             input_size=input_size,
             code_size=int(rng.integers(1, input_size)),
             inflation_factor=int(rng.integers(1, 3)),
-            activation=("tanh", "sigmoid")[int(rng.integers(0, 2))],
+            activation=("tanh", "linear")[int(rng.integers(0, 2))],
             init_seed=int(rng.integers(0, 10_000)),
             init_scale=0.4,
         )

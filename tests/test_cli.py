@@ -208,6 +208,8 @@ def test_grid_refuses_a_removed_option(tmp_path):
         # an axis value is checked as the same value in base is
         {"base": base, "axes": {"algorithm": ["magic"]}},
         {"base": base, "axes": {"training_set_size": [0]}},
+        # a cell value the configs a run builds would refuse is refused up front
+        {"base": base, "axes": {"init_mode": ["benign"], "attack_location": ["SIN_MIDDLE"]}},
     ]
     for i, extra in enumerate(refused):
         grid_json = tmp_path / f"grid{i}.json"
@@ -217,6 +219,48 @@ def test_grid_refuses_a_removed_option(tmp_path):
         out_dir = tmp_path / f"grid_out{i}"
         assert main(["--out-dir", str(out_dir), "grid", "--spec", str(grid_json)]) == 1, extra
         assert not (out_dir / "records.jsonl").exists()
+
+
+def test_global_seed_reaches_grid_and_train(tmp_path, signal_json, detector_json):
+    # --seed replaces the grid's seed and the model's init_seed, so each
+    # seeded run equals the run of a file holding that seed
+    def records(out_dir):
+        rows = [json.loads(line) for line in (out_dir / "records.jsonl").read_text().splitlines()]
+        for row in rows:
+            row.pop("wall_time_s")
+        return rows
+
+    grid = {
+        "schema": "aepoison/grid/v1",
+        "axes": {"attack_magnitude": [0.1]},
+        "base": {"training_set_size": 2, "signal_length": 60, "channels": [[1.0, 0.0], [0.5, 0.0]],
+                 "train_iterations": 50, "adversarial_iterations": 1},
+        "budget": 1,
+        "seed": 0,
+    }
+    grid_json = tmp_path / "grid.json"
+    grid_json.write_text(json.dumps(grid))
+    series_csv = tmp_path / "series.csv"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    detector = json.loads(detector_json.read_text())
+    grids, weights = {}, {}
+    for seed in (1, 2):
+        seeded_grid = tmp_path / f"grid-seed{seed}.json"
+        seeded_grid.write_text(json.dumps({**grid, "seed": seed}))
+        seeded_detector = tmp_path / f"detector-seed{seed}.json"
+        seeded_detector.write_text(json.dumps({**detector, "model": {**detector["model"], "init_seed": seed}}))
+        runs = {"flag": (grid_json, detector_json, ["--seed", str(seed)]), "file": (seeded_grid, seeded_detector, [])}
+        for how, (grid_path, detector_path, flag) in runs.items():
+            out_dir, model = tmp_path / f"grid-{how}{seed}", tmp_path / f"model-{how}{seed}.npz"
+            assert main([*flag, "--out-dir", str(out_dir), "grid", "--spec", str(grid_path)]) == 0
+            assert main([*flag, "train", "--series", str(series_csv), "--detector", str(detector_path),
+                         "--out", str(model)]) == 0
+            grids[how, seed] = records(out_dir)
+            weights[how, seed] = load_detector(model)[0].flatten().tobytes()
+    for results in (grids, weights):
+        assert results["flag", 1] == results["file", 1]
+        assert results["flag", 2] == results["file", 2]
+        assert results["flag", 1] != results["flag", 2]
 
 
 def test_config_that_cannot_be_built_is_usage_error(tmp_path, signal_json, detector_json):
@@ -273,7 +317,7 @@ def test_config_that_cannot_be_built_is_usage_error(tmp_path, signal_json, detec
         assert not (tmp_path / "range.json").exists()
 
 
-def test_refused_detector_file_is_usage_error(tmp_path, signal_json, detector_json):
+def test_refused_detector_file_is_usage_error(tmp_path, signal_json, detector_json, capsys):
     # a detector file naming a removed key, or holding a bad value, is refused
     # as a config file is: exit 1 and no report; a missing one is a runtime error
     series_csv = tmp_path / "series.csv"
@@ -290,13 +334,19 @@ def test_refused_detector_file_is_usage_error(tmp_path, signal_json, detector_js
         "residual_mode": ({**meta, "residual_mode": "per-point-abs"}, flat),
         "encoder_layers": ({**meta, "model": {**meta["model"], "encoder_layers": 1}}, flat),
         "nan_parameter": (meta, nan_params),
+        "sigmoid": ({**meta, "model": {**meta["model"], "activation": "sigmoid"}}, flat),
     }
     out = tmp_path / "report.json"
+    errors = {}
     for name, (header, params) in bad.items():
         path = tmp_path / f"{name}.npz"
         np.savez(path, detector=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), params=params)
+        capsys.readouterr()
         assert main(["score", "--model", str(path), "--series", str(series_csv), "--out", str(out)]) == 1, name
         assert not out.exists(), name
+        errors[name] = capsys.readouterr().err
+    # tanh and linear are the activations a model can have
+    assert "'linear'" in errors["sigmoid"] and "'tanh'" in errors["sigmoid"]
     missing = ["score", "--model", str(tmp_path / "missing.npz"), "--series", str(series_csv), "--out", str(out)]
     assert main(missing) == 2
     assert main(["score", "--model", str(model), "--series", str(series_csv), "--out", str(out)]) == 0

@@ -201,6 +201,29 @@ class TestGridSpec:
             with pytest.raises(ValueError):
                 GridSpec(axes=axes, base=fast_cell())
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("init_mode", "benign"),  # the poison command's spelling, not a PoisonConfig mode
+            ("attack_location", "SIN_MIDDLE"),
+            ("attack_sign", "up"),
+            ("threshold", -1),
+            ("learning_rate", -1),
+            ("adv_learning_rate", 0),
+            ("period", 1),
+        ],
+    )
+    def test_value_its_run_would_refuse_is_refused_up_front(self, key, value):
+        # the signal, attack, detector, training and poison configs a run
+        # builds refuse these; a cell, and so a grid, refuses them when built
+        with pytest.raises(ValueError):
+            fast_cell(**{key: value})
+        with pytest.raises(ValueError):
+            GridSpec.from_dict({"axes": {"seed": [0]}, "base": {**fast_cell().to_dict(), key: value}})
+        if key in harness._AXIS_NAMES:
+            with pytest.raises(ValueError):
+                GridSpec(axes={key: [value]}, base=fast_cell())
+
     def test_unknown_top_level_key_refused(self):
         with pytest.raises(TypeError, match="repetitons"):
             GridSpec.from_dict({"axes": {"attack_magnitude": [0.1]}, "repetitons": 3, "budgt": 1})

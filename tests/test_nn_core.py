@@ -195,7 +195,7 @@ class TestGradients:
 def allocating_grad_w(params, x):
     """Reference weight gradient for tanh/linear models, every product a
     fresh array: the arithmetic grad_w performs with out= buffers."""
-    names = params.config.layer_activations()
+    names = (params.config.activation,) * 3 + ("linear",)
     acts = [x]
     for (w, b), name in zip(params.layers, names):
         z = acts[-1] @ w + b
@@ -227,7 +227,7 @@ def allocating_state(params, x):
     """Reference direction-free half of an HVP for tanh/linear models, every
     product a fresh array: per layer the activation, slope (None for the
     linear read-out), delta and curvature term outs * f''."""
-    names = params.config.layer_activations()
+    names = (params.config.activation,) * 3 + ("linear",)
     acts = [x]
     for (w, b), name in zip(params.layers, names):
         z = acts[-1] @ w + b
