@@ -3,8 +3,9 @@
 Subcommands compose into a pipeline: `gen` a signal, `attack` it, `train` a
 detector, `score` series, `poison` a detector, `grid` a whole experiment
 matrix, `ingest` raw CSV data. All config files are JSON with a versioned
-`schema` field. Exit codes: 0 success, 1 usage error (a bad flag value or a
-config with a missing or unknown key or a bad value), 2 runtime failure.
+`schema` field. Exit codes: 0 success, 1 usage error (a bad flag value, or
+an input file that does not parse or builds no valid object), 2 runtime
+failure (a missing file, or a failure while the command runs).
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -41,16 +43,24 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str, kind: str, build: Callable[[dict], T]) -> T:
-    """build(the file's JSON object); a missing key, an unknown key or a bad value is a usage error."""
-    data = json.loads(Path(path).read_text())
-    schema = data.pop("schema", None)
-    if schema is not None and schema != _SCHEMAS[kind]:
-        raise UsageError(f"{path}: expected schema {_SCHEMAS[kind]}, got {schema}")
+@contextmanager
+def _usage(source: str = "") -> Iterator[None]:
+    """Where a command reads its input files and builds their objects: a
+    KeyError, TypeError or ValueError raised there is a usage error."""
     try:
-        return build(data)
+        yield
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: {type(exc).__name__}: {exc}") from exc
+        raise UsageError(f"{source}{': ' if source else ''}{type(exc).__name__}: {exc}") from exc
+
+
+def _load_config(path: str, kind: str, build: Callable[[dict], T]) -> T:
+    """build(the file's JSON object); JSON that does not parse or builds no valid object is a usage error."""
+    with _usage(path):
+        data = json.loads(Path(path).read_text())
+        schema = data.pop("schema", None)
+        if schema is not None and schema != _SCHEMAS[kind]:
+            raise UsageError(f"{path}: expected schema {_SCHEMAS[kind]}, got {schema}")
+        return build(data)
 
 
 def _seeded(data: dict, seed: int | None, key: str = "seed") -> dict:
@@ -77,11 +87,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     spec = _load_config(args.attack, "attack", lambda data: AttackSpec(**data))
-    series = ingest_csv(args.series)
-    try:  # an unknown feature, a bad period, or rows past the series end
-        attacked, attack_range = inject_attack(series, args.feature, spec, args.period)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"{type(exc).__name__}: {exc}") from exc
+    with _usage():  # also an unknown feature, a bad period, or rows past the series end
+        attacked, attack_range = inject_attack(ingest_csv(args.series), args.feature, spec, args.period)
     export_csv(attacked, args.out)
     range_info = {
         "schema": _SCHEMAS["attack-range"],
@@ -98,18 +105,19 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg, train_cfg = _load_config(args.detector, "detector", lambda data: _detector_parts(data, args.seed))
-    params, _, final_loss = TrainCache([ingest_csv(p) for p in args.series], cfg, train_cfg).fit(())
+    with _usage():
+        cache = TrainCache([ingest_csv(p) for p in args.series], cfg, train_cfg)
+    params, _, final_loss = cache.fit(())
     save_detector(params, cfg, args.out)
     print(f"trained to loss {final_loss:.6f}; checkpoint at {args.out}")
     return 0
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    try:
+    with _usage(args.model):  # a key no field reads, or a bad value
         params, cfg = load_detector(args.model)
-    except (KeyError, TypeError, ValueError) as exc:  # a key no field reads, or a bad value
-        raise UsageError(f"{args.model}: {type(exc).__name__}: {exc}") from exc
-    series = ingest_csv(args.series)
+    with _usage():
+        series = ingest_csv(args.series)
     report = score(params, series, cfg)
     report.write_json(args.out)
     print(f"{report.alert_count} alert(s); report at {args.out}")
@@ -118,27 +126,25 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_poison(args: argparse.Namespace) -> int:
     cfg, train_cfg = _load_config(args.detector, "detector", _detector_parts)
-    try:
+    with _usage():
         poison_cfg = PoisonConfig(
             init_mode="attack-based" if args.init == "attack" else "benign-data",
             seed=args.seed if args.seed is not None else 0,
             max_iters=args.max_iters,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    attack = ingest_csv(args.attack)
-    span = _load_config(
-        args.attack_range,
-        "attack-range",
-        lambda data: poison_span(attack.length, (data["start"], data["stop"]), cfg.window_length, data["period"]),
-    )
-    data = ExperimentData(
-        train=tuple(ingest_csv(p) for p in args.train),
-        val=ingest_csv(args.val),
-        clean=ingest_csv(args.clean),
-        attack=attack,
-        span=span,
-    )
+        attack = ingest_csv(args.attack)
+        span = _load_config(
+            args.attack_range,
+            "attack-range",
+            lambda data: poison_span(attack.length, (data["start"], data["stop"]), cfg.window_length, data["period"]),
+        )
+        data = ExperimentData(
+            train=tuple(ingest_csv(p) for p in args.train),
+            val=ingest_csv(args.val),
+            clean=ingest_csv(args.clean),
+            attack=attack,
+            span=span,
+        )
     _, result = run_pipeline(data, args.algo, poison_cfg, detector_cfg=cfg, train_cfg=train_cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -172,14 +178,8 @@ def _norm_base(data: dict, features: tuple[str, ...]) -> NormStats:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     features = args.features.split(",") if args.features else None
-    try:
-        series = ingest_csv(args.csv, feature_selection=features)
-    except KeyError as exc:  # a selected column the CSV lacks
-        raise UsageError(f"KeyError: {exc}") from exc
-    try:
-        series = subsample(series, args.subsample)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with _usage():  # also a selected column the CSV lacks, or a factor below 1
+        series = subsample(ingest_csv(args.csv, feature_selection=features), args.subsample)
     base = None
     if args.base:
         base = _load_config(args.base, "norm-stats", lambda data: _norm_base(data, series.feature_names))

@@ -100,7 +100,7 @@ class CellConfig:
             raise ValueError("subsequence length cannot exceed the signal length")
         # the parts a run builds refuse their bad values now, not in run_cell
         object.__setattr__(self, "channels", self.signal_spec(0).channels)
-        self.attack_spec(self.attack_location)
+        self.attack_spec()
         self.detector_config()
         self.train_config()
         self.poison_config()
@@ -117,9 +117,20 @@ class CellConfig:
             seed=seed,
         )
 
-    def attack_spec(self, location: str | int) -> AttackSpec:
+    def attack_spec(self) -> AttackSpec:
+        """The attack, placed at a named location's anchor two periods in (away
+        from the series edges) and backed off by periods until it fits, or at
+        the given index. Refuses an attack whose rows are not all in the series."""
+        if isinstance(self.attack_location, str):
+            anchor = anchor_index(self.signal_spec(0), self.attack_location) + 2 * self.period
+            while anchor + self.attack_duration > self.signal_length and anchor >= self.period:
+                anchor -= self.period
+        else:
+            anchor = int(self.attack_location)
+        if not 0 <= anchor <= self.signal_length - self.attack_duration:
+            raise ValueError(f"attack rows [{anchor}, {anchor + self.attack_duration}) leave [0, {self.signal_length})")
         return AttackSpec(
-            location=location, magnitude=self.attack_magnitude, duration=self.attack_duration, sign=self.attack_sign
+            location=anchor, magnitude=self.attack_magnitude, duration=self.attack_duration, sign=self.attack_sign
         )
 
     def detector_config(self) -> DetectorConfig:
@@ -160,24 +171,14 @@ class CellConfig:
 
 
 def build_experiment(cell: CellConfig) -> ExperimentData:
-    """Generate training/validation/attack series for a cell.
-
-    The attack anchors at the named location of a middle period (anchor + 2
-    periods) so the spoofed range sits away from the series edges.
-    """
+    """Generate training/validation/attack series for a cell, the attack
+    placed by :meth:`CellConfig.attack_spec`."""
     train = tuple(
         generate(cell.signal_spec(cell.stream_seed(3 + i))) for i in range(cell.training_set_size)
     )
     val = generate(cell.signal_spec(cell.stream_seed(0)))
     clean = generate(cell.signal_spec(cell.stream_seed(1)))
-    if isinstance(cell.attack_location, str):
-        anchor = anchor_index(cell.signal_spec(0), cell.attack_location)
-        anchor += 2 * cell.period
-        while anchor + cell.attack_duration > cell.signal_length and anchor >= cell.period:
-            anchor -= cell.period
-    else:
-        anchor = int(cell.attack_location)
-    attack, attack_range = inject_attack(clean, 0, cell.attack_spec(anchor), cell.period)
+    attack, attack_range = inject_attack(clean, 0, cell.attack_spec(), cell.period)
     span = poison_span(cell.signal_length, attack_range, cell.subsequence_length, cell.period)
     return ExperimentData(train, val, clean, attack, span)
 

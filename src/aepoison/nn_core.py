@@ -446,12 +446,12 @@ def train(
     """Full-batch gradient descent: w <- w - lr * grad_w.
 
     Stops on the first epoch whose loss is already below stop_loss, or after
-    max_epochs steps. Deterministic; raises TrainingDiverged on non-finite
-    loss. The weights live in one flat vector that each epoch updates in
-    place; each epoch runs one forward pass into the fit's work buffers,
-    which gives the stop-test loss and feeds the next weight update.
-    Trajectory checkpoints are read-only rows of one block, each a copy of
-    that vector.
+    max_epochs steps. Deterministic; raises TrainingDiverged on a non-finite
+    loss or weights. The weights live in one flat vector that each epoch
+    updates in place; each epoch runs one forward pass into the fit's work
+    buffers, which gives the stop-test loss and feeds the weight update.
+    A trajectory is one block of max_epochs + 1 rows, each epoch copying the
+    vector into its own row; the rows the fit wrote are returned read-only.
     """
     model_cfg = params.config
     x = _batch(model_cfg, data)
@@ -461,32 +461,26 @@ def train(
     grads = _unflatten(model_cfg, grad)
     finite = np.empty(theta.shape, dtype=bool)
     work = _Work(model_cfg, x)
-    # one block, grown by copying: an array per epoch, freed with each fit, made
-    # malloc trim and re-fault the heap every epoch, and so did growing in place
-    checkpoints = np.repeat(theta[None], min(cfg.max_epochs + 1, 64), axis=0) if cfg.record_trajectory else None
+    # one block per fit (an array per epoch made malloc trim and re-fault the
+    # heap every epoch); the fit touches only the pages of the rows it writes
+    checkpoints = np.empty((cfg.max_epochs + 1, theta.size)) if cfg.record_trajectory else None
     steps = 0
-    _forward_acts(model_cfg, layers, work)
-    cur_loss = _mse(work)
-    if not isfinite(cur_loss):
-        raise TrainingDiverged(f"initial loss is not finite: {cur_loss}")
     # overflow on a diverging run is the signal we detect, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        while steps < cfg.max_epochs and cur_loss >= cfg.stop_loss:
+        while True:
+            if checkpoints is not None:
+                checkpoints[steps] = theta
+            _forward_acts(model_cfg, layers, work)
+            cur_loss = _mse(work)
+            if not isfinite(cur_loss):
+                raise TrainingDiverged(f"loss diverged at step {steps}")
+            if steps == cfg.max_epochs or cur_loss < cfg.stop_loss:
+                break
             _backward(model_cfg, layers, work, grads)
             grad *= cfg.learning_rate
             theta -= grad
             steps += 1
             if not np.isfinite(theta, out=finite).all():
-                raise TrainingDiverged(f"loss diverged at step {steps}")
-            if checkpoints is not None:
-                if steps == len(checkpoints):
-                    grown = np.empty((min(cfg.max_epochs + 1, 2 * steps), theta.size))
-                    grown[:steps] = checkpoints
-                    checkpoints = grown
-                checkpoints[steps] = theta
-            _forward_acts(model_cfg, layers, work)
-            cur_loss = _mse(work)
-            if not isfinite(cur_loss):
                 raise TrainingDiverged(f"loss diverged at step {steps}")
     if checkpoints is not None:
         checkpoints = checkpoints[: steps + 1].copy()
@@ -494,4 +488,3 @@ def train(
     trajectory = TrainTrajectory(checkpoints, cfg.learning_rate) if checkpoints is not None else None
     theta.setflags(write=False)
     return ModelParams(model_cfg, theta), trajectory, cur_loss
-

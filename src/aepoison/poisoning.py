@@ -63,7 +63,8 @@ REVERSE_BLOCK = 16  # checkpoints get_poison_grad linearizes in one stacked pass
 class ExperimentData:
     """One run's inputs: the clean training sequences, the validation series,
     the clean series and its attacked copy, and the rows a poison sequence
-    spans."""
+    spans. Every series names the attack's features, and the clean series
+    has the attack's shape."""
 
     train: tuple[SeriesMatrix, ...]
     val: SeriesMatrix
@@ -74,6 +75,10 @@ class ExperimentData:
     def __post_init__(self) -> None:
         if not self.train:
             raise ValueError("empty training set")
+        if self.clean.values.shape != self.attack.values.shape:
+            raise ValueError(f"clean series shape {self.clean.values.shape} differs from the attack's")
+        if any(s.feature_names != self.attack.feature_names for s in (self.clean, self.val, *self.train)):
+            raise ValueError(f"every series must name the attack's features {list(self.attack.feature_names)}")
 
 
 @dataclass(frozen=True)
@@ -357,12 +362,12 @@ class _RunState:
     def template(self) -> SeriesMatrix:
         return self.data.train[0]
 
-    def pad_clean(self, result: TrainTestResult, candidate: PoisonPoint | None) -> tuple[TrainTestResult, bool]:
+    def pad_clean(self, result: TrainTestResult, candidate: PoisonPoint | None) -> TrainTestResult:
         """Append clean training sequences while validation alerts persist,
         at most as many pads as there are training sequences.
 
-        Returns the latest result and whether validation is clean; False with
-        the budget exhausted means the model is over-poisoned beyond repair.
+        Returns the latest result; validation alerts left in it mean the pad
+        budget is spent and the model is over-poisoned beyond repair.
         """
         while result.alerts_val > 0 and self.clean_pads < len(self.data.train):
             idx = int(self.pad_rng.integers(len(self.data.train)))
@@ -378,7 +383,7 @@ class _RunState:
             )
             self.clean_pads += 1
             result = train_test(self, candidate)
-        return result, result.alerts_val == 0
+        return result
 
     def record(self, iteration: int, lam: float, result: TrainTestResult, accepted: bool, action: str) -> None:
         self.log.append(
@@ -394,6 +399,11 @@ class _RunState:
                 points_so_far=len(self.points),
             )
         )
+
+    def over_poisoned(self, iteration: int, lam: float, result: TrainTestResult, iterations: int) -> PoisonResult:
+        """Record and finish a run whose padded `result` still alerts on validation."""
+        self.record(iteration, lam, result, False, "over-poisoned, pad budget exhausted")
+        return self.finish("over-poison-unrecoverable", iterations, result)
 
     def finish(self, termination: str, iterations: int, final: TrainTestResult) -> PoisonResult:
         """The run's result, ending on the retrained detector `final`."""
@@ -437,11 +447,10 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
 
     result = train_test(state, y_c)
     for i in range(1, cfg.max_iters + 1):
-        result, ok = state.pad_clean(result, y_c)
+        result = state.pad_clean(result, y_c)
         fitted = len(state.points)  # `result` is the fit on these points and y_c
-        if not ok:
-            state.record(i, lam, result, False, "over-poisoned, pad budget exhausted")
-            return state.finish("over-poison-unrecoverable", grad_iters, result)
+        if result.alerts_val:
+            return state.over_poisoned(i, lam, result, grad_iters)
         if result.total_alerts == 0:
             state.points.append(y_c)
             state.record(i, lam, result, True, "goal met, current poison committed")
@@ -457,11 +466,9 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
             y_c.values - lam * dyc / gmax, iteration_born=i, span=y_c.span, source="gradient-step"
         )
 
-        result2 = train_test(state, y_new)
-        result2, ok = state.pad_clean(result2, y_new)
-        if not ok:
-            state.record(i, lam, result2, False, "over-poisoned, pad budget exhausted")
-            return state.finish("over-poison-unrecoverable", grad_iters, result2)
+        result2 = state.pad_clean(train_test(state, y_new), y_new)
+        if result2.alerts_val:
+            return state.over_poisoned(i, lam, result2, grad_iters)
 
         if result2.alerts_candidate > 0:
             if not state.points or not np.array_equal(state.points[-1].values, y_c.values):
@@ -493,24 +500,17 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
     cfg = state.poison_cfg
     span = y_c0.span
     target = state.data.attack.values[span[0] : span[1]]
-    if target.shape != y_c0.values.shape:
-        raise ValueError(
-            f"initial poison shape {y_c0.values.shape} does not match its span of the attack {target.shape}"
-        )
 
-    result, ok = state.pad_clean(baseline, None)
-    if not ok:
-        state.record(0, 1.0, result, False, "over-poisoned, pad budget exhausted")
-        return state.finish("over-poison-unrecoverable", 0, result)
+    result = state.pad_clean(baseline, None)
+    if result.alerts_val:
+        return state.over_poisoned(0, 1.0, result, 0)
     if result.total_alerts == 0:
         state.record(0, 1.0, result, True, "attack already passes, no poisoning needed")
         return state.finish("goal-met", 0, result)
 
     rate = 1.0
     y_p = y_c0
-    iterations = 0
-    while iterations < cfg.max_iters:
-        iterations += 1
+    for iterations in range(1, cfg.max_iters + 1):
         step = rate * (target - y_p.values) / 2.0
         if float(np.max(np.abs(step))) <= INTERP_EPS:
             state.record(iterations, rate, result, False, "step below floor")
@@ -532,11 +532,9 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
         y_p = candidate
         state.points.append(candidate)
         rate /= DECAY
-        result = train_test(state)
-        result, ok = state.pad_clean(result, None)
-        if not ok:
-            state.record(iterations, rate, result, False, "over-poisoned, pad budget exhausted")
-            return state.finish("over-poison-unrecoverable", iterations, result)
+        result = state.pad_clean(train_test(state), None)
+        if result.alerts_val:
+            return state.over_poisoned(iterations, rate, result, iterations)
         state.record(iterations, rate, result, True, "candidate accepted")
         if result.total_alerts == 0:
             return state.finish("goal-met", iterations, result)
@@ -550,10 +548,10 @@ def init_poison(
     """Choose the starting poison sequence.
 
     benign-data mode returns the clean series values over the poison span.
-    attack-based mode walks downhill from the attacked values along the
-    detector-loss gradient until the sequence no longer alerts (the closest
-    quiet sequence to the attack); if it fails to converge it falls back to
-    the benign values, flagged in `source`.
+    attack-based mode tests the attacked values (iteration 0), then steps the
+    lowest-loss sequence so far down the detector-loss gradient until one no
+    longer alerts (the closest quiet sequence to the attack); if none does, it
+    falls back to the benign values, flagged in `source`.
     """
     attack, span = data.attack, data.span
     lo, hi = span
@@ -564,35 +562,29 @@ def init_poison(
     if cfg.init_mode == "benign-data":
         return benign("benign-init")
 
-    cand = attack.values[lo:hi].copy()
-    cand_series = attack.with_values(cand)
-    if score(params, cand_series, detector_cfg).alert_count == 0:
-        return PoisonPoint(cand, iteration_born=0, span=span, source="attack-init")
-
     lr = cfg.adv_learning_rate
-    best = cand.copy()
-    best_loss = series_loss(params, cand_series, detector_cfg)
+    best = attack.values[lo:hi]
     failed = 0
-    for it in range(1, cfg.max_iters + 1):
-        g = series_objective_grad(params, cand_series, detector_cfg)
-        gmax = float(np.max(np.abs(g)))
-        if gmax < 1e-12:
-            break
-        cand = cand - lr * g / gmax
+    for it in range(cfg.max_iters + 1):
+        cand = best
+        if it:
+            g = series_objective_grad(params, attack.with_values(best), detector_cfg)
+            gmax = float(np.max(np.abs(g)))
+            if gmax < 1e-12:
+                break
+            cand = best - lr * g / gmax
         cand_series = attack.with_values(cand)
-        cur_loss = series_loss(params, cand_series, detector_cfg)
         if score(params, cand_series, detector_cfg).alert_count == 0:
             return PoisonPoint(cand, iteration_born=it, span=span, source="attack-init")
-        if cur_loss < best_loss:
+        cur_loss = series_loss(params, cand_series, detector_cfg)
+        if it == 0 or cur_loss < best_loss:  # the attack itself is the first best
+            best = cand
             best_loss = cur_loss
-            best = cand.copy()
             failed = 0
             lr = cfg.adv_learning_rate
         else:
             failed += 1
             lr *= DECAY**failed
-            cand = best.copy()
-            cand_series = attack.with_values(cand)
             if lr <= LAMBDA_EPS:
                 break
     return benign("attack-init-fallback-benign")

@@ -210,6 +210,9 @@ def test_grid_refuses_a_removed_option(tmp_path):
         {"base": base, "axes": {"training_set_size": [0]}},
         # a cell value the configs a run builds would refuse is refused up front
         {"base": base, "axes": {"init_mode": ["benign"], "attack_location": ["SIN_MIDDLE"]}},
+        # an attack whose rows [a, a + 7) the cell cannot place in the series
+        *({"base": {**base, "signal_length": 100, "attack_location": a}} for a in (500, -3, 95)),
+        {"base": {**base, "signal_length": 20}},  # SIN_BOTTOM backs off to rows [15, 22)
     ]
     for i, extra in enumerate(refused):
         grid_json = tmp_path / f"grid{i}.json"
@@ -517,3 +520,54 @@ def test_schema_mismatch_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "aepoison/grid/v1", "waveform": "sine"}))
     assert main(["gen", "--spec", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("algo", ["interp", "backgrad"])
+def test_poison_with_a_clean_series_unlike_the_attack_is_usage_error(tmp_path, signal_json, detector_json, algo):
+    # the benign starting poison is the clean series' span of the attack's rows
+    series_csv, short_csv = tmp_path / "series.csv", tmp_path / "short.csv"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    short = json.loads(signal_json.read_text())
+    signal_json.write_text(json.dumps({**short, "length": 60}))
+    assert main(["gen", "--spec", str(signal_json), "--out", str(short_csv)]) == 0
+    range_json = tmp_path / "range.json"
+    range_json.write_text(json.dumps({"schema": "aepoison/attack-range/v1", "start": 55, "stop": 62, "period": 20}))
+    out = tmp_path / "poison"
+    argv = ["--out-dir", str(out), "poison", "--algo", algo, "--train", str(series_csv),
+            "--val", str(series_csv), "--attack", str(series_csv), "--clean", str(short_csv),
+            "--attack-range", str(range_json), "--detector", str(detector_json), "--max-iters", "1"]
+    assert main(argv) == 1
+    assert not (out / "poison_result.json").exists()
+
+
+def test_config_that_is_not_json_is_usage_error(tmp_path, signal_json):
+    # a config that does not parse is refused as a bad value is (exit 1)
+    series_csv = tmp_path / "series.csv"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"schema": "aepoison/grid/v1", "axes": ')
+    out = tmp_path / "out"
+    commands = [
+        ["--out-dir", str(out), "grid", "--spec", str(broken)],
+        ["gen", "--spec", str(broken), "--out", str(out)],
+        ["train", "--series", str(series_csv), "--detector", str(broken), "--out", str(out)],
+    ]
+    for argv in commands:
+        assert main(argv) == 1, argv
+        assert not out.exists(), argv
+
+
+def test_csv_cell_that_is_not_a_number_is_usage_error(tmp_path, detector_json):
+    # a bad CSV is a bad input (exit 1); a missing one is a runtime error (exit 2)
+    broken = tmp_path / "broken.csv"
+    broken.write_text("ch0,ch1\n0.1,0.2\n0.3,abc\n")
+    out, stats = tmp_path / "out.csv", tmp_path / "stats.json"
+    commands = [
+        ["ingest", "--csv", str(broken), "--out", str(out), "--stats-out", str(stats)],
+        ["train", "--series", str(broken), "--detector", str(detector_json), "--out", str(out)],
+    ]
+    for argv in commands:
+        assert main(argv) == 1, argv
+        assert not out.exists() and not stats.exists(), argv
+    missing = ["ingest", "--csv", str(tmp_path / "missing.csv"), "--out", str(out), "--stats-out", str(stats)]
+    assert main(missing) == 2

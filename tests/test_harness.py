@@ -104,6 +104,11 @@ class TestBuildExperiment:
         data = build_experiment(fast_cell(attack_magnitude=0.3, signal_length=60))
         assert attacked_rows(data)[0] == 35
 
+    def test_anchor_backs_off_to_the_first_period(self):
+        # length 25: SIN_BOTTOM's anchor 55 backs off to 15, and rows [15, 22) fit
+        data = build_experiment(fast_cell(attack_magnitude=0.3, signal_length=25))
+        assert attacked_rows(data) == (15, 22)
+
     def test_attack_touches_only_target_feature(self):
         data = build_experiment(fast_cell(attack_magnitude=0.4))
         assert np.array_equal(data.attack.values[:, 1], data.clean.values[:, 1])
@@ -211,6 +216,11 @@ class TestGridSpec:
             ("learning_rate", -1),
             ("adv_learning_rate", 0),
             ("period", 1),
+            # an attack the cell cannot place: rows [a, a + 7) of the 60
+            ("attack_location", 500),
+            ("attack_location", -3),
+            ("attack_location", 55),
+            ("signal_length", 20),  # SIN_BOTTOM backs off no further than rows [15, 22)
         ],
     )
     def test_value_its_run_would_refuse_is_refused_up_front(self, key, value):

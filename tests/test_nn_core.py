@@ -416,6 +416,16 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match=f"at step {steps}$"):
             train(init_params(small_cfg(init_seed=1)), x, TrainConfig(lr, 100, stop_loss=1e-300))
 
+    @pytest.mark.parametrize("max_epochs", [0, 100])
+    @pytest.mark.parametrize("entry", [np.nan, 1e300])
+    def test_non_finite_initial_loss_diverges_at_step_0(self, max_epochs, entry):
+        # the loss is tested before the stop rule, so a fit of no epochs raises too
+        x = self.batch().copy()
+        x[0, 0] = entry
+        cfg = TrainConfig(0.1, max_epochs, stop_loss=1e-300, record_trajectory=True)
+        with pytest.raises(TrainingDiverged, match="at step 0$"):
+            train(init_params(small_cfg(init_seed=1)), x, cfg)
+
     def test_deterministic_training(self):
         a, _, _ = train(init_params(small_cfg(init_seed=2)), self.batch(), TrainConfig(0.3, 200, 1e-9))
         b, _, _ = train(init_params(small_cfg(init_seed=2)), self.batch(), TrainConfig(0.3, 200, 1e-9))
@@ -440,8 +450,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("max_epochs, stop_loss", [(0, 1e-12), (63, 1e-12), (64, 1e-12), (129, 1e-12), (3000, 0.3309)])
     def test_trajectory_of_any_length_matches_plain_loop(self, max_epochs, stop_loss):
-        # checkpoints fill a block that grows as it fills (64 rows, then
-        # doubling) and is cut to length; 0.3309 stops after 22 of 3,000
+        # checkpoints fill the first rows of one block of max_epochs + 1 rows,
+        # which is cut to the steps run; 0.3309 stops after 22 of 3,000
         x = self.batch()
         p = init_params(small_cfg(init_seed=1))
         ref = [p.flatten()]

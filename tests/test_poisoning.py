@@ -91,6 +91,21 @@ class TestExperimentData:
         with pytest.raises(ValueError, match="empty training set"):
             replace(data, train=())
 
+    def test_clean_series_of_another_shape_is_refused(self):
+        # its span of rows is the benign starting poison for the attack's span
+        data, _, _ = multi_seq_setup(size=1)
+        for rows in (data.clean.values[:60], np.hstack([data.clean.values, data.clean.values[:, :1]])):
+            names = tuple(f"ch{i}" for i in range(rows.shape[1]))
+            with pytest.raises(ValueError, match="clean series shape"):
+                replace(data, clean=SeriesMatrix(rows, names))
+
+    def test_series_naming_other_features_is_refused(self):
+        data, _, _ = multi_seq_setup(size=2)
+        renamed = SeriesMatrix(data.clean.values, ("a", "b"))
+        for field_name, value in (("clean", renamed), ("val", renamed), ("train", (data.train[0], renamed))):
+            with pytest.raises(ValueError, match="attack's features"):
+                replace(data, **{field_name: value})
+
 
 class TestPoisonSpan:
     def test_window_footprint_plus_margin(self):
@@ -301,6 +316,35 @@ class TestGetPoisonGrad:
         assert np.all(g == 0.0)
 
 
+def reference_attack_init(data, params, cfg, dcfg):
+    """attack-based init_poison as a plain two-phase walk: test the attack,
+    then step from the lowest-loss sequence so far, decaying the rate after a
+    step that does not lower the loss. Returns (values, iteration, source)."""
+    lo, hi = data.span
+    best = data.attack.values[lo:hi]
+    if score(params, data.attack.with_values(best), dcfg).alert_count == 0:
+        return best, 0, "attack-init"
+    lr, failed = cfg.adv_learning_rate, 0
+    best_loss = series_loss(params, data.attack.with_values(best), dcfg)
+    for it in range(1, cfg.max_iters + 1):
+        g = poisoning.series_objective_grad(params, data.attack.with_values(best), dcfg)
+        gmax = float(np.max(np.abs(g)))
+        if gmax < 1e-12:
+            break
+        cand = best - lr * g / gmax
+        if score(params, data.attack.with_values(cand), dcfg).alert_count == 0:
+            return cand, it, "attack-init"
+        cur_loss = series_loss(params, data.attack.with_values(cand), dcfg)
+        if cur_loss < best_loss:
+            best, best_loss, failed, lr = cand, cur_loss, 0, cfg.adv_learning_rate
+        else:
+            failed += 1
+            lr *= poisoning.DECAY**failed
+            if lr <= LAMBDA_EPS:
+                break
+    return data.clean.values[lo:hi], 0, "attack-init-fallback-benign"
+
+
 class TestInitPoison:
     def test_benign_mode_returns_pure_signal_slice(self):
         data, dcfg, tcfg = multi_seq_setup(size=4)
@@ -335,6 +379,38 @@ class TestInitPoison:
         assert score(base.params, cand, dcfg).alert_count == 0
         loss_attack = series_loss(base.params, SeriesMatrix(attack_slice, attacked.feature_names), dcfg)
         assert series_loss(base.params, cand, dcfg) < loss_attack
+
+    def test_walk_that_finds_no_quiet_sequence_falls_back_to_benign(self):
+        # three steps of 0.05 do not quiet a 1.0 attack
+        data, dcfg, tcfg = multi_seq_setup(size=4, magnitude=1.0)
+        base = train_test(run_state(data, dcfg, tcfg))
+        cfg = PoisonConfig(init_mode="attack-based", adv_learning_rate=0.05, max_iters=3)
+        p = init_poison(data, base.params, cfg, dcfg)
+        lo, hi = data.span
+        assert p.source == "attack-init-fallback-benign"
+        assert (p.kind, p.iteration_born, p.span) == ("adversarial", 0, data.span)
+        assert np.array_equal(p.values, data.clean.values[lo:hi])
+
+    @pytest.mark.parametrize(
+        "magnitude, rate, iters, ascent",
+        [
+            (0.05, 0.3, 50, False),  # the attack is already quiet
+            (1.0, 0.05, 3, False),  # the budget runs out
+            (3.0, 5.0, 100, False),  # quiet at step 13, after 10 rejected steps
+            (1.0, 0.3, 100, True),  # every step rejected down to the rate floor
+        ],
+    )
+    def test_attack_based_walk_matches_two_phase_reference(self, monkeypatch, magnitude, rate, iters, ascent):
+        data, dcfg, tcfg = multi_seq_setup(size=4, magnitude=magnitude)
+        base = train_test(run_state(data, dcfg, tcfg))
+        if ascent:
+            grad = poisoning.series_objective_grad
+            monkeypatch.setattr(poisoning, "series_objective_grad", lambda *args: -grad(*args))
+        cfg = PoisonConfig(init_mode="attack-based", adv_learning_rate=rate, max_iters=iters)
+        p = init_poison(data, base.params, cfg, dcfg)
+        values, iteration, source = reference_attack_init(data, base.params, cfg, dcfg)
+        assert (p.iteration_born, p.source) == (iteration, source)
+        assert np.array_equal(p.values, values)
 
 
 class TestPoisonInterp:
