@@ -19,7 +19,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .detector import DetectorConfig, load_detector, save_detector, score
+from .detector import DetectorConfig, check_series, load_detector, save_detector, score
 from .harness import GridSpec, export, run_grid
 from .nn_core import ModelConfig, TrainConfig
 from .poisoning import ExperimentData, PoisonConfig, TrainCache, poison_span, run_pipeline
@@ -116,8 +116,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     with _usage(args.model):  # a key no field reads, or a bad value
         params, cfg = load_detector(args.model)
-    with _usage():
+    with _usage():  # also a series the detector cannot window
         series = ingest_csv(args.series)
+        check_series(series, cfg)
     report = score(params, series, cfg)
     report.write_json(args.out)
     print(f"{report.alert_count} alert(s); report at {args.out}")
@@ -126,7 +127,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_poison(args: argparse.Namespace) -> int:
     cfg, train_cfg = _load_config(args.detector, "detector", _detector_parts)
-    with _usage():
+    with _usage():  # also a series the detector cannot window
         poison_cfg = PoisonConfig(
             init_mode="attack-based" if args.init == "attack" else "benign-data",
             seed=args.seed if args.seed is not None else 0,
@@ -145,6 +146,8 @@ def _cmd_poison(args: argparse.Namespace) -> int:
             attack=attack,
             span=span,
         )
+        for series in (*data.train, data.val, data.clean, attack):
+            check_series(series, cfg)
     _, result = run_pipeline(data, args.algo, poison_cfg, detector_cfg=cfg, train_cfg=train_cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

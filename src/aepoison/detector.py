@@ -24,6 +24,7 @@ from .timeseries import SeriesMatrix, window
 __all__ = [
     "DetectorConfig",
     "AlertReport",
+    "check_series",
     "window_batch",
     "reconstruct_series",
     "score",
@@ -78,7 +79,8 @@ class AlertReport:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2))
 
 
-def _check_series(series: SeriesMatrix, cfg: DetectorConfig) -> None:
+def check_series(series: SeriesMatrix, cfg: DetectorConfig) -> None:
+    """Refuse a series of another feature count, or shorter than a window."""
     if series.num_features != cfg.num_features:
         raise ValueError(
             f"series has {series.num_features} features, detector expects {cfg.num_features}"
@@ -91,7 +93,7 @@ def _check_series(series: SeriesMatrix, cfg: DetectorConfig) -> None:
 
 def window_batch(series: SeriesMatrix, cfg: DetectorConfig) -> np.ndarray:
     """Flattened (count, l*N) window batch; rows are windows, time-major."""
-    _check_series(series, cfg)
+    check_series(series, cfg)
     wins = window(series, cfg.window_length)
     return wins.reshape(wins.shape[0], -1)
 

@@ -183,16 +183,18 @@ def build_experiment(cell: CellConfig) -> ExperimentData:
     return ExperimentData(train, val, clean, attack, span)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MetricsRecord:
+    """One cell's outcome; the outcome fields default to an errored cell's."""
+
     cell: dict
     repetition: int
-    success: bool
-    baseline_attack_alerts: int
-    poison_point_count: int
-    clean_pads: int
-    optimization_iterations: int
-    termination: str
+    success: bool = False
+    baseline_attack_alerts: int = 0
+    poison_point_count: int = 0
+    clean_pads: int = 0
+    optimization_iterations: int = 0
+    termination: str = "error"
     wall_time_s: float
     error: str | None = None
 
@@ -222,14 +224,6 @@ def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
     t0 = time.perf_counter()
     result: PoisonResult | None = None
     data: ExperimentData | None = None
-    outcome = dict(
-        success=False,
-        baseline_attack_alerts=0,
-        poison_point_count=0,
-        clean_pads=0,
-        optimization_iterations=0,
-        termination="error",
-    )
     try:
         data = build_experiment(cell)
         baseline, result = run_pipeline(
@@ -244,7 +238,7 @@ def run_cell(cell: CellConfig, repetition: int = 0, keep_result: bool = False):
             termination=result.termination,
         )
     except Exception as exc:  # cell failures are data, not crashes
-        outcome["error"] = f"{type(exc).__name__}: {exc}"
+        outcome = {"error": f"{type(exc).__name__}: {exc}"}
     record = MetricsRecord(cell=cell.to_dict(), repetition=repetition, wall_time_s=time.perf_counter() - t0, **outcome)
     if keep_result:
         return record, result, data

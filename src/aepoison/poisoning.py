@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 _INIT_MODES = ("benign-data", "attack-based")
-_TERMINATIONS = ("goal-met", "lambda-floor", "iter-budget", "over-poison-unrecoverable")
+_TERMINATIONS = ("goal-met", "lambda-floor", "zero-gradient", "iter-budget", "over-poison-unrecoverable")
 DECAY = 0.9  # step-rate decay after a rejected step
 LAMBDA_EPS = 1e-5  # floor of the adversarial learning rate
 INTERP_EPS = 1e-7  # floor of an interp step
@@ -99,33 +99,31 @@ class PoisonConfig:
 
 @dataclass(frozen=True, eq=False)
 class PoisonPoint:
-    """One candidate poisoning sequence.
+    """One candidate poisoning sequence: a series of the attack's features.
 
-    `span` records which rows of the attacked series the values correspond
-    to (the attack's window footprint plus context margin); clean pads reuse
+    `span` records which rows of the attacked series the series corresponds
+    to (the attack's window footprint plus context margin); clean pads copy
     the training sequences and span their full length. Points compare and
     hash by identity.
     """
 
-    values: np.ndarray
+    series: SeriesMatrix
     iteration_born: int = 0
     span: tuple[int, int] = (0, 0)
     kind: str = "adversarial"
     source: str = ""
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if values.ndim != 2:
-            raise ValueError(f"poison values must be 2-D (rows x features), got {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError("poison values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
         if self.kind not in ("adversarial", "clean-pad"):
             raise ValueError(f"unknown poison kind {self.kind!r}")
 
-    def as_series(self, template: SeriesMatrix) -> SeriesMatrix:
-        return template.with_values(self.values)
+    @property
+    def values(self) -> np.ndarray:
+        return self.series.values
+
+    def as_series(self, _like: SeriesMatrix) -> SeriesMatrix:
+        # perfbench/child.py's end-state check still calls this; the package reads `series`
+        return self.series
 
 
 @dataclass(frozen=True)
@@ -164,9 +162,7 @@ class TrainTestResult:
 @dataclass
 class PoisonResult:
     points: list[PoisonPoint]
-    clean_pads: int
     iterations: int
-    success: bool
     termination: str
     algorithm: str
     iteration_log: list[IterationLog] = field(default_factory=list)
@@ -176,6 +172,14 @@ class PoisonResult:
     def __post_init__(self) -> None:
         if self.termination not in _TERMINATIONS:
             raise ValueError(f"unknown termination {self.termination!r}")
+
+    @property
+    def success(self) -> bool:
+        return self.termination == "goal-met"
+
+    @property
+    def clean_pads(self) -> int:
+        return sum(1 for p in self.points if p.kind == "clean-pad")
 
     @property
     def adversarial_point_count(self) -> int:
@@ -250,7 +254,6 @@ class TrainCache:
     """
 
     def __init__(self, train: Sequence[SeriesMatrix], detector_cfg: DetectorConfig, train_cfg: TrainConfig) -> None:
-        self._template = train[0]
         self._detector_cfg = detector_cfg
         self._train_cfg = train_cfg
         self._clean = np.concatenate([window_batch(s, detector_cfg) for s in train], axis=0)
@@ -259,7 +262,7 @@ class TrainCache:
     def fit(self, poisons: tuple[PoisonPoint, ...]) -> tuple[ModelParams, TrainTrajectory | None, float]:
         """The fit on the clean windows, then each point's windows in order:
         new data is appended to the training set."""
-        windows = [window_batch(p.as_series(self._template), self._detector_cfg) for p in poisons]
+        windows = [window_batch(p.series, self._detector_cfg) for p in poisons]
         return nn_core.train(self._init, np.concatenate([self._clean, *windows], axis=0), self._train_cfg)
 
 
@@ -269,14 +272,14 @@ def train_test(state: _RunState, candidate: PoisonPoint | None = None) -> TrainT
     the attack, and every poison input."""
     poisons = tuple(state.points) if candidate is None else (*state.points, candidate)
     params, trajectory, _ = state.cache.fit(poisons)
-    cfg, template, data = state.detector_cfg, state.template, state.data
+    cfg, data = state.detector_cfg, state.data
     return TrainTestResult(
         params=params,
         trajectory=trajectory,
         alerts_val=score(params, data.val, cfg).alert_count,
         alerts_attack=score(params, data.attack, cfg).alert_count,
-        alerts_poisons=sum(score(params, p.as_series(template), cfg).alert_count for p in state.points),
-        alerts_candidate=score(params, candidate.as_series(template), cfg).alert_count if candidate is not None else 0,
+        alerts_poisons=sum(score(params, p.series, cfg).alert_count for p in state.points),
+        alerts_candidate=score(params, candidate.series, cfg).alert_count if candidate is not None else 0,
         attack_loss=series_loss(params, data.attack, cfg),
     )
 
@@ -300,8 +303,7 @@ def get_poison_grad(
     """
     alpha = trajectory.learning_rate
     model_cfg = detector_cfg.model
-    poison_series = poison.as_series(attack_series)
-    pois_batch = window_batch(poison_series, detector_cfg)
+    pois_batch = window_batch(poison.series, detector_cfg)
     atk_batch = window_batch(attack_series, detector_cfg)
 
     cps = trajectory.checkpoints
@@ -317,7 +319,7 @@ def get_poison_grad(
         for end in range(trajectory.steps, 0, -REVERSE_BLOCK):
             for lin in reversed(nn_core._linearize(model_cfg, cps[max(end - REVERSE_BLOCK, 0) : end], pois_batch)):
                 r_gw, r_gx = nn_core.hvp_both(lin, dw)
-                r_gy = _scatter_windows(r_gx, poison_series.length, detector_cfg)
+                r_gy = _scatter_windows(r_gx, poison.series.length, detector_cfg)
                 r_gy *= alpha
                 dyc -= r_gy
                 r_gw *= alpha
@@ -348,7 +350,6 @@ class _RunState:
     cache: TrainCache = field(init=False)
     pad_rng: np.random.Generator = field(init=False)
     points: list[PoisonPoint] = field(default_factory=list)
-    clean_pads: int = 0
     log: list[IterationLog] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -358,10 +359,6 @@ class _RunState:
         self.cache = TrainCache(self.data.train, self.detector_cfg, self.train_cfg)
         self.pad_rng = np.random.default_rng([self.poison_cfg.seed, 0xADD])
 
-    @property
-    def template(self) -> SeriesMatrix:
-        return self.data.train[0]
-
     def pad_clean(self, result: TrainTestResult, candidate: PoisonPoint | None) -> TrainTestResult:
         """Append clean training sequences while validation alerts persist,
         at most as many pads as there are training sequences.
@@ -369,19 +366,18 @@ class _RunState:
         Returns the latest result; validation alerts left in it mean the pad
         budget is spent and the model is over-poisoned beyond repair.
         """
-        while result.alerts_val > 0 and self.clean_pads < len(self.data.train):
+        while result.alerts_val > 0 and sum(1 for p in self.points if p.kind == "clean-pad") < len(self.data.train):
             idx = int(self.pad_rng.integers(len(self.data.train)))
             seq = self.data.train[idx]
             self.points.append(
                 PoisonPoint(
-                    seq.values,
+                    seq.with_values(seq.values),
                     iteration_born=len(self.log),
                     span=(0, seq.length),
                     kind="clean-pad",
                     source=f"train[{idx}]",
                 )
             )
-            self.clean_pads += 1
             result = train_test(self, candidate)
         return result
 
@@ -409,9 +405,7 @@ class _RunState:
         """The run's result, ending on the retrained detector `final`."""
         return PoisonResult(
             points=list(self.points),
-            clean_pads=self.clean_pads,
             iterations=iterations,
-            success=termination == "goal-met",
             termination=termination,
             algorithm=self.algorithm,
             iteration_log=list(self.log),
@@ -434,7 +428,7 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
     padding the poison set with clean sequences.
     """
     cfg = state.poison_cfg
-    y0_alerts = score(baseline.params, y_c0.as_series(state.template), state.detector_cfg).alert_count
+    y0_alerts = score(baseline.params, y_c0.series, state.detector_cfg).alert_count
     if y0_alerts > 0:
         raise ValueError(
             f"initial poison raises {y0_alerts} alert(s) under the baseline model; "
@@ -461,10 +455,9 @@ def poison_backgrad(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoi
         gmax = float(np.max(np.abs(dyc)))
         if gmax < 1e-12:
             state.record(i, lam, result, False, "zero poison gradient")
-            return state.finish("lambda-floor", grad_iters, result)
-        y_new = PoisonPoint(
-            y_c.values - lam * dyc / gmax, iteration_born=i, span=y_c.span, source="gradient-step"
-        )
+            return state.finish("zero-gradient", grad_iters, result)
+        stepped = y_c.series.with_values(y_c.values - lam * dyc / gmax)
+        y_new = PoisonPoint(stepped, iteration_born=i, span=y_c.span, source="gradient-step")
 
         result2 = state.pad_clean(train_test(state, y_new), y_new)
         if result2.alerts_val:
@@ -515,9 +508,10 @@ def poison_interp(state: _RunState, baseline: TrainTestResult, y_c0: PoisonPoint
         if float(np.max(np.abs(step))) <= INTERP_EPS:
             state.record(iterations, rate, result, False, "step below floor")
             return state.finish("lambda-floor", iterations, result)
-        candidate = PoisonPoint(y_p.values + step, iteration_born=iterations, span=span, source="interp-step")
+        stepped = y_p.series.with_values(y_p.values + step)
+        candidate = PoisonPoint(stepped, iteration_born=iterations, span=span, source="interp-step")
 
-        cand_alerts = score(result.params, candidate.as_series(state.template), state.detector_cfg).alert_count
+        cand_alerts = score(result.params, candidate.series, state.detector_cfg).alert_count
         if cand_alerts > 0:
             rate *= DECAY
             state.record(
@@ -553,11 +547,11 @@ def init_poison(
     longer alerts (the closest quiet sequence to the attack); if none does, it
     falls back to the benign values, flagged in `source`.
     """
-    attack, span = data.attack, data.span
+    attack, clean, span = data.attack, data.clean, data.span
     lo, hi = span
 
     def benign(source: str) -> PoisonPoint:
-        return PoisonPoint(data.clean.values[lo:hi], iteration_born=0, span=span, source=source)
+        return PoisonPoint(clean.with_values(clean.values[lo:hi]), iteration_born=0, span=span, source=source)
 
     if cfg.init_mode == "benign-data":
         return benign("benign-init")
@@ -575,7 +569,7 @@ def init_poison(
             cand = best - lr * g / gmax
         cand_series = attack.with_values(cand)
         if score(params, cand_series, detector_cfg).alert_count == 0:
-            return PoisonPoint(cand, iteration_born=it, span=span, source="attack-init")
+            return PoisonPoint(cand_series, iteration_born=it, span=span, source="attack-init")
         cur_loss = series_loss(params, cand_series, detector_cfg)
         if it == 0 or cur_loss < best_loss:  # the attack itself is the first best
             best = cand

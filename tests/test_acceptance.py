@@ -238,7 +238,8 @@ class TestAC1NumericalOracles:
                     p = ModelParams(cfg, p.flatten() - lr * nn_core.grad_w(p, pb))
                 return series_loss(p, attack, dcfg)
 
-            analytic = get_poison_grad(traj, attack, PoisonPoint(poison_values[:, None], span=(0, 6)), dcfg)
+            poison = PoisonPoint(SeriesMatrix(poison_values[:, None], ("x",)), span=(0, 6))
+            analytic = get_poison_grad(traj, attack, poison, dcfg)
             h = 1e-5
             fd = np.zeros(6)
             for i in range(6):
@@ -382,12 +383,11 @@ class TestAC7EndStateContract:
                 continue
             checked += 1
             dcfg = CellConfig.from_dict(record.cell).detector_config()
-            template = data.train[0]
             assert score(result.final_params, data.val, dcfg).alert_count == 0, record.cell
             assert score(result.final_params, data.attack, dcfg).alert_count == 0, record.cell
             for p in result.points:
                 assert (
-                    score(result.final_params, p.as_series(template), dcfg).alert_count == 0
+                    score(result.final_params, p.series, dcfg).alert_count == 0
                 ), record.cell
             if record.engaged:
                 engaged += 1

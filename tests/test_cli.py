@@ -571,3 +571,29 @@ def test_csv_cell_that_is_not_a_number_is_usage_error(tmp_path, detector_json):
         assert not out.exists() and not stats.exists(), argv
     missing = ["ingest", "--csv", str(tmp_path / "missing.csv"), "--out", str(out), "--stats-out", str(stats)]
     assert main(missing) == 2
+
+
+@pytest.mark.parametrize("command", ["train", "score", "poison"])
+def test_series_that_does_not_fit_the_detector_is_usage_error(tmp_path, signal_json, detector_json, command, capsys):
+    # a 1-feature series against a detector over 2 features is refused before the run: exit 1, no output
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("ch0\n" + "".join(f"{np.sin(t / 3.0):.6f}\n" for t in range(100)))
+    model = tmp_path / "model.npz"
+    if command == "score":
+        series_csv = tmp_path / "series.csv"
+        assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+        assert main(["train", "--series", str(series_csv), "--detector", str(detector_json), "--out", str(model)]) == 0
+    range_json = tmp_path / "range.json"
+    range_json.write_text(json.dumps({"schema": "aepoison/attack-range/v1", "start": 55, "stop": 60, "period": 20}))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--series", str(narrow), "--detector", str(detector_json), "--out", str(out)],
+        "score": ["score", "--model", str(model), "--series", str(narrow), "--out", str(out)],
+        "poison": ["--out-dir", str(out), "poison", "--algo", "interp", "--train", str(narrow), "--val", str(narrow),
+                   "--attack", str(narrow), "--clean", str(narrow), "--attack-range", str(range_json),
+                   "--detector", str(detector_json), "--max-iters", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()

@@ -136,6 +136,8 @@ class TestRunCell:
         assert rec.error is not None
         assert not rec.success
         assert rec.termination == "error"
+        # every outcome field is the errored record's default
+        assert rec == MetricsRecord(cell=rec.cell, repetition=0, wall_time_s=rec.wall_time_s, error=rec.error)
 
     @pytest.mark.parametrize("magnitude, iterations", [(0.2, 3), (0.3, 5)])
     def test_backgrad_cell_trains_no_batch_twice(self, monkeypatch, magnitude, iterations):
@@ -443,6 +445,20 @@ class TestExport:
         lines = (tmp_path / "exp" / "plot_max_magnitude_vs_training_size.csv").read_text().splitlines()
         assert lines == ["algorithm,training_set_size,largest_successful_magnitude", "interp,4,0.3"]
         assert max_poisonable_magnitude(records) == 0.1
+
+    def test_records_keep_their_column_order(self, tmp_path):
+        # records.csv and records.json are published formats: cell keys sorted, then the record's fields in order
+        record = MetricsRecord(cell={"seed": 3, "algorithm": "interp"}, repetition=1, wall_time_s=0.5)
+        export([record], tmp_path / "exp")
+        header = (tmp_path / "exp" / "records.csv").read_text().splitlines()[0]
+        assert header == (
+            "algorithm,seed,repetition,success,baseline_attack_alerts,poison_point_count,clean_pads,"
+            "optimization_iterations,termination,wall_time_s,error"
+        )
+        assert list(json.loads((tmp_path / "exp" / "records.json").read_text())[0]) == [
+            "schema", "cell", "repetition", "success", "baseline_attack_alerts", "poison_point_count", "clean_pads",
+            "optimization_iterations", "termination", "wall_time_s", "error",
+        ]
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no records"):

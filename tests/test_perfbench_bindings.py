@@ -1,7 +1,10 @@
-"""The benchmark's tracer patches package functions by name; an API change
-that drops or moves one must fail here, not in a benchmark run."""
+"""The benchmark's tracer patches package functions by name, and its child
+process reads every kept run; an API change that drops or moves what either
+uses must fail here, not in a benchmark run."""
 
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +14,27 @@ from test_harness import fast_cell
 from aepoison import harness, nn_core
 from aepoison.timeseries import SeriesMatrix
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracing")
+
+
+@pytest.fixture(scope="module")
+def child(tracing):
+    # child.py imports its sibling as `tracing`, as it does when run from perfbench/
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "tracing", tracing)
+        return load("child")
 
 
 def test_every_traced_function_resolves(tracing):
@@ -51,6 +66,15 @@ def test_kept_run_data_has_what_the_end_state_check_reads():
     assert isinstance(data.train, tuple) and data.train
     assert all(isinstance(s, SeriesMatrix) for s in data.train)
     assert isinstance(data.val, SeriesMatrix) and isinstance(data.attack, SeriesMatrix)
+
+
+def test_child_digests_and_checks_a_kept_run(child):
+    # the positional call ResultLog makes; the digest reads to_json_dict and
+    # final_params, the end-state check reads every point's series
+    record, result, data = harness.run_cell(fast_cell(attack_magnitude=0.3), 0, keep_result=True)
+    assert record.success and result.points
+    assert re.fullmatch(r"[0-9a-f]{64}", child.digest(record, result))
+    assert child.contract_violations(record, result, data) == []
 
 
 def test_counters_count_one_recorded_fit(tracing):

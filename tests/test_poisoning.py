@@ -148,11 +148,11 @@ class TestTrainTest:
         data, dcfg, tcfg = multi_seq_setup(size=4)
         state = run_state(data, dcfg, replace(tcfg, max_epochs=5))
         clean, span = data.clean, data.span
-        state.points.append(PoisonPoint(clean.values, span=(0, clean.length), kind="clean-pad"))
-        cand = PoisonPoint(clean.values[span[0] : span[1]], span=span)
+        state.points.append(PoisonPoint(clean, span=(0, clean.length), kind="clean-pad"))
+        cand = PoisonPoint(clean.with_values(clean.values[span[0] : span[1]]), span=span)
         train_test(state, cand)
         expected = [window_batch(s, dcfg) for s in data.train]
-        expected += [window_batch(p.as_series(data.train[0]), dcfg) for p in (*state.points, cand)]
+        expected += [window_batch(p.series, dcfg) for p in (*state.points, cand)]
         assert len(train_batches) == 1
         assert np.array_equal(train_batches[0], np.concatenate(expected))
 
@@ -183,7 +183,8 @@ class TestTrainCache:
         data, dcfg, tcfg = multi_seq_setup(size=3)
         state = run_state(data, dcfg, replace(tcfg, max_epochs=20), algorithm="backgrad")
         a, b = data.span
-        params, trajectory, _ = state.cache.fit((PoisonPoint(data.clean.values[a:b], span=data.span),))
+        poison = PoisonPoint(data.clean.with_values(data.clean.values[a:b]), span=data.span)
+        params, trajectory, _ = state.cache.fit((poison,))
         assert trajectory is not None
         fitted = weakref.ref(params)
         del params, trajectory
@@ -217,7 +218,7 @@ class TestGetPoisonGrad:
         )
         assert traj.steps == steps
 
-        poison = PoisonPoint(poison_values[:, None], span=(0, 6))
+        poison = PoisonPoint(tiny_series(poison_values), span=(0, 6))
         analytic = get_poison_grad(traj, attack, poison, dcfg)
 
         h = 1e-5
@@ -242,7 +243,7 @@ class TestGetPoisonGrad:
         w0 = nn_core.init_params(dcfg.model)
         batch = window_batch(tiny_series(poison_values), dcfg)
         _, traj, _ = nn_core.train(w0, batch, TrainConfig(lr, 1, 1e-12, record_trajectory=True))
-        poison = PoisonPoint(poison_values[:, None], span=(0, 5))
+        poison = PoisonPoint(tiny_series(poison_values), span=(0, 5))
         analytic = get_poison_grad(traj, attack, poison, dcfg)
         h = 1e-6
         fd = np.zeros(5)
@@ -262,8 +263,8 @@ class TestGetPoisonGrad:
         plus poison windows, and that reversal as a loop of public calls."""
         exp, dcfg, _ = multi_seq_setup(size=3)
         attacked, (a, b) = exp.attack, exp.span
-        poison = PoisonPoint(exp.clean.values[a:b], span=exp.span)
-        poison_series = poison.as_series(attacked)
+        poison = PoisonPoint(exp.clean.with_values(exp.clean.values[a:b]), span=exp.span)
+        poison_series = poison.series
         pois_batch = window_batch(poison_series, dcfg)
         data = np.vstack([window_batch(s, dcfg) for s in exp.train] + [pois_batch])
         w0 = nn_core.init_params(dcfg.model)
@@ -311,7 +312,7 @@ class TestGetPoisonGrad:
         dcfg = tiny_detector()
         w0 = nn_core.init_params(dcfg.model)
         traj = nn_core.TrainTrajectory(w0.flatten()[None], 0.05)
-        poison = PoisonPoint(np.zeros((4, 1)), span=(0, 4))
+        poison = PoisonPoint(tiny_series(np.zeros(4)), span=(0, 4))
         g = get_poison_grad(traj, tiny_series(np.ones(6)), poison, dcfg)
         assert np.all(g == 0.0)
 
@@ -375,7 +376,7 @@ class TestInitPoison:
         p = init_poison(
             data, base.params, PoisonConfig(init_mode="attack-based", adv_learning_rate=0.05, max_iters=200), dcfg
         )
-        cand = p.as_series(data.train[0])
+        cand = p.series
         assert score(base.params, cand, dcfg).alert_count == 0
         loss_attack = series_loss(base.params, SeriesMatrix(attack_slice, attacked.feature_names), dcfg)
         assert series_loss(base.params, cand, dcfg) < loss_attack
@@ -521,13 +522,22 @@ class TestPoisonBackgrad:
         if r.termination != "lambda-floor":
             assert all(l > LAMBDA_EPS for l in lams)
 
+    def test_zero_gradient_ends_the_run_as_zero_gradient(self, monkeypatch):
+        # a vanishing gradient is its own stop, not the step-size floor
+        data, dcfg, tcfg = self.backgrad_setup(size=6, magnitude=0.3)
+        monkeypatch.setattr(poisoning, "get_poison_grad", lambda traj, atk, poison, cfg: np.zeros_like(poison.values))
+        r = run_pipeline(data, "backgrad", PoisonConfig(seed=2, max_iters=10), detector_cfg=dcfg, train_cfg=tcfg)[1]
+        assert r.termination == "zero-gradient"
+        assert not r.success
+        assert r.iterations == 1
+        assert r.iteration_log[-1].action == "zero poison gradient"
+
 
 class TestPoisonResult:
     def test_json_round_trip_and_points_csv(self, tmp_path):
-        p = PoisonPoint(np.ones((3, 2)), iteration_born=1, span=(5, 8))
+        p = PoisonPoint(SeriesMatrix(np.ones((3, 2)), ("a", "b")), iteration_born=1, span=(5, 8))
         r = PoisonResult(
-            points=[p], clean_pads=0, iterations=2, success=True,
-            termination="goal-met", algorithm="interp",
+            points=[p], iterations=2, termination="goal-met", algorithm="interp",
             iteration_log=[IterationLog(1, 0.3, 2, 3, 4, 0.001, True, "ok", 5)],
         )
         jpath = tmp_path / "result.json"
@@ -547,8 +557,26 @@ class TestPoisonResult:
         assert len(lines) == 4
 
     def test_unknown_termination_rejected(self):
-        with pytest.raises(ValueError, match="termination"):
-            PoisonResult([], 0, 0, False, 0.0, "gave-up", "interp")
+        with pytest.raises(ValueError, match="unknown termination 'gave-up'"):
+            PoisonResult(points=[], iterations=0, termination="gave-up", algorithm="interp")
+
+    def test_success_and_pad_count_follow_termination_and_points(self):
+        series = SeriesMatrix(np.zeros((3, 1)), ("x",))
+        points = [PoisonPoint(series, kind="clean-pad"), PoisonPoint(series), PoisonPoint(series, kind="clean-pad")]
+        met = PoisonResult(points=points, iterations=1, termination="goal-met", algorithm="interp")
+        spent = replace(met, termination="iter-budget")
+        assert (met.success, met.clean_pads, met.adversarial_point_count) == (True, 2, 1)
+        assert (spent.success, spent.clean_pads) == (False, 2)
+        assert PoisonResult(points=[], iterations=0, termination="goal-met", algorithm="interp").clean_pads == 0
+
+    def test_json_keys_keep_their_order(self):
+        # poison_result.json's layout is a published format
+        r = PoisonResult(points=[], iterations=0, termination="iter-budget", algorithm="backgrad")
+        assert list(r.to_json_dict()) == [
+            "schema", "algorithm", "success", "termination", "iterations", "clean_pads", "poison_points",
+            "final_alerts", "points", "iteration_log",
+        ]
+        assert r.to_json_dict()["success"] is False
 
 
 class TestLeverageBound:
@@ -566,7 +594,7 @@ class TestLeverageBound:
         dcfg = cell.detector_config()
         cache = poisoning.TrainCache(data.train, dcfg, cell.train_config())
         a, b = data.span
-        copy = PoisonPoint(data.attack.values[a:b], span=data.span)
+        copy = PoisonPoint(data.attack.with_values(data.attack.values[a:b]), span=data.span)
         for k in range(3):
             params, _, _ = cache.fit((copy,) * k)
             report = score(params, data.attack, dcfg)
