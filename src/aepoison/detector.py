@@ -43,8 +43,8 @@ class DetectorConfig:
     threshold: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be > 0")
+        if not 0 < self.threshold < np.inf:
+            raise ValueError("threshold must be finite and > 0")
         if self.window_length < 1:
             raise ValueError(f"window length must be >= 1, got {self.window_length}")
         if self.model.input_size % self.window_length != 0:

@@ -9,15 +9,18 @@ is plain full-batch gradient descent on a copy of that vector. Each fit
 makes one set of work buffers (every layer's activation, output gradient,
 slope and delta, plus the residual) and one flat gradient buffer, which
 every epoch overwrites, with the bits of the plain allocating expressions,
-before it updates the vector in place; an epoch allocates no array. A tall
-batch adds each bias to a tile of rows, then the tile to the activation
-seen as rows of that tile's size. A trajectory records the vector after
-every step as a row of one read-only block, so the training process can be
-reversed step by step; a reversal linearizes a block of checkpoints at once
-and runs each tangent pass alone.
+before it updates the vector in place; an epoch allocates no array. Batches
+run feature-major: each layer's input is a (width + 1, rows) array whose last
+row is ones, so one matmul with the layer's [W; b] view gives its output
+biases included, and one matmul with its delta gives its weight and bias
+gradients at once. A trajectory records the vector after every step as a row
+of one read-only block, so the training process can be reversed step by
+step; a reversal linearizes a block of checkpoints at once and runs each
+tangent pass alone.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
-layer-major, weights then bias, weights raveled row-major (in_dim x out_dim).
+layer-major, weights then bias, weights raveled row-major (in_dim x out_dim),
+so each layer's segment is the row-major (in_dim + 1, out_dim) array [W; b].
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from math import isfinite, isqrt
+from math import inf, isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,8 +92,8 @@ class ModelConfig:
             raise ValueError("inflation_factor must be >= 1")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; have {sorted(_ACTIVATIONS)}")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        if not 0 <= self.init_scale < inf:
+            raise ValueError("init_scale must be finite and >= 0")
         # derived once; plain attributes, not fields, so repr/eq/hash/to_dict
         # still see only the six fields above
         wide = self.inflation_factor * self.input_size
@@ -114,34 +117,31 @@ class ModelConfig:
         return cls(**data)
 
 
-_Layers = Sequence[tuple[np.ndarray, np.ndarray]]
+_Layers = Sequence[np.ndarray]
 
 
-def _unflatten(cfg: ModelConfig, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per-layer (W, b) views into a flat vector of cfg.num_params entries, or
-    into each row of a (K, num_params) block as (K, in, out) weights and
-    (K, 1, out) biases, which broadcast over every model's batch rows."""
+def _unflatten(cfg: ModelConfig, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-layer (in + 1, out) [W; b] views into a flat vector of
+    cfg.num_params entries, or (K, in + 1, out) views into each row of a
+    (K, num_params) block."""
     lead = vec.shape[:-1]
     layers = []
     pos = 0
     for nin, nout in cfg.layer_dims():
-        w = vec[..., pos : pos + nin * nout].reshape(*lead, nin, nout)
-        pos += nin * nout
-        b = vec[..., pos : pos + nout]
-        layers.append((w, b[:, None] if lead else b))
-        pos += nout
+        layers.append(vec[..., pos : pos + (nin + 1) * nout].reshape(*lead, nin + 1, nout))
+        pos += (nin + 1) * nout
     return tuple(layers)
 
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """One flat parameter vector, stored read-only, and per-layer (W, b)
+    """One flat parameter vector, stored read-only, and per-layer [W; b]
     views of it. A writable input is copied; a read-only one (a trained
     vector, a trajectory row) is kept as it is."""
 
     config: ModelConfig
     vector: np.ndarray
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    layers: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vec = np.asarray(self.vector, dtype=np.float64)
@@ -167,12 +167,12 @@ class TrainConfig:
     record_trajectory: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0 <= self.learning_rate < inf:
+            raise ValueError("learning rate must be finite and >= 0")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if self.stop_loss <= 0:
-            raise ValueError("stop_loss must be > 0")
+        if not 0 < self.stop_loss < inf:
+            raise ValueError("stop_loss must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +192,8 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     """Uniform weights in [-init_scale, init_scale], zero biases, seeded."""
     rng = np.random.default_rng(cfg.init_seed)
     vec = np.zeros(cfg.num_params)
-    for w, _ in _unflatten(cfg, vec):
-        w[...] = rng.uniform(-cfg.init_scale, cfg.init_scale, size=w.shape)
+    for wb in _unflatten(cfg, vec):
+        wb[:-1] = rng.uniform(-cfg.init_scale, cfg.init_scale, size=wb[:-1].shape)
     return ModelParams(cfg, vec)
 
 
@@ -207,63 +207,37 @@ def _batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-# The private passes below take the config, raw (W, b) layers and a _Work;
+# The private passes below take the config, raw [W; b] layers and a _Work;
 # the public functions check their batch once and pass params.layers down.
 
 
-# A batch adds its biases by tiles when that runs at least this many fewer of
-# numpy's inner loops: a ufunc over a (rows, width) array runs one loop of
-# width entries per row, about 4-5 ns each on a narrow layer, and copying a
-# bias into its tile costs about 300 ns. Timed alone (Xeon VM, numpy 2.4,
-# width 2-8), the plain add and the tiled one cost the same near 60-80 saved
-# loops (64 rows in tiles of 8: 1.21 against 1.18 us; 128 in tiles of 8: 1.8
-# against 1.5 us; 990 in tiles of 30: 6.2 against 3.1 us), and a tile of one
-# row (a prime count) only adds the copy (131 rows: 1.8 against 2.0 us).
-_TILE_MIN_SAVED = 64
-
-
 class _Work:
-    """Buffers for one batch: each layer's activation (acts[0] is the batch
-    itself), output gradient, slope (None for a linear layer) and delta (a
-    linear layer's is its output gradient), plus the residual and its square;
-    for a (K, P) block of models each buffer but the batch is K-stacked.
-    Where tiles save _TILE_MIN_SAVED inner loops, bias_tiles holds per layer
-    a tile of k batch rows for its bias, the activation seen as rows / k rows
-    of k * width entries, and the tile seen as one such row; k is the largest
-    divisor of rows up to its square root.
-    The activations (each its own array, so the tile views reshape it) and
-    tiles are made with the _Work, the rest by the first pass that writes
-    them, and later passes overwrite them: train keeps one _Work per fit and
-    the public functions one per call, so nothing they return aliases
-    another call's result."""
+    """Buffers for one batch, feature-major: each layer's input as a
+    (width + 1, rows) array whose last row is ones (ins[0] holds the batch
+    transposed), each layer's output (acts[i + 1], the view above the next
+    input's ones row; the read-out's is its own array), output gradient,
+    slope (None for a linear layer) and delta (a linear layer's is its output
+    gradient), plus the residual and its square; for a (K, P) block of models
+    each buffer but the batch is K-stacked. The inputs are made with the
+    _Work, the rest by the first pass that writes them, and later passes
+    overwrite them: train keeps one _Work per fit and the public functions
+    one per call, so nothing they return aliases another call's result."""
 
     def __init__(self, cfg: ModelConfig, x: np.ndarray, models: tuple[int, ...] = ()) -> None:
         self.activate, self.slope, self.curv = _ACTIVATIONS[cfg.activation]
         rows = len(x)
-        self.acts = [x, *(np.empty((*models, rows, nout)) for _, nout in cfg.layer_dims())]
-        self.bias_tiles = None
-        k = max(d for d in range(1, isqrt(rows) + 1) if rows % d == 0)
-        if rows - rows // k >= _TILE_MIN_SAVED:
-            self.bias_tiles = []
-            for z in self.acts[1:]:
-                tile = np.empty((*models, k, z.shape[-1]))
-                wide = k * z.shape[-1]
-                self.bias_tiles.append((tile, z.reshape(*models, -1, wide), tile.reshape(*models, 1, wide)))
-        self.outs, self.slopes, self.deltas = ([None] * (len(self.acts) - 1) for _ in range(3))
+        self.ins = [np.ones((*(models if i else ()), nin + 1, rows)) for i, (nin, _) in enumerate(cfg.layer_dims())]
+        self.ins[0][:-1] = x.T
+        self.acts = [a[..., :-1, :] for a in self.ins] + [np.empty((*models, cfg.input_size, rows))]
+        self.outs, self.slopes, self.deltas = ([None] * len(self.ins) for _ in range(3))
         self.resid = self.sq = None
 
 
 def _forward_acts(cfg: ModelConfig, layers: _Layers, work: _Work) -> list[np.ndarray]:
     """Writes every layer's activation and the residual out - x."""
     acts = work.acts
-    for i, (w, b) in enumerate(layers):
-        z = np.matmul(acts[i], w, out=acts[i + 1])
-        if work.bias_tiles is None:
-            np.add(z, b, out=z)
-        else:  # the same sums, in rows / k inner loops of numpy's instead of rows
-            tile, z_tiles, tile_row = work.bias_tiles[i]
-            tile[...] = b
-            np.add(z_tiles, tile_row, out=z_tiles)
+    for i, wb in enumerate(layers):
+        z = np.matmul(wb.swapaxes(-1, -2), work.ins[i], out=acts[i + 1])
         if work.activate is not None and i < len(layers) - 1:  # the read-out is linear
             work.activate(z, out=z)
     work.resid = np.subtract(acts[-1], acts[0], out=work.resid)
@@ -285,7 +259,7 @@ def _forward(params: ModelParams, x: np.ndarray) -> _Work:
 
 def forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     """Reconstruction of a batch of flattened windows, one per row."""
-    return _forward(params, _batch(params.config, batch)).acts[-1]
+    return _forward(params, _batch(params.config, batch)).acts[-1].T
 
 
 def loss(params: ModelParams, batch: np.ndarray) -> float:
@@ -308,27 +282,17 @@ def _deltas(cfg: ModelConfig, layers: _Layers, work: _Work) -> tuple[list, list,
             slopes[i] = work.slope(work.acts[i + 1], slopes[i])
             deltas[i] = np.multiply(outs[i], slopes[i], out=deltas[i])
         if i:
-            outs[i - 1] = np.matmul(deltas[i], layers[i][0].swapaxes(-1, -2), out=outs[i - 1])
+            outs[i - 1] = np.matmul(layers[i][..., :-1, :], deltas[i], out=outs[i - 1])
     return outs, slopes, deltas
-
-
-def _row_sum(d: np.ndarray, out: np.ndarray) -> None:
-    """out <- d.sum(axis=0), bit for bit: einsum adds the rows in the same order,
-    in 6-11 us against 22-25 on the 990-row MULTI_SEQ batch (Xeon, numpy 2.4),
-    but is the slower below about 100 rows (3.5 against 2.9 us at 47 rows)."""
-    if len(d) >= 128:
-        np.einsum("ij->j", d, out=out)
-    else:
-        np.add.reduce(d, axis=0, out=out)
 
 
 def _backward(cfg: ModelConfig, layers: _Layers, work: _Work, grads: _Layers) -> None:
     """Reverse pass: writes each layer's weight and bias gradient into the
-    matching (gW, gb) view of ``grads``."""
+    matching [gW; gb] view of ``grads``; the input's ones row makes the last
+    row of the product the bias gradient."""
     _, _, deltas = _deltas(cfg, layers, work)
-    for a, d, (gw, gb) in zip(work.acts, deltas, grads):
-        np.matmul(a.T, d, out=gw)
-        _row_sum(d, gb)
+    for a, d, g in zip(work.ins, deltas, grads):
+        np.matmul(a, d.T, out=g)
 
 
 def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -349,14 +313,15 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     cfg, layers = params.config, params.layers
     outs, _, deltas = _deltas(cfg, layers, _forward(params, _batch(cfg, batch)))
     # input enters the loss twice: as network input and as the target
-    return deltas[0] @ layers[0][0].T - outs[-1]
+    return (layers[0][:-1] @ deltas[0] - outs[-1]).T
 
 
 # What a Hessian-vector product needs of one model and batch before its
-# direction is known: per layer the weights, and the loss's activation, slope,
-# delta and curvature term (output gradient times f''); plus the hvp_both
-# buffers (a _Tangent) that all linearizations of one block share.
-Linearization = namedtuple("Linearization", "config weights acts slopes deltas curvs tangent")
+# direction is known: per layer the [W; b] weights, and the loss's input (over
+# its ones row), slope, delta and curvature term (output gradient times f'');
+# plus the hvp_both buffers (a _Tangent) that all linearizations of one block
+# share.
+Linearization = namedtuple("Linearization", "config weights ins slopes deltas curvs tangent")
 
 
 class _Tangent:
@@ -383,10 +348,10 @@ def _linearize(cfg: ModelConfig, block: np.ndarray, x: np.ndarray) -> list[Linea
     outs, slopes, deltas = _deltas(cfg, layers, work)
     curvs = [s if s is None else outs[i] * work.curv(acts[i + 1], s) for i, s in enumerate(slopes)]
     # each model's views of the K-stacked arrays (None for a linear layer)
-    stacked = ([w for w, _ in layers], acts[1:], slopes, deltas, curvs)
+    stacked = (layers, work.ins[1:], slopes, deltas, curvs)
     per_model = (zip(*(repeat(None, len(block)) if a is None else a for a in arrays)) for arrays in stacked)
     tangent = _Tangent(cfg)
-    return [Linearization(cfg, w, (x, *a), s, d, c, tangent) for w, a, s, d, c in zip(*per_model)]
+    return [Linearization(cfg, w, (work.ins[0], *a), s, d, c, tangent) for w, a, s, d, c in zip(*per_model)]
 
 
 def linearize(params: ModelParams, batch: np.ndarray) -> Linearization:
@@ -402,42 +367,42 @@ def hvp_both(lin: Linearization, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     buffers of ``lin.tangent``: the next call on ``lin``, or on another
     linearization of its block, overwrites them.
     """
-    cfg, ws, acts, slopes, deltas, curvs, t = lin
+    cfg, wbs, ins, slopes, deltas, curvs, t = lin
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (cfg.num_params,):
         raise ValueError(f"direction must have length {cfg.num_params}, got {v.shape}")
     if v is not t.v:
         t.v, t.vlayers = v, _unflatten(cfg, v)
     rz, ra, rd, rg, oterm = t.rz, t.ra, t.rd, t.rg, t.oterm
-    # tangent forward sweep: ra[i] = directional derivative of acts[i + 1];
-    # the input does not move along v, so layer 0 has no ra term
-    for i, (vw, vb) in enumerate(t.vlayers):
-        z = rz[i] = np.matmul(acts[i], vw, out=rz[i])
+    # tangent forward sweep: ra[i] = directional derivative of layer i's
+    # output; the input (and its ones row) does not move along v, so layer 0
+    # has no ra term
+    for i, vwb in enumerate(t.vlayers):
+        z = rz[i] = np.matmul(vwb.T, ins[i], out=rz[i])
         if i:
-            np.add(z, np.matmul(ra[i - 1], ws[i], out=oterm[i]), out=z)
-        np.add(z, vb, out=z)
+            np.add(z, np.matmul(wbs[i][:-1].T, ra[i - 1], out=oterm[i]), out=z)
         ra[i] = z if slopes[i] is None else np.multiply(slopes[i], z, out=ra[i])
 
     # tangent reverse sweep; a linear layer has zero curvature. Its last step,
     # the last read of v (so v may be a previous r_grad), gives the input's
-    # gradient, from which the target's term is then taken.
-    g = t.r_out = np.multiply(ra[-1], 2.0 / acts[0].size, out=t.r_out)
-    for i in range(len(ws) - 1, -1, -1):
+    # gradient, from which the target's term is then taken. The read-out's
+    # tangent has the batch's size.
+    g = t.r_out = np.multiply(ra[-1], 2.0 / ra[-1].size, out=t.r_out)
+    for i in range(len(wbs) - 1, -1, -1):
         if slopes[i] is None:
             rd[i] = g
         else:
             rd[i] = np.multiply(g, slopes[i], out=rd[i])
             np.add(rd[i], np.multiply(curvs[i], rz[i], out=oterm[i]), out=rd[i])
-        g = rg[i] = np.matmul(rd[i], ws[i].T, out=rg[i])
-        np.add(g, np.matmul(deltas[i], t.vlayers[i][0].T, out=t.iterm[i]), out=g)
+        g = rg[i] = np.matmul(wbs[i][:-1], rd[i], out=rg[i])
+        np.add(g, np.matmul(t.vlayers[i][:-1], deltas[i], out=t.iterm[i]), out=g)
     np.subtract(g, t.r_out, out=g)
 
-    for i, (r_gw, r_gb) in enumerate(t.r_layers):
-        np.matmul(acts[i].T, rd[i], out=r_gw)
+    for i, r_gwb in enumerate(t.r_layers):
+        np.matmul(ins[i], rd[i].T, out=r_gwb)
         if i:
-            np.add(r_gw, np.matmul(ra[i - 1].T, deltas[i], out=t.wterm[i]), out=r_gw)
-        _row_sum(rd[i], r_gb)
-    return t.r_grad, g
+            np.add(r_gwb[:-1], np.matmul(ra[i - 1], deltas[i].T, out=t.wterm[i]), out=r_gwb[:-1])
+    return t.r_grad, g.T
 
 
 def train(

@@ -89,8 +89,8 @@ class PoisonConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.adv_learning_rate <= LAMBDA_EPS:
-            raise ValueError(f"adv_learning_rate must exceed {LAMBDA_EPS}")
+        if not LAMBDA_EPS < self.adv_learning_rate < np.inf:
+            raise ValueError(f"adv_learning_rate must be finite and exceed {LAMBDA_EPS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.init_mode not in _INIT_MODES:

@@ -42,9 +42,11 @@ class SignalSpec:
             raise ValueError(f"period must be >= 2, got {self.period}")
         if self.length < self.period:
             raise ValueError(f"length {self.length} must be >= period {self.period}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be finite and >= 0")
         channels = tuple((float(s), float(o)) for s, o in self.channels)
+        if not np.isfinite(channels).all():
+            raise ValueError("channel scales and offsets must be finite")
         if not channels:
             raise ValueError("at least one channel is required")
         object.__setattr__(self, "channels", channels)
@@ -66,8 +68,8 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if isinstance(self.location, str) and self.location not in ATTACK_LOCATIONS:
             raise ValueError(f"location must be an index or one of {ATTACK_LOCATIONS}")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be >= 0")
+        if not 0 <= self.magnitude < np.inf:
+            raise ValueError("magnitude must be finite and >= 0")
         if self.duration < 1:
             raise ValueError("duration must be >= 1")
         if self.sign not in ATTACK_SIGNS:

@@ -224,6 +224,36 @@ def test_grid_refuses_a_removed_option(tmp_path):
         assert not (out_dir / "records.jsonl").exists()
 
 
+def test_non_finite_config_number_is_usage_error(tmp_path, signal_json, detector_json):
+    # JSON's NaN and Infinity parse as floats, and every comparison with NaN is
+    # false, so each config refuses a non-finite number itself: exit 1, no output
+    nan, inf = float("nan"), float("inf")
+    base = {"training_set_size": 3, "signal_length": 60}
+    refused = [
+        {"threshold": nan, "stop_loss": nan},
+        *({name: value} for name in ("threshold", "stop_loss", "learning_rate") for value in (nan, inf)),
+        *({name: value} for name in ("attack_magnitude", "noise_std", "adv_learning_rate") for value in (nan, inf)),
+        {"init_scale": inf},
+        {"channels": [[1.0, nan]]},
+    ]
+    for i, extra in enumerate(refused):
+        grid_json = tmp_path / f"grid{i}.json"
+        spec = {"schema": "aepoison/grid/v1", "axes": {"seed": [0]}, "base": {**base, **extra}, "budget": 1}
+        grid_json.write_text(json.dumps(spec))
+        assert "NaN" in grid_json.read_text() or "Infinity" in grid_json.read_text()
+        out_dir = tmp_path / f"grid_out{i}"
+        assert main(["--out-dir", str(out_dir), "grid", "--spec", str(grid_json)]) == 1, extra
+        assert not (out_dir / "records.jsonl").exists()
+    series_csv, model = tmp_path / "series.csv", tmp_path / "model.npz"
+    assert main(["gen", "--spec", str(signal_json), "--out", str(series_csv)]) == 0
+    detector = json.loads(detector_json.read_text())
+    for threshold in (nan, inf):
+        detector_json.write_text(json.dumps({**detector, "threshold": threshold}))
+        argv = ["train", "--series", str(series_csv), "--detector", str(detector_json), "--out", str(model)]
+        assert main(argv) == 1, threshold
+        assert not model.exists()
+
+
 def test_global_seed_reaches_grid_and_train(tmp_path, signal_json, detector_json):
     # --seed replaces the grid's seed and the model's init_seed, so each
     # seeded run equals the run of a file holding that seed

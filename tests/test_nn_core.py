@@ -116,7 +116,7 @@ class TestModelParams:
         vec[:] = 7.0
         assert np.array_equal(p.flatten(), init_params(cfg).flatten())
         assert not p.flatten().flags.writeable
-        assert all(np.shares_memory(a, p.flatten()) for layer in p.layers for a in layer)
+        assert all(np.shares_memory(wb, p.flatten()) for wb in p.layers)
 
     def test_read_only_input_is_kept(self):
         p = init_params(small_cfg())
@@ -192,28 +192,39 @@ class TestGradients:
         assert np.allclose(repeated.sum(axis=0), single[0], atol=1e-13)
 
 
+def ones_below(a):
+    """a over a row of ones, row-major: a layer's input in the feature-major
+    layout (BLAS reads a column-major operand in another order, so x.T is
+    copied as nn_core copies it)."""
+    out = np.ones((len(a) + 1, a.shape[1]))
+    out[:-1] = a
+    return out
+
+
 def allocating_grad_w(params, x):
     """Reference weight gradient for tanh/linear models, every product a
-    fresh array: the arithmetic grad_w performs with out= buffers."""
+    fresh array: the arithmetic grad_w performs with out= buffers, feature-
+    major, each layer's [W; b] times its input over a row of ones."""
     names = (params.config.activation,) * 3 + ("linear",)
-    acts = [x]
-    for (w, b), name in zip(params.layers, names):
-        z = acts[-1] @ w + b
+    ins, acts = [], [x.T]
+    for wb, name in zip(params.layers, names):
+        ins.append(ones_below(acts[-1]))
+        z = wb.T @ ins[-1]
         acts.append(np.tanh(z) if name == "tanh" else z)
-    g = (2.0 / x.size) * (acts[-1] - x)
+    g = (2.0 / x.size) * (acts[-1] - x.T)
     grads = []
     for i in range(len(names) - 1, -1, -1):
         delta = g * (1.0 - acts[i + 1] * acts[i + 1]) if names[i] == "tanh" else g
-        grads.insert(0, np.concatenate([(acts[i].T @ delta).ravel(), delta.sum(axis=0)]))
-        g = delta @ params.layers[i][0].T
+        grads.insert(0, (ins[i] @ delta.T).ravel())
+        g = params.layers[i][:-1] @ delta
     return np.concatenate(grads)
 
 
 class TestGradWBuffers:
     @pytest.mark.parametrize("input_size,code_size,rows", [(4, 2, 990), (4, 2, 1038), (4, 2, 131), (100, 50, 16)])
     def test_matches_allocating_reference_bit_exact(self, input_size, code_size, rows):
-        # the MULTI_SEQ and SINGLE_SEQ model shapes; 990 and 1038 rows add
-        # biases by tiles of 30 and 6 rows, 131 (a prime) and 16 row by row
+        # the MULTI_SEQ and SINGLE_SEQ model shapes: the training batch, a
+        # training batch with one poison's windows, a prime height and 16 rows
         cfg = ModelConfig(input_size=input_size, code_size=code_size, init_seed=6, init_scale=0.4)
         x = np.sin(np.linspace(0, 40, rows * input_size)).reshape(rows, input_size) * 0.8
         p = init_params(cfg)
@@ -225,44 +236,47 @@ class TestGradWBuffers:
 
 def allocating_state(params, x):
     """Reference direction-free half of an HVP for tanh/linear models, every
-    product a fresh array: per layer the activation, slope (None for the
-    linear read-out), delta and curvature term outs * f''."""
+    product a fresh array: per layer the input over its ones row, slope (None
+    for the linear read-out), delta and curvature term outs * f''."""
     names = (params.config.activation,) * 3 + ("linear",)
-    acts = [x]
-    for (w, b), name in zip(params.layers, names):
-        z = acts[-1] @ w + b
+    ins, acts = [], [x.T]
+    for wb, name in zip(params.layers, names):
+        ins.append(ones_below(acts[-1]))
+        z = wb.T @ ins[-1]
         acts.append(np.tanh(z) if name == "tanh" else z)
     slopes, deltas, curvs = [None] * 4, [None] * 4, [None] * 4
-    out = (2.0 / x.size) * (acts[-1] - x)
+    out = (2.0 / x.size) * (acts[-1] - x.T)
     for i in range(3, -1, -1):
         if names[i] == "tanh":
             slopes[i] = 1.0 - acts[i + 1] * acts[i + 1]
             curvs[i] = out * (-2.0 * acts[i + 1] * slopes[i])
         deltas[i] = out if slopes[i] is None else out * slopes[i]
-        out = deltas[i] @ params.layers[i][0].T
-    return acts, slopes, deltas, curvs
+        out = params.layers[i][:-1] @ deltas[i]
+    return ins, slopes, deltas, curvs
 
 
 def allocating_hvp(params, x, v):
     """Reference ((d2L/dw dw) v, (d2L/dx dw) v) with fresh arrays: the
     arithmetic of hvp_both's tangent pass."""
-    acts, slopes, deltas, curvs = allocating_state(params, x)
+    ins, slopes, deltas, curvs = allocating_state(params, x)
     layers, vlayers = params.layers, ModelParams(params.config, v).layers
     r_acts, r_zs = [None], []
-    for i, ((w, _), (vw, vb)) in enumerate(zip(layers, vlayers)):
-        rz = acts[i] @ vw + vb if i == 0 else acts[i] @ vw + r_acts[i] @ w + vb
+    for i, (wb, vwb) in enumerate(zip(layers, vlayers)):
+        rz = vwb.T @ ins[i] if i == 0 else vwb.T @ ins[i] + wb[:-1].T @ r_acts[i]
         r_zs.append(rz)
         r_acts.append(rz if slopes[i] is None else slopes[i] * rz)
     r_out = (2.0 / x.size) * r_acts[-1]
     r_g, r_deltas = r_out, [None] * 4
     for i in range(3, -1, -1):
         r_deltas[i] = r_g if slopes[i] is None else r_g * slopes[i] + curvs[i] * r_zs[i]
-        r_g = r_deltas[i] @ layers[i][0].T + deltas[i] @ vlayers[i][0].T
+        r_g = layers[i][:-1] @ r_deltas[i] + vlayers[i][:-1] @ deltas[i]
     parts = []
     for i in range(4):
-        r_gw = acts[i].T @ r_deltas[i] if i == 0 else acts[i].T @ r_deltas[i] + r_acts[i].T @ deltas[i]
-        parts += [r_gw.ravel(), r_deltas[i].sum(axis=0)]
-    return np.concatenate(parts), r_g - r_out
+        r_gwb = ins[i] @ r_deltas[i].T
+        if i:
+            r_gwb[:-1] += r_acts[i] @ deltas[i].T
+        parts.append(r_gwb.ravel())
+    return np.concatenate(parts), (r_g - r_out).T
 
 
 def same_bits(a, b):
@@ -289,8 +303,8 @@ class TestLinearize:
         assert len(lins) == models
         for lin, vec in zip(lins, cps):
             p = ModelParams(cfg, vec)
-            assert all(same_bits(w, ref) for w, (ref, _) in zip(lin.weights, p.layers))
-            for got, ref in zip((lin.acts, lin.slopes, lin.deltas, lin.curvs), allocating_state(p, x)):
+            assert all(same_bits(w, ref) for w, ref in zip(lin.weights, p.layers))
+            for got, ref in zip((lin.ins, lin.slopes, lin.deltas, lin.curvs), allocating_state(p, x)):
                 assert [g is None for g in got] == [r is None for r in ref]
                 assert all(same_bits(g, r) for g, r in zip(got, ref) if r is not None)
 
@@ -482,8 +496,7 @@ class TestTrain:
         assert final_loss == loss(p, x)
 
     def test_multi_seq_shape_matches_plain_loop_bit_exact(self):
-        # the MULTI_SEQ shape: 4-8-2-8-4 model, 990x4 window batch, tall
-        # enough for the einsum bias sum
+        # the MULTI_SEQ shape: 4-8-2-8-4 model, 990x4 window batch
         cfg = ModelConfig(input_size=4, code_size=2, init_seed=0, init_scale=0.5)
         x = np.sin(np.linspace(0, 60, 990 * 4)).reshape(990, 4) * 0.8
         lr, epochs = 1.0, 100
@@ -506,8 +519,7 @@ class TestTrain:
             out, _, _ = train(p, self.batch(), TrainConfig(0.5, 50, 1e-9))
             assert not np.array_equal(out.flatten(), before)
             assert np.array_equal(p.flatten(), before)
-            ins = [a for layer in p.layers for a in layer]
-            outs = [a for layer in out.layers for a in layer]
+            ins, outs = list(p.layers), list(out.layers)
             assert not any(a.flags.writeable for a in ins + outs)
             assert not any(np.shares_memory(a, b) for a in ins for b in outs)
 
@@ -519,7 +531,7 @@ class TestTrain:
         assert len(cps) == 31
         assert not any(c.flags.writeable for c in cps)
         assert not any(np.shares_memory(a, b) for i, a in enumerate(cps) for b in cps[i + 1 :])
-        assert not any(np.shares_memory(c, a) for c in cps for layer in out.layers for a in layer)
+        assert not any(np.shares_memory(c, wb) for c in cps for wb in out.layers)
         assert not any(np.array_equal(a, b) for a, b in zip(cps, cps[1:]))
 
     def test_one_forward_and_one_backward_pass_per_epoch(self, monkeypatch):
@@ -548,26 +560,6 @@ class TestTrain:
         )
         assert len(traj.checkpoints) == traj.steps + 1
         assert np.array_equal(traj.checkpoints[-1], out.flatten())
-
-
-class TestRowSum:
-    @pytest.mark.parametrize("width", [8, 4, 2])
-    def test_tall_batch_matches_sum_axis0_bit_exact(self, width):
-        # +-1e16 beside 1.0: adding the rows in any other order gives other bits
-        rng = np.random.default_rng(width)
-        d = rng.normal(size=(990, width)) * 10.0 ** rng.uniform(-8, 8, size=(990, width))
-        d[0::5] = rng.choice([-1e16, 1e16], size=(198, width))
-        d[1::5] = 1.0
-        d[2::5] = -d[0::5]
-        out = np.empty(width)
-        nn_core._row_sum(d, out)
-        sequential = np.zeros(width)
-        for row in d:
-            sequential += row
-        assert np.array_equal(out, d.sum(axis=0))
-        assert np.array_equal(out, sequential)
-        pairwise = np.array([np.add.reduce(np.ascontiguousarray(d[:, j])) for j in range(width)])
-        assert not np.array_equal(out, pairwise)
 
 
 class TestWorkBuffers:
