@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.threshold < np.inf:
             raise ValueError("threshold must be finite and > 0")
-        if self.window_length < 1:
+        if index(self.window_length) < 1:
             raise ValueError(f"window length must be >= 1, got {self.window_length}")
         if self.model.input_size % self.window_length != 0:
             raise ValueError(

@@ -25,6 +25,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from operator import index
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -92,6 +93,8 @@ class CellConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in dataclasses.fields(self) if f.type == "int"):
+            index(getattr(self, name))  # a TypeError unless an integer
         if self.algorithm not in ("interp", "backgrad"):
             raise ValueError(f"algorithm must be interp or backgrad, got {self.algorithm!r}")
         if self.training_set_size < 1:
@@ -255,6 +258,7 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        index(self.seed)  # a TypeError unless an integer, as is the budget below
         if not isinstance(self.axes, Mapping):
             raise TypeError(f"axes must map axis names to value lists, got {type(self.axes).__name__}")
         axes = {str(k): list(v) for k, v in self.axes.items()}
@@ -265,7 +269,7 @@ class GridSpec:
         for name, values in axes.items():
             if not values:
                 raise ValueError(f"axis {name!r} is empty")
-        if self.cell_count() > self.budget:
+        if self.cell_count() > index(self.budget):
             raise ValueError(f"{self.cell_count()} cells exceed budget {self.budget}")
         self.cells()  # a bad axis value is refused here, as a bad base value is
 

@@ -7,16 +7,17 @@ backward passes (no Hessian is ever materialized). A model is one
 read-only flat parameter vector whose layers are views into it. The trainer
 is plain full-batch gradient descent on a copy of that vector. Each fit
 makes one set of work buffers (every layer's activation, output gradient,
-slope and delta, plus the residual) and one flat gradient buffer, which
-every epoch overwrites, with the bits of the plain allocating expressions,
-before it updates the vector in place; an epoch allocates no array. Batches
-run feature-major: each layer's input is a (width + 1, rows) array whose last
-row is ones, so one matmul with the layer's [W; b] view gives its output
-biases included, and one matmul with its delta gives its weight and bias
-gradients at once. A trajectory records the vector after every step as a row
-of one read-only block, so the training process can be reversed step by
-step; a reversal linearizes a block of checkpoints at once and runs each
-tangent pass alone.
+slope and delta, plus the residual), which binds the layer views it runs
+with, and one flat gradient buffer, which every epoch overwrites before it
+updates the vector in place; an epoch allocates no array. The backward pass
+is linear in its seed, so a fit seeds it with lr * 2 / size and the pass
+writes the update lr * grad itself. Batches run feature-major: each layer's
+input is a (width + 1, rows) array whose last row is ones, so one matmul
+with the layer's [W; b] view gives its output biases included, and one
+matmul with its delta gives its weight and bias gradients at once. A
+trajectory records the vector after every step as a row of one read-only
+block, so the training process can be reversed step by step; a reversal
+linearizes a block of checkpoints at once and runs each tangent pass alone.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
 layer-major, weights then bias, weights raveled row-major (in_dim x out_dim),
@@ -29,6 +30,7 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from math import inf, isfinite
+from operator import index
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,7 +58,7 @@ __all__ = [
 _ACTIVATIONS: dict[str, tuple[Callable | None, Callable | None, Callable | None]] = {
     "tanh": (
         np.tanh,
-        lambda a, out: np.subtract(1.0, np.multiply(a, a, out=out), out=out),
+        lambda a, out: np.subtract(1.0, np.square(a, out=out), out=out),
         lambda a, slope: -2.0 * a * slope,
     ),
     "linear": (None, None, None),
@@ -82,13 +84,14 @@ class ModelConfig:
     init_scale: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.input_size < 2:
+        index(self.init_seed)  # a TypeError unless an integer, as are the sizes below
+        if index(self.input_size) < 2:
             raise ValueError("input_size must be >= 2")
-        if not (1 <= self.code_size < self.input_size):
+        if not (1 <= index(self.code_size) < self.input_size):
             raise ValueError(
                 f"code_size must satisfy 1 <= code < input_size, got {self.code_size} vs {self.input_size}"
             )
-        if self.inflation_factor < 1:
+        if index(self.inflation_factor) < 1:
             raise ValueError("inflation_factor must be >= 1")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; have {sorted(_ACTIVATIONS)}")
@@ -125,8 +128,7 @@ def _unflatten(cfg: ModelConfig, vec: np.ndarray) -> tuple[np.ndarray, ...]:
     cfg.num_params entries, or (K, in + 1, out) views into each row of a
     (K, num_params) block."""
     lead = vec.shape[:-1]
-    layers = []
-    pos = 0
+    layers, pos = [], 0
     for nin, nout in cfg.layer_dims():
         layers.append(vec[..., pos : pos + (nin + 1) * nout].reshape(*lead, nin + 1, nout))
         pos += (nin + 1) * nout
@@ -169,7 +171,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.learning_rate < inf:
             raise ValueError("learning rate must be finite and >= 0")
-        if self.max_epochs < 0:
+        if index(self.max_epochs) < 0:
             raise ValueError("max_epochs must be >= 0")
         if not 0 < self.stop_loss < inf:
             raise ValueError("stop_loss must be finite and > 0")
@@ -207,25 +209,26 @@ def _batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-# The private passes below take the config, raw [W; b] layers and a _Work;
-# the public functions check their batch once and pass params.layers down.
+# The private passes below take a _Work; the public functions check their batch.
 
 
 class _Work:
-    """Buffers for one batch, feature-major: each layer's input as a
-    (width + 1, rows) array whose last row is ones (ins[0] holds the batch
-    transposed), each layer's output (acts[i + 1], the view above the next
-    input's ones row; the read-out's is its own array), output gradient,
-    slope (None for a linear layer) and delta (a linear layer's is its output
-    gradient), plus the residual and its square; for a (K, P) block of models
-    each buffer but the batch is K-stacked. The inputs are made with the
-    _Work, the rest by the first pass that writes them, and later passes
-    overwrite them: train keeps one _Work per fit and the public functions
-    one per call, so nothing they return aliases another call's result."""
+    """One set of layers (or a K-stacked block) on one batch, feature-major:
+    each layer's bound [W; b]^T and W views, the loss seed scale * 2 / size
+    (the reverse sweep yields scale times the gradient), and buffers: each
+    layer's input, (width + 1, rows) over a row of ones (ins[0] holds the
+    batch), output (acts[i + 1], the view above the next ones row; the
+    read-out's is its own array), output gradient, slope (None if linear) and
+    delta (a linear layer's is its output gradient), the residual and its
+    square, K-stacked but the batch for a block. The inputs are made here,
+    the rest by the first pass that writes them; train keeps one _Work per
+    fit and the public functions one per call, so no result aliases another."""
 
-    def __init__(self, cfg: ModelConfig, x: np.ndarray, models: tuple[int, ...] = ()) -> None:
+    def __init__(self, cfg: ModelConfig, x: np.ndarray, layers: _Layers, scale: float = 1.0) -> None:
         self.activate, self.slope, self.curv = _ACTIVATIONS[cfg.activation]
-        rows = len(x)
+        self.wbts, self.ws = [wb.swapaxes(-1, -2) for wb in layers], [wb[..., :-1, :] for wb in layers]
+        self.seed = scale * (2.0 / x.size)
+        models, rows = layers[0].shape[:-2], len(x)
         self.ins = [np.ones((*(models if i else ()), nin + 1, rows)) for i, (nin, _) in enumerate(cfg.layer_dims())]
         self.ins[0][:-1] = x.T
         self.acts = [a[..., :-1, :] for a in self.ins] + [np.empty((*models, cfg.input_size, rows))]
@@ -233,27 +236,28 @@ class _Work:
         self.resid = self.sq = None
 
 
-def _forward_acts(cfg: ModelConfig, layers: _Layers, work: _Work) -> list[np.ndarray]:
-    """Writes every layer's activation and the residual out - x."""
-    acts = work.acts
-    for i, wb in enumerate(layers):
-        z = np.matmul(wb.swapaxes(-1, -2), work.ins[i], out=acts[i + 1])
-        if work.activate is not None and i < len(layers) - 1:  # the read-out is linear
-            work.activate(z, out=z)
+def _forward_acts(work: _Work) -> list[np.ndarray]:
+    """Writes the hidden layers' activations, the read-out and out - x."""
+    acts, activate = work.acts, work.activate
+    for wbt, a, z in zip(work.wbts[:-1], work.ins, acts[1:-1]):
+        np.matmul(wbt, a, out=z)
+        if activate is not None:
+            activate(z, out=z)
+    np.matmul(work.wbts[-1], work.ins[-1], out=acts[-1])
     work.resid = np.subtract(acts[-1], acts[0], out=work.resid)
     return acts
 
 
 def _mse(work: _Work) -> float:
-    # np.mean's own arithmetic (one pairwise add.reduce over all entries,
-    # divided by their count) without its Python wrapper
-    sq = work.sq = np.multiply(work.resid, work.resid, out=work.sq)
+    # np.mean's own arithmetic (np.square, then one pairwise add.reduce over
+    # all entries, divided by their count) without its Python wrapper
+    sq = work.sq = np.square(work.resid, out=work.sq)
     return float(np.add.reduce(sq, axis=None) / sq.size)
 
 
 def _forward(params: ModelParams, x: np.ndarray) -> _Work:
-    work = _Work(params.config, x)
-    _forward_acts(params.config, params.layers, work)
+    work = _Work(params.config, x, params.layers)
+    _forward_acts(work)
     return work
 
 
@@ -267,30 +271,29 @@ def loss(params: ModelParams, batch: np.ndarray) -> float:
     return _mse(_forward(params, _batch(params.config, batch)))
 
 
-def _deltas(cfg: ModelConfig, layers: _Layers, work: _Work) -> tuple[list, list, list]:
-    """Reverse sweep of the loss, after _forward_acts. Per layer i: the
-    gradient with respect to its output acts[i + 1], its activation slope
-    there (None for a linear layer, whose slope is 1 and is not multiplied
-    in), and its delta, the gradient with respect to its pre-activation."""
-    outs, slopes, deltas = work.outs, work.slopes, work.deltas
-    last = len(layers) - 1
-    outs[last] = np.multiply(work.resid, 2.0 / work.acts[0].size, out=outs[last])
-    for i in range(last, -1, -1):
-        if work.slope is None or i == last:  # the read-out is linear
-            deltas[i] = outs[i]
+def _deltas(work: _Work) -> tuple[list, list, list]:
+    """Reverse sweep of scale times the loss, after _forward_acts: the read-out,
+    then the hidden layers. Per layer i: the gradient with respect to its
+    output acts[i + 1], its activation slope there (None for a linear layer,
+    whose slope 1 is not multiplied in), and its delta, the gradient with
+    respect to its pre-activation."""
+    outs, slopes, deltas, acts, slope = work.outs, work.slopes, work.deltas, work.acts, work.slope
+    outs[-1] = deltas[-1] = np.multiply(work.resid, work.seed, out=outs[-1])
+    for i in range(len(outs) - 1, 0, -1):
+        outs[i - 1] = np.matmul(work.ws[i], deltas[i], out=outs[i - 1])
+        if slope is None:
+            deltas[i - 1] = outs[i - 1]
         else:
-            slopes[i] = work.slope(work.acts[i + 1], slopes[i])
-            deltas[i] = np.multiply(outs[i], slopes[i], out=deltas[i])
-        if i:
-            outs[i - 1] = np.matmul(layers[i][..., :-1, :], deltas[i], out=outs[i - 1])
+            slopes[i - 1] = slope(acts[i], slopes[i - 1])
+            deltas[i - 1] = np.multiply(outs[i - 1], slopes[i - 1], out=deltas[i - 1])
     return outs, slopes, deltas
 
 
-def _backward(cfg: ModelConfig, layers: _Layers, work: _Work, grads: _Layers) -> None:
-    """Reverse pass: writes each layer's weight and bias gradient into the
-    matching [gW; gb] view of ``grads``; the input's ones row makes the last
-    row of the product the bias gradient."""
-    _, _, deltas = _deltas(cfg, layers, work)
+def _backward(work: _Work, grads: _Layers) -> None:
+    """Reverse pass: writes each layer's weight and bias gradient, times the
+    work's scale, into the matching [gW; gb] view of ``grads``; the input's
+    ones row makes the last row of the product the bias gradient."""
+    _, _, deltas = _deltas(work)
     for a, d, g in zip(work.ins, deltas, grads):
         np.matmul(a, d.T, out=g)
 
@@ -300,7 +303,7 @@ def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     cfg = params.config
     work = _forward(params, _batch(cfg, batch))
     grad = np.empty(cfg.num_params)
-    _backward(cfg, params.layers, work, _unflatten(cfg, grad))
+    _backward(work, _unflatten(cfg, grad))
     return grad
 
 
@@ -310,18 +313,18 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
     Includes both roles of the input (network input and reconstruction
     target), so it matches finite differences of loss(params, batch).
     """
-    cfg, layers = params.config, params.layers
-    outs, _, deltas = _deltas(cfg, layers, _forward(params, _batch(cfg, batch)))
+    work = _forward(params, _batch(params.config, batch))
+    outs, _, deltas = _deltas(work)
     # input enters the loss twice: as network input and as the target
-    return (layers[0][:-1] @ deltas[0] - outs[-1]).T
+    return (work.ws[0] @ deltas[0] - outs[-1]).T
 
 
 # What a Hessian-vector product needs of one model and batch before its
-# direction is known: per layer the [W; b] weights, and the loss's input (over
-# its ones row), slope, delta and curvature term (output gradient times f'');
-# plus the hvp_both buffers (a _Tangent) that all linearizations of one block
-# share.
-Linearization = namedtuple("Linearization", "config weights ins slopes deltas curvs tangent")
+# direction is known: per layer the W and W^T views, and the loss's input
+# (over its ones row), slope, delta and curvature term (output gradient times
+# f''); plus the hvp_both buffers (a _Tangent) that all linearizations of one
+# block share.
+Linearization = namedtuple("Linearization", "config ws wts ins slopes deltas curvs tangent")
 
 
 class _Tangent:
@@ -342,16 +345,15 @@ def _linearize(cfg: ModelConfig, block: np.ndarray, x: np.ndarray) -> list[Linea
     all from one forward pass and loss sweep over the K-stacked layers: a
     stacked matmul is one BLAS call per model and a ufunc works entry by
     entry, so each model gets the bits of its own pass."""
-    layers = _unflatten(cfg, block)
-    work = _Work(cfg, x, block.shape[:-1])
-    acts = _forward_acts(cfg, layers, work)
-    outs, slopes, deltas = _deltas(cfg, layers, work)
+    work = _Work(cfg, x, _unflatten(cfg, block))
+    acts = _forward_acts(work)
+    outs, slopes, deltas = _deltas(work)
     curvs = [s if s is None else outs[i] * work.curv(acts[i + 1], s) for i, s in enumerate(slopes)]
     # each model's views of the K-stacked arrays (None for a linear layer)
-    stacked = (layers, work.ins[1:], slopes, deltas, curvs)
+    stacked = (work.ws, [w.swapaxes(-1, -2) for w in work.ws], work.ins[1:], slopes, deltas, curvs)
     per_model = (zip(*(repeat(None, len(block)) if a is None else a for a in arrays)) for arrays in stacked)
     tangent = _Tangent(cfg)
-    return [Linearization(cfg, w, (work.ins[0], *a), s, d, c, tangent) for w, a, s, d, c in zip(*per_model)]
+    return [Linearization(cfg, w, wt, (work.ins[0], *a), s, d, c, tangent) for w, wt, a, s, d, c in zip(*per_model)]
 
 
 def linearize(params: ModelParams, batch: np.ndarray) -> Linearization:
@@ -367,7 +369,7 @@ def hvp_both(lin: Linearization, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     buffers of ``lin.tangent``: the next call on ``lin``, or on another
     linearization of its block, overwrites them.
     """
-    cfg, wbs, ins, slopes, deltas, curvs, t = lin
+    cfg, ws, wts, ins, slopes, deltas, curvs, t = lin
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (cfg.num_params,):
         raise ValueError(f"direction must have length {cfg.num_params}, got {v.shape}")
@@ -380,7 +382,7 @@ def hvp_both(lin: Linearization, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     for i, vwb in enumerate(t.vlayers):
         z = rz[i] = np.matmul(vwb.T, ins[i], out=rz[i])
         if i:
-            np.add(z, np.matmul(wbs[i][:-1].T, ra[i - 1], out=oterm[i]), out=z)
+            np.add(z, np.matmul(wts[i], ra[i - 1], out=oterm[i]), out=z)
         ra[i] = z if slopes[i] is None else np.multiply(slopes[i], z, out=ra[i])
 
     # tangent reverse sweep; a linear layer has zero curvature. Its last step,
@@ -388,13 +390,13 @@ def hvp_both(lin: Linearization, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # gradient, from which the target's term is then taken. The read-out's
     # tangent has the batch's size.
     g = t.r_out = np.multiply(ra[-1], 2.0 / ra[-1].size, out=t.r_out)
-    for i in range(len(wbs) - 1, -1, -1):
+    for i in range(len(ws) - 1, -1, -1):
         if slopes[i] is None:
             rd[i] = g
         else:
             rd[i] = np.multiply(g, slopes[i], out=rd[i])
             np.add(rd[i], np.multiply(curvs[i], rz[i], out=oterm[i]), out=rd[i])
-        g = rg[i] = np.matmul(wbs[i][:-1], rd[i], out=rg[i])
+        g = rg[i] = np.matmul(ws[i], rd[i], out=rg[i])
         np.add(g, np.matmul(t.vlayers[i][:-1], deltas[i], out=t.iterm[i]), out=g)
     np.subtract(g, t.r_out, out=g)
 
@@ -414,18 +416,19 @@ def train(
     max_epochs steps. Deterministic; raises TrainingDiverged on a non-finite
     loss or weights. The weights live in one flat vector that each epoch
     updates in place; each epoch runs one forward pass into the fit's work
-    buffers, which gives the stop-test loss and feeds the weight update.
-    A trajectory is one block of max_epochs + 1 rows, each epoch copying the
-    vector into its own row; the rows the fit wrote are returned read-only.
+    buffers, which gives the stop-test loss and feeds the backward pass, whose
+    seed lr * 2 / size makes it write lr * grad_w (bit for bit when lr is a
+    power of two). A trajectory is one block of max_epochs + 1 rows, each
+    epoch copying the vector into its own row; the rows the fit wrote are
+    returned read-only.
     """
     model_cfg = params.config
     x = _batch(model_cfg, data)
     theta = params.flatten().copy()
-    layers = _unflatten(model_cfg, theta)
     grad = np.empty_like(theta)
     grads = _unflatten(model_cfg, grad)
     finite = np.empty(theta.shape, dtype=bool)
-    work = _Work(model_cfg, x)
+    work = _Work(model_cfg, x, _unflatten(model_cfg, theta), cfg.learning_rate)
     # one block per fit (an array per epoch made malloc trim and re-fault the
     # heap every epoch); the fit touches only the pages of the rows it writes
     checkpoints = np.empty((cfg.max_epochs + 1, theta.size)) if cfg.record_trajectory else None
@@ -435,17 +438,16 @@ def train(
         while True:
             if checkpoints is not None:
                 checkpoints[steps] = theta
-            _forward_acts(model_cfg, layers, work)
+            _forward_acts(work)
             cur_loss = _mse(work)
             if not isfinite(cur_loss):
                 raise TrainingDiverged(f"loss diverged at step {steps}")
             if steps == cfg.max_epochs or cur_loss < cfg.stop_loss:
                 break
-            _backward(model_cfg, layers, work, grads)
-            grad *= cfg.learning_rate
+            _backward(work, grads)
             theta -= grad
             steps += 1
-            if not np.isfinite(theta, out=finite).all():
+            if not np.logical_and.reduce(np.isfinite(theta, out=finite)):
                 raise TrainingDiverged(f"loss diverged at step {steps}")
     if checkpoints is not None:
         checkpoints = checkpoints[: steps + 1].copy()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from operator import index
 from pathlib import Path
 from typing import Sequence
 
@@ -91,7 +92,7 @@ class PoisonConfig:
     def __post_init__(self) -> None:
         if not LAMBDA_EPS < self.adv_learning_rate < np.inf:
             raise ValueError(f"adv_learning_rate must be finite and exceed {LAMBDA_EPS}")
-        if self.max_iters < 1:
+        if index(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}")

@@ -10,6 +10,7 @@ deviation is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -38,9 +39,10 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.period < 2:
+        index(self.seed)  # a TypeError unless an integer, as are the sizes below
+        if index(self.period) < 2:
             raise ValueError(f"period must be >= 2, got {self.period}")
-        if self.length < self.period:
+        if index(self.length) < self.period:
             raise ValueError(f"length {self.length} must be >= period {self.period}")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError("noise_std must be finite and >= 0")
@@ -70,7 +72,7 @@ class AttackSpec:
             raise ValueError(f"location must be an index or one of {ATTACK_LOCATIONS}")
         if not 0 <= self.magnitude < np.inf:
             raise ValueError("magnitude must be finite and >= 0")
-        if self.duration < 1:
+        if index(self.duration) < 1:
             raise ValueError("duration must be >= 1")
         if self.sign not in ATTACK_SIGNS:
             raise ValueError(f"sign must be one of {ATTACK_SIGNS}")

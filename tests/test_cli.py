@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aepoison
 from aepoison.cli import main
 from aepoison.detector import load_detector
 from aepoison.nn_core import TrainConfig
@@ -252,6 +257,38 @@ def test_non_finite_config_number_is_usage_error(tmp_path, signal_json, detector
         argv = ["train", "--series", str(series_csv), "--detector", str(detector_json), "--out", str(model)]
         assert main(argv) == 1, threshold
         assert not model.exists()
+
+
+def test_non_integer_config_count_is_usage_error(tmp_path):
+    # a fit's stop test is steps == max_epochs, so a fractional epoch count
+    # never stops it: each integer field is refused when the grid is built.
+    # The run is a child with a time limit, so a fit that never ends fails it.
+    src = str(Path(aepoison.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    base = {"training_set_size": 2, "signal_length": 60, "adversarial_iterations": 1}
+    refused = [
+        ({"train_iterations": 2.5}, {}),
+        ({"adversarial_iterations": 1.5}, {}),
+        ({"training_set_size": 2.0}, {}),
+        ({"seed": 1.5}, {}),
+        ({"period": 20.0}, {}),
+        ({"attack_duration": 7.5}, {}),
+        ({"subsequence_length": 2.0}, {}),
+        ({}, {"budget": 1.5}),
+        ({}, {"seed": 0.5}),
+    ]
+    for i, (extra, top) in enumerate(refused):
+        grid_json = tmp_path / f"grid{i}.json"
+        spec = {"schema": "aepoison/grid/v1", "axes": {"seed": [0]}, "base": {**base, **extra}, "budget": 1, **top}
+        grid_json.write_text(json.dumps(spec))
+        out_dir = tmp_path / f"grid_out{i}"
+        argv = ["--out-dir", str(out_dir), "grid", "--spec", str(grid_json)]
+        run = subprocess.run(
+            [sys.executable, "-m", "aepoison.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 1, (extra, top, run.stderr[-2000:])
+        assert "integer" in run.stderr, run.stderr[-2000:]
+        assert not (out_dir / "records.jsonl").exists()
 
 
 def test_global_seed_reaches_grid_and_train(tmp_path, signal_json, detector_json):
