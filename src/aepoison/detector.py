@@ -99,14 +99,18 @@ def window_batch(series: SeriesMatrix, cfg: DetectorConfig) -> np.ndarray:
     return wins.reshape(wins.shape[0], -1)
 
 
-def _scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
+def _scatter_windows(
+    grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sum per-window rows back onto the series rows they came from; a row
     covered by several windows gets their sum, added in window order (the
     order of np.add.at, which this replaces with one slice-add per window or
-    per window position, whichever are fewer)."""
+    per window position, whichever are fewer), from zeros written into
+    ``out`` if given, else into a new array."""
     length, count = cfg.window_length, len(grad_batch)
     blocks = grad_batch.reshape(count, length, -1)
-    out = np.zeros((series_len, blocks.shape[-1]))
+    out = np.empty((series_len, blocks.shape[-1])) if out is None else out
+    out.fill(0.0)
     if count < length:
         for j in range(count):
             out[j : j + length] += blocks[j]

@@ -7,17 +7,18 @@ backward passes (no Hessian is ever materialized). A model is one
 read-only flat parameter vector whose layers are views into it. The trainer
 is plain full-batch gradient descent on a copy of that vector. Each fit
 makes one set of work buffers (every layer's activation, output gradient,
-slope and delta, plus the residual), which binds the layer views it runs
-with, and one flat gradient buffer, which every epoch overwrites before it
-updates the vector in place; an epoch allocates no array. The backward pass
-is linear in its seed, so a fit seeds it with lr * 2 / size and the pass
-writes the update lr * grad itself. Batches run feature-major: each layer's
-input is a (width + 1, rows) array whose last row is ones, so one matmul
-with the layer's [W; b] view gives its output biases included, and one
-matmul with its delta gives its weight and bias gradients at once. A
-trajectory records the vector after every step as a row of one read-only
+slope and delta, plus the residual), which binds the layer views and steps
+its passes walk, and one flat gradient buffer, which every epoch overwrites
+before it updates the vector in place; an epoch allocates no array. The
+backward pass is linear in its seed, so a fit seeds it with lr * 2 / size
+and the pass writes the update lr * grad itself. Batches run feature-major:
+each layer's input is a (width + 1, rows) array whose last row is ones, so
+one matmul with the layer's [W; b] view gives its output biases included,
+and one matmul with its delta gives its weight and bias gradients at once.
+A trajectory records the vector after every step as a row of one read-only
 block, so the training process can be reversed step by step; a reversal
-linearizes a block of checkpoints at once and runs each tangent pass alone.
+linearizes a block of checkpoints with K-stacked matmuls, then runs each
+tangent pass alone as 2-D np.dot calls into buffers the block made once.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
 layer-major, weights then bias, weights raveled row-major (in_dim x out_dim),
@@ -212,6 +213,16 @@ def _batch(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
 # The private passes below take a _Work; the public functions check their batch.
 
 
+def _stacked(models: tuple[int, ...], shape: tuple[int, int], make: Callable = np.empty) -> np.ndarray:
+    """make((*models, *shape)) with each model's block 16-byte aligned, as a
+    fresh array is: some BLAS kernels (OpenBLAS's SSE2 dot) add in an order
+    set by alignment, and each model must get the bits of its own pass."""
+    size = shape[0] * shape[1]
+    if not models or size % 2 == 0:
+        return make((*models, *shape))
+    return make((*models, size + 1))[..., :size].reshape(*models, *shape)
+
+
 class _Work:
     """One set of layers (or a K-stacked block) on one batch, feature-major:
     each layer's bound [W; b]^T and W views, the loss seed scale * 2 / size
@@ -219,39 +230,51 @@ class _Work:
     layer's input, (width + 1, rows) over a row of ones (ins[0] holds the
     batch), output (acts[i + 1], the view above the next ones row; the
     read-out's is its own array), output gradient, slope (None if linear) and
-    delta (a linear layer's is its output gradient), the residual and its
-    square, K-stacked but the batch for a block. The inputs are made here,
-    the rest by the first pass that writes them; train keeps one _Work per
-    fit and the public functions one per call, so no result aliases another."""
+    delta (a linear layer's is its output gradient) with its transpose, the
+    residual and its square, K-stacked but the batch for a block; and the
+    per-layer steps the passes walk. The reverse sweep's buffers and steps
+    are made by its first run, the rest here; train keeps one _Work per fit
+    and the public functions one per call, so no result aliases another."""
 
     def __init__(self, cfg: ModelConfig, x: np.ndarray, layers: _Layers, scale: float = 1.0) -> None:
-        self.activate, self.slope, self.curv = _ACTIVATIONS[cfg.activation]
-        self.wbts, self.ws = [wb.swapaxes(-1, -2) for wb in layers], [wb[..., :-1, :] for wb in layers]
-        self.seed = scale * (2.0 / x.size)
-        models, rows = layers[0].shape[:-2], len(x)
-        self.ins = [np.ones((*(models if i else ()), nin + 1, rows)) for i, (nin, _) in enumerate(cfg.layer_dims())]
+        activate, self.slope, self.curv = _ACTIVATIONS[cfg.activation]
+        wbts, self.ws = [wb.swapaxes(-1, -2) for wb in layers], [wb[..., :-1, :] for wb in layers]
+        models, rows, layer_dims = layers[0].shape[:-2], len(x), cfg.layer_dims()
+        self.seed, self.models = scale * (2.0 / x.size), models
+        self.ins = [_stacked(models if i else (), (nin + 1, rows), np.ones) for i, (nin, _) in enumerate(layer_dims)]
         self.ins[0][:-1] = x.T
-        self.acts = [a[..., :-1, :] for a in self.ins] + [np.empty((*models, cfg.input_size, rows))]
-        self.outs, self.slopes, self.deltas = ([None] * len(self.ins) for _ in range(3))
-        self.resid = self.sq = None
+        self.acts = [a[..., :-1, :] for a in self.ins] + [_stacked(models, (cfg.input_size, rows))]
+        self.resid, self.sq = np.empty(self.acts[-1].shape), np.empty(self.acts[-1].shape)
+        # per layer: [W; b]^T, input, output, activation
+        self.layer_steps = tuple(zip(wbts, self.ins, self.acts[1:], [activate] * (len(layers) - 1) + [None]))
+        self.sweep_steps = ()
+
+    def bind_sweep(self) -> tuple:
+        """Makes the reverse sweep's buffers and its steps, read-out first:
+        W, delta, and the layer below's output gradient, slope, delta, output."""
+        self.outs = [_stacked(self.models, a.shape[-2:]) for a in self.acts[1:]]
+        self.slopes = [None if self.slope is None else np.empty(o.shape) for o in self.outs[:-1]] + [None]
+        self.deltas = [o if s is None else _stacked(self.models, o.shape[-2:]) for o, s in zip(self.outs, self.slopes)]
+        self.dts = [d.swapaxes(-1, -2) for d in self.deltas]
+        below = zip(self.outs, self.slopes, self.deltas, self.acts[1:])
+        self.sweep_steps = tuple((w, d, *b) for w, d, b in zip(self.ws[1:], self.deltas[1:], below))[::-1]
+        return self.sweep_steps
 
 
 def _forward_acts(work: _Work) -> list[np.ndarray]:
     """Writes the hidden layers' activations, the read-out and out - x."""
-    acts, activate = work.acts, work.activate
-    for wbt, a, z in zip(work.wbts[:-1], work.ins, acts[1:-1]):
+    for wbt, a, z, activate in work.layer_steps:
         np.matmul(wbt, a, out=z)
         if activate is not None:
             activate(z, out=z)
-    np.matmul(work.wbts[-1], work.ins[-1], out=acts[-1])
-    work.resid = np.subtract(acts[-1], acts[0], out=work.resid)
-    return acts
+    np.subtract(work.acts[-1], work.acts[0], out=work.resid)
+    return work.acts
 
 
 def _mse(work: _Work) -> float:
     # np.mean's own arithmetic (np.square, then one pairwise add.reduce over
     # all entries, divided by their count) without its Python wrapper
-    sq = work.sq = np.square(work.resid, out=work.sq)
+    sq = np.square(work.resid, out=work.sq)
     return float(np.add.reduce(sq, axis=None) / sq.size)
 
 
@@ -277,25 +300,23 @@ def _deltas(work: _Work) -> tuple[list, list, list]:
     output acts[i + 1], its activation slope there (None for a linear layer,
     whose slope 1 is not multiplied in), and its delta, the gradient with
     respect to its pre-activation."""
-    outs, slopes, deltas, acts, slope = work.outs, work.slopes, work.deltas, work.acts, work.slope
-    outs[-1] = deltas[-1] = np.multiply(work.resid, work.seed, out=outs[-1])
-    for i in range(len(outs) - 1, 0, -1):
-        outs[i - 1] = np.matmul(work.ws[i], deltas[i], out=outs[i - 1])
-        if slope is None:
-            deltas[i - 1] = outs[i - 1]
-        else:
-            slopes[i - 1] = slope(acts[i], slopes[i - 1])
-            deltas[i - 1] = np.multiply(outs[i - 1], slopes[i - 1], out=deltas[i - 1])
-    return outs, slopes, deltas
+    steps, slope = work.sweep_steps or work.bind_sweep(), work.slope
+    np.multiply(work.resid, work.seed, out=work.outs[-1])
+    for w, d, out, s, below, a in steps:
+        np.matmul(w, d, out=out)
+        if s is not None:
+            slope(a, s)
+            np.multiply(out, s, out=below)
+    return work.outs, work.slopes, work.deltas
 
 
 def _backward(work: _Work, grads: _Layers) -> None:
     """Reverse pass: writes each layer's weight and bias gradient, times the
     work's scale, into the matching [gW; gb] view of ``grads``; the input's
     ones row makes the last row of the product the bias gradient."""
-    _, _, deltas = _deltas(work)
-    for a, d, g in zip(work.ins, deltas, grads):
-        np.matmul(a, d.T, out=g)
+    _deltas(work)
+    for a, dt, g in zip(work.ins, work.dts, grads):
+        np.matmul(a, dt, out=g)
 
 
 def grad_w(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -321,23 +342,33 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
 
 # What a Hessian-vector product needs of one model and batch before its
 # direction is known: per layer the W and W^T views, and the loss's input
-# (over its ones row), slope, delta and curvature term (output gradient times
-# f''); plus the hvp_both buffers (a _Tangent) that all linearizations of one
-# block share.
-Linearization = namedtuple("Linearization", "config ws wts ins slopes deltas curvs tangent")
+# (over its ones row), slope, delta with its transpose and curvature term
+# (output gradient times f''); plus the hvp_both buffers (a _Tangent) that
+# all linearizations of one block share.
+Linearization = namedtuple("Linearization", "config ws wts ins slopes deltas dts curvs tangent")
 
 
 class _Tangent:
-    """hvp_both's buffers: per layer the tangents of the pre-activation, the
-    activation, the delta and the input gradient, a term of each sum, and the
-    results; each made by the first call and overwritten by later ones."""
+    """hvp_both's buffers for a batch of `rows`, all made here and rewritten
+    by each call: per layer the tangents of the pre-activation, activation
+    and delta (a linear layer's alias those before them) and of the input
+    gradient, a term of each sum, the results, and the views and loss seed
+    the pass reads; and the views of the last direction array passed."""
 
-    def __init__(self, cfg: ModelConfig) -> None:
-        n_layers = len(cfg.layer_dims())
-        self.rz, self.ra, self.rd, self.rg, self.oterm, self.iterm, self.wterm = ([None] * n_layers for _ in range(7))
-        self.r_out = self.v = self.vlayers = None
+    def __init__(self, cfg: ModelConfig, rows: int) -> None:
+        dims = cfg.layer_dims()
+        linear = [_ACTIVATIONS[cfg.activation][1] is None] * (len(dims) - 1) + [True]
+        self.rz, self.rg = [np.empty((nout, rows)) for _, nout in dims], [np.empty((nin, rows)) for nin, _ in dims]
+        self.ra = [z if lin else np.empty(z.shape) for z, lin in zip(self.rz, linear)]
+        self.oterm, self.iterm = [np.empty(z.shape) for z in self.rz], [np.empty(g.shape) for g in self.rg]
+        self.wterm, self.r_out = [np.empty((nin, nout)) for nin, nout in dims], np.empty((cfg.input_size, rows))
+        above = self.rg[1:] + [self.r_out]  # a linear layer's delta tangent: the gradient tangent from above
+        self.rd = [g if lin else np.empty(z.shape) for z, g, lin in zip(self.rz, above, linear)]
+        self.rdts, self.seed, self.r_x = [d.T for d in self.rd], 2.0 / self.r_out.size, self.rg[0].T
         self.r_grad = np.empty(cfg.num_params)  # every entry written by each call
         self.r_layers = _unflatten(cfg, self.r_grad)
+        self.r_ws = [wb[:-1] for wb in self.r_layers]
+        self.v = self.vwbts = self.vws = None
 
 
 def _linearize(cfg: ModelConfig, block: np.ndarray, x: np.ndarray) -> list[Linearization]:
@@ -350,10 +381,10 @@ def _linearize(cfg: ModelConfig, block: np.ndarray, x: np.ndarray) -> list[Linea
     outs, slopes, deltas = _deltas(work)
     curvs = [s if s is None else outs[i] * work.curv(acts[i + 1], s) for i, s in enumerate(slopes)]
     # each model's views of the K-stacked arrays (None for a linear layer)
-    stacked = (work.ws, [w.swapaxes(-1, -2) for w in work.ws], work.ins[1:], slopes, deltas, curvs)
+    stacked = (work.ws, [w.swapaxes(-1, -2) for w in work.ws], work.ins[1:], slopes, deltas, work.dts, curvs)
     per_model = (zip(*(repeat(None, len(block)) if a is None else a for a in arrays)) for arrays in stacked)
-    tangent = _Tangent(cfg)
-    return [Linearization(cfg, w, wt, (work.ins[0], *a), s, d, c, tangent) for w, wt, a, s, d, c in zip(*per_model)]
+    t = _Tangent(cfg, len(x))
+    return [Linearization(cfg, w, wt, (work.ins[0], *a), s, d, dt, c, t) for w, wt, a, s, d, dt, c in zip(*per_model)]
 
 
 def linearize(params: ModelParams, batch: np.ndarray) -> Linearization:
@@ -367,44 +398,45 @@ def hvp_both(lin: Linearization, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     The tangent direction v lives in parameter space; the second result is
     the derivative of <grad_w, v> with respect to the batch entries. Both are
     buffers of ``lin.tangent``: the next call on ``lin``, or on another
-    linearization of its block, overwrites them.
+    linearization of its block, overwrites them. Each product is one model's
+    2-D np.dot into a buffer; a new direction array is checked and viewed once.
     """
-    cfg, ws, wts, ins, slopes, deltas, curvs, t = lin
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (cfg.num_params,):
-        raise ValueError(f"direction must have length {cfg.num_params}, got {v.shape}")
+    cfg, ws, wts, ins, slopes, deltas, dts, curvs, t = lin
     if v is not t.v:
-        t.v, t.vlayers = v, _unflatten(cfg, v)
-    rz, ra, rd, rg, oterm = t.rz, t.ra, t.rd, t.rg, t.oterm
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (cfg.num_params,):
+            raise ValueError(f"direction must have length {cfg.num_params}, got {v.shape}")
+        vlayers = _unflatten(cfg, v)
+        t.v, t.vwbts, t.vws = v, [vwb.T for vwb in vlayers], [vwb[:-1] for vwb in vlayers]
+    rz, ra, rd, rg, oterm, iterm = t.rz, t.ra, t.rd, t.rg, t.oterm, t.iterm
     # tangent forward sweep: ra[i] = directional derivative of layer i's
     # output; the input (and its ones row) does not move along v, so layer 0
     # has no ra term
-    for i, vwb in enumerate(t.vlayers):
-        z = rz[i] = np.matmul(vwb.T, ins[i], out=rz[i])
+    for i, vwbt in enumerate(t.vwbts):
+        z = np.dot(vwbt, ins[i], rz[i])
         if i:
-            np.add(z, np.matmul(wts[i], ra[i - 1], out=oterm[i]), out=z)
-        ra[i] = z if slopes[i] is None else np.multiply(slopes[i], z, out=ra[i])
+            np.add(z, np.dot(wts[i], ra[i - 1], oterm[i]), out=z)
+        if slopes[i] is not None:
+            np.multiply(slopes[i], z, out=ra[i])
 
     # tangent reverse sweep; a linear layer has zero curvature. Its last step,
     # the last read of v (so v may be a previous r_grad), gives the input's
     # gradient, from which the target's term is then taken. The read-out's
     # tangent has the batch's size.
-    g = t.r_out = np.multiply(ra[-1], 2.0 / ra[-1].size, out=t.r_out)
+    g = np.multiply(ra[-1], t.seed, out=t.r_out)
     for i in range(len(ws) - 1, -1, -1):
-        if slopes[i] is None:
-            rd[i] = g
-        else:
-            rd[i] = np.multiply(g, slopes[i], out=rd[i])
+        if slopes[i] is not None:
+            np.multiply(g, slopes[i], out=rd[i])
             np.add(rd[i], np.multiply(curvs[i], rz[i], out=oterm[i]), out=rd[i])
-        g = rg[i] = np.matmul(ws[i], rd[i], out=rg[i])
-        np.add(g, np.matmul(t.vlayers[i][:-1], deltas[i], out=t.iterm[i]), out=g)
+        g = np.dot(ws[i], rd[i], rg[i])
+        np.add(g, np.dot(t.vws[i], deltas[i], iterm[i]), out=g)
     np.subtract(g, t.r_out, out=g)
 
     for i, r_gwb in enumerate(t.r_layers):
-        np.matmul(ins[i], rd[i].T, out=r_gwb)
+        np.dot(ins[i], t.rdts[i], r_gwb)
         if i:
-            np.add(r_gwb[:-1], np.matmul(ra[i - 1], deltas[i].T, out=t.wterm[i]), out=r_gwb[:-1])
-    return t.r_grad, g.T
+            np.add(t.r_ws[i], np.dot(ra[i - 1], dts[i], t.wterm[i]), out=t.r_ws[i])
+    return t.r_grad, t.r_x
 
 
 def train(

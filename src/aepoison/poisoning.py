@@ -307,25 +307,27 @@ def get_poison_grad(
     pois_batch = window_batch(poison.series, detector_cfg)
     atk_batch = window_batch(attack_series, detector_cfg)
 
-    cps = trajectory.checkpoints
+    cps, series_len = trajectory.checkpoints, poison.series.length
     dw = nn_core.grad_w(ModelParams(model_cfg, cps[-1]), atk_batch)
     dyc = np.zeros_like(poison.values)
-    # dw and dyc are owned here and updated in place; step t reverses the
-    # update made from checkpoint t - 1. The reverse recursion multiplies dw
-    # by (I - alpha*H) each step; when training ran at a rate where some
-    # |1 - alpha*h| > 1 this product grows exponentially. Rescaling dw and dyc
-    # together is lossless downstream (the poison update uses only the
-    # normalized direction), so cap the magnitude instead of overflowing.
+    r_gy, dw_abs = np.empty_like(dyc), np.empty_like(dw)
+    # dw and dyc are owned here and updated in place, as are each step's
+    # scatter r_gy and |dw|; step t reverses the update made from checkpoint
+    # t - 1. The reverse recursion multiplies dw by (I - alpha*H) each step;
+    # when training ran at a rate where some |1 - alpha*h| > 1 this product
+    # grows exponentially. Rescaling dw and dyc together is lossless downstream
+    # (the poison update uses only the normalized direction), so cap the
+    # magnitude instead of overflowing.
     with np.errstate(over="ignore", invalid="ignore"):
         for end in range(trajectory.steps, 0, -REVERSE_BLOCK):
             for lin in reversed(nn_core._linearize(model_cfg, cps[max(end - REVERSE_BLOCK, 0) : end], pois_batch)):
                 r_gw, r_gx = nn_core.hvp_both(lin, dw)
-                r_gy = _scatter_windows(r_gx, poison.series.length, detector_cfg)
+                _scatter_windows(r_gx, series_len, detector_cfg, r_gy)
                 r_gy *= alpha
                 dyc -= r_gy
                 r_gw *= alpha
                 dw -= r_gw
-                peak = float(np.maximum.reduce(np.abs(dw), axis=None))  # np.max without its Python wrapper
+                peak = float(np.maximum.reduce(np.abs(dw, out=dw_abs), axis=None))  # np.max without its wrapper
                 if peak > 1e50:
                     dw, dyc = dw / peak, dyc / peak
     if not np.isfinite(dyc).all():

@@ -3,11 +3,16 @@ and at numpy's baseline SIMD level.
 
 Training updates one flat vector in place and writes every epoch into one set
 of feature-major work buffers with ``out=``, each layer one matmul of its
-[W; b] view with its input over a row of ones, and a reversal linearizes a
-block of checkpoints with K-stacked matmuls and ufuncs; these checks compare
-those paths with plain allocating loops in the same layout. A fit seeds its
-backward pass with lr * 2 / size, so the SINGLE_SEQ loop takes that seed too,
-and one check holds that fit within 1e-12 of the plain lr * grad_w loop.
+[W; b] view with its input over a row of ones. A reversal linearizes a block
+of checkpoints with K-stacked matmuls and ufuncs, then runs each tangent pass
+alone as 2-D ``np.dot`` calls into buffers bound once, where the references
+use the allocating ``@``. These checks compare those paths with plain
+allocating loops in the same layout, also at shapes with a size-1 dimension
+(a width-1 code layer, a one-row batch), which BLAS may run as gemv or dot,
+through a one-window-per-sequence detector and through a reversal that
+rescales. A fit seeds its backward pass with lr * 2 / size, so the
+SINGLE_SEQ loop takes that seed too, and one check holds that fit within
+1e-12 of the plain lr * grad_w loop.
 Each kernel runs in a child process with ``OPENBLAS_CORETYPE`` set in the
 child's environment only, once with numpy's default dispatch and once with
 ``NPY_DISABLE_CPU_FEATURES`` naming every dispatch target above numpy's
@@ -36,6 +41,8 @@ CHECKS = (
     "tests/test_nn_core.py::TestLinearize",
     "tests/test_poisoning.py::TestGetPoisonGrad::test_matches_public_reference_loop_bit_exact",
     "tests/test_poisoning.py::TestGetPoisonGrad::test_any_count_of_checkpoint_blocks_matches_reference_loop",
+    "tests/test_poisoning.py::TestGetPoisonGrad::test_single_window_detector_matches_reference_loop_bit_exact",
+    "tests/test_poisoning.py::TestGetPoisonGrad::test_rescaled_reversal_stays_parallel_to_the_unrescaled_loop",
 )
 # CPU flags each kernel needs, as /proc/cpuinfo names them (pni is SSE3)
 KERNEL_FLAGS = {

@@ -286,20 +286,38 @@ def same_bits(a, b):
 
 
 class TestLinearize:
-    SHAPES = [(4, 2, 48), (4, 2, 990), (100, 50, 16)]  # MULTI_SEQ poison and training rows, SINGLE_SEQ
+    # id: (input_size, code_size, inflation_factor, rows). MULTI_SEQ poison
+    # and training rows and SINGLE_SEQ; then shapes that give products a
+    # size-1 dimension, which BLAS may run as gemv or dot: a width-1 code
+    # layer (tiny_detector's 2-2-1-2-2 among them) and one-row batches
+    SHAPES = {
+        "4-2-48": (4, 2, 2, 48),
+        "4-2-990": (4, 2, 2, 990),
+        "100-50-16": (100, 50, 2, 16),
+        "2-2-1-2-2x48": (2, 1, 1, 48),
+        "2-2-1-2-2x2": (2, 1, 1, 2),
+        "2-2-1-2-2x1": (2, 1, 1, 1),
+        "4-8-2-8-4x1": (4, 2, 2, 1),
+        "3-3-1-3-3x5": (3, 1, 1, 5),
+        "4-8-1-8-4x7": (4, 1, 2, 7),
+    }
+    shapes = pytest.mark.parametrize("input_size,code_size,inflation,rows", SHAPES.values(), ids=SHAPES)
 
     @staticmethod
-    def trajectory(input_size, code_size, rows, steps):
-        cfg = ModelConfig(input_size=input_size, code_size=code_size, init_seed=6, init_scale=0.4)
+    def trajectory(input_size, code_size, inflation, rows, steps):
+        cfg = ModelConfig(
+            input_size=input_size, code_size=code_size, inflation_factor=inflation, init_seed=6, init_scale=0.4
+        )
         x = np.sin(np.linspace(0, 40, rows * input_size)).reshape(rows, input_size) * 0.8
-        _, traj, _ = train(init_params(cfg), x, TrainConfig(0.5, steps, 1e-12, record_trajectory=True))
+        # a one-row batch fits below 1e-12 within these steps
+        _, traj, _ = train(init_params(cfg), x, TrainConfig(0.5, steps, 1e-300, record_trajectory=True))
         assert traj.steps == steps
         return cfg, x, traj.checkpoints
 
-    @pytest.mark.parametrize("input_size,code_size,rows", SHAPES)
+    @shapes
     @pytest.mark.parametrize("models", [1, REVERSE_BLOCK - 1, REVERSE_BLOCK, REVERSE_BLOCK + 1])
-    def test_stacked_state_matches_plain_pass_bit_for_bit(self, input_size, code_size, rows, models):
-        cfg, x, cps = self.trajectory(input_size, code_size, rows, models - 1)
+    def test_stacked_state_matches_plain_pass_bit_for_bit(self, input_size, code_size, inflation, rows, models):
+        cfg, x, cps = self.trajectory(input_size, code_size, inflation, rows, models - 1)
         lins = nn_core._linearize(cfg, cps, x)
         assert len(lins) == models
         for lin, vec in zip(lins, cps):
@@ -310,9 +328,9 @@ class TestLinearize:
                 assert [g is None for g in got] == [r is None for r in ref]
                 assert all(same_bits(g, r) for g, r in zip(got, ref) if r is not None)
 
-    @pytest.mark.parametrize("input_size,code_size,rows", SHAPES)
-    def test_tangent_pass_matches_allocating_reference_bit_exact(self, input_size, code_size, rows):
-        cfg, x, cps = self.trajectory(input_size, code_size, rows, REVERSE_BLOCK + 2)
+    @shapes
+    def test_tangent_pass_matches_allocating_reference_bit_exact(self, input_size, code_size, inflation, rows):
+        cfg, x, cps = self.trajectory(input_size, code_size, inflation, rows, REVERSE_BLOCK + 2)
         v = np.random.default_rng(rows).normal(size=cfg.num_params)
         for lin, vec in zip(nn_core._linearize(cfg, cps, x), cps):
             # v is the last result, overwritten by the call that reads it

@@ -262,26 +262,29 @@ class TestGetPoisonGrad:
         """get_poison_grad's arguments for a fit of `steps` epochs on clean
         plus poison windows, and that reversal as a loop of public calls."""
         exp, dcfg, _ = multi_seq_setup(size=3)
-        attacked, (a, b) = exp.attack, exp.span
-        poison = PoisonPoint(exp.clean.with_values(exp.clean.values[a:b]), span=exp.span)
-        poison_series = poison.series
-        pois_batch = window_batch(poison_series, dcfg)
-        data = np.vstack([window_batch(s, dcfg) for s in exp.train] + [pois_batch])
-        w0 = nn_core.init_params(dcfg.model)
-        lr = 0.8
-        _, traj, _ = nn_core.train(w0, data, TrainConfig(lr, steps, 1e-9, record_trajectory=True))
-        assert traj.steps == steps
+        poison = PoisonPoint(exp.clean.with_values(exp.clean.values[slice(*exp.span)]), span=exp.span)
+        args = fit_to_reverse(exp.train, exp.attack, poison, dcfg, steps)
+        expected, peak = reference_reversal(*args)
+        assert peak <= 1e50  # get_poison_grad would rescale
+        return args, expected
 
-        # reference: validated weights and fresh arrays at every step
-        cfg, cps = dcfg.model, traj.checkpoints
-        dw = nn_core.grad_w(ModelParams(cfg, cps[-1]), window_batch(attacked, dcfg))
-        dyc = np.zeros_like(poison.values)
-        for t in range(traj.steps, 0, -1):
-            r_gw, r_gx = nn_core.hvp_both(nn_core.linearize(ModelParams(cfg, cps[t - 1]), pois_batch), dw)
-            dyc = dyc - lr * _scatter_windows(r_gx, poison_series.length, dcfg)
-            dw = dw - lr * r_gw
-            assert np.max(np.abs(dw)) <= 1e50  # get_poison_grad would rescale
-        return (traj, attacked, poison, dcfg), dyc
+    @staticmethod
+    def single_window_reversal_and_reference_loop(steps):
+        """As reversal_and_reference_loop, in SINGLE_SEQ's layout: every
+        series is cut to the same 12 rows around the attack, and a window
+        spans all of them, so the poison sequence is one window."""
+        exp, _, _ = multi_seq_setup(size=3)
+        model = ModelConfig(input_size=24, code_size=2, inflation_factor=1, init_seed=3, init_scale=0.3)
+        dcfg = DetectorConfig(model=model, window_length=12, threshold=0.2)
+
+        def cut(series):
+            return series.with_values(series.values[52:64])
+
+        poison = PoisonPoint(cut(exp.clean), span=(0, 12))
+        args = fit_to_reverse([cut(s) for s in exp.train], cut(exp.attack), poison, dcfg, steps)
+        expected, peak = reference_reversal(*args)
+        assert peak <= 1e50  # get_poison_grad would rescale
+        return args, expected
 
     def test_matches_public_reference_loop_bit_exact(self):
         args, expected = self.reversal_and_reference_loop(150)
@@ -297,6 +300,30 @@ class TestGetPoisonGrad:
         got = get_poison_grad(*args)
         assert np.any(got != 0.0) or steps == 0
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, poisoning.REVERSE_BLOCK + 1, 150])
+    def test_single_window_detector_matches_reference_loop_bit_exact(self, steps):
+        # one window per sequence: the count < window_length scatter branch
+        args, expected = self.single_window_reversal_and_reference_loop(steps)
+        assert len(window_batch(args[2].series, args[3])) < args[3].window_length
+        got = get_poison_grad(*args)
+        assert np.any(got != 0.0)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_rescaled_reversal_stays_parallel_to_the_unrescaled_loop(self):
+        # 40 reverse steps at a rate of 50 through one repeated checkpoint:
+        # |dw| passes 1e50, so get_poison_grad divides dw and dyc by their
+        # peak, and every later step runs on the new dw array
+        (traj, attacked, poison, dcfg), _ = self.reversal_and_reference_loop(40)
+        cps = np.repeat(traj.checkpoints[-1:], 41, axis=0)
+        cps.setflags(write=False)
+        args = (nn_core.TrainTrajectory(cps, 50.0), attacked, poison, dcfg)
+        expected, peak = reference_reversal(*args)
+        assert 1e50 < peak and np.isfinite(expected).all()
+        got = get_poison_grad(*args)
+        assert np.isfinite(got).all() and np.max(np.abs(got)) < np.max(np.abs(expected))
+        cos = np.vdot(got, expected) / (np.linalg.norm(got) * np.linalg.norm(expected))
+        assert cos == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("steps", [0, 1, poisoning.REVERSE_BLOCK, 2 * poisoning.REVERSE_BLOCK + 3])
     def test_one_hvp_both_call_per_reverse_step(self, steps, monkeypatch):
@@ -315,6 +342,33 @@ class TestGetPoisonGrad:
         poison = PoisonPoint(tiny_series(np.zeros(4)), span=(0, 4))
         g = get_poison_grad(traj, tiny_series(np.ones(6)), poison, dcfg)
         assert np.all(g == 0.0)
+
+
+def fit_to_reverse(train, attacked, poison, dcfg, steps):
+    """get_poison_grad's arguments for a fit of `steps` epochs at rate 0.8
+    on the training sequences' windows plus the poison's."""
+    pois_batch = window_batch(poison.series, dcfg)
+    data = np.vstack([window_batch(s, dcfg) for s in train] + [pois_batch])
+    w0 = nn_core.init_params(dcfg.model)
+    _, traj, _ = nn_core.train(w0, data, TrainConfig(0.8, steps, 1e-9, record_trajectory=True))
+    assert traj.steps == steps
+    return traj, attacked, poison, dcfg
+
+
+def reference_reversal(traj, attacked, poison, dcfg):
+    """get_poison_grad as a loop of public calls, with validated weights and
+    fresh arrays at every step and no rescaling: the gradient, and the
+    largest |dw| entry any step reached."""
+    cfg, cps, lr = dcfg.model, traj.checkpoints, traj.learning_rate
+    pois_batch = window_batch(poison.series, dcfg)
+    dw = nn_core.grad_w(ModelParams(cfg, cps[-1]), window_batch(attacked, dcfg))
+    dyc, peak = np.zeros_like(poison.values), 0.0
+    for t in range(traj.steps, 0, -1):
+        r_gw, r_gx = nn_core.hvp_both(nn_core.linearize(ModelParams(cfg, cps[t - 1]), pois_batch), dw)
+        dyc = dyc - lr * _scatter_windows(r_gx, poison.series.length, dcfg)
+        dw = dw - lr * r_gw
+        peak = max(peak, float(np.max(np.abs(dw))))
+    return dyc, peak
 
 
 def reference_attack_init(data, params, cfg, dcfg):
