@@ -27,6 +27,7 @@ __all__ = [
     "AlertReport",
     "check_series",
     "window_batch",
+    "scatter_windows",
     "reconstruct_series",
     "score",
     "series_loss",
@@ -99,18 +100,18 @@ def window_batch(series: SeriesMatrix, cfg: DetectorConfig) -> np.ndarray:
     return wins.reshape(wins.shape[0], -1)
 
 
-def _scatter_windows(
-    grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Sum per-window rows back onto the series rows they came from; a row
-    covered by several windows gets their sum, added in window order (the
-    order of np.add.at, which this replaces with one slice-add per window or
-    per window position, whichever are fewer), from zeros written into
-    ``out`` if given, else into a new array."""
-    length, count = cfg.window_length, len(grad_batch)
+def scatter_windows(grad_batch: np.ndarray, series_len: int, cfg: DetectorConfig) -> np.ndarray:
+    """The adjoint of :func:`window_batch`: per-window rows summed back onto
+    the series rows they came from, in a new (series_len, features) array.
+    A row covered by several windows gets their sum, added from zero in
+    window order (the order of np.add.at, which this replaces with one
+    slice-add per window or per window position, whichever are fewer). A
+    batch that is not the shape of the series' windows is refused."""
+    length, count = cfg.window_length, series_len - cfg.window_length + 1
+    if grad_batch.shape != (count, cfg.model.input_size):
+        raise ValueError(f"{series_len} rows have ({count}, {cfg.model.input_size}) windows, got {grad_batch.shape}")
     blocks = grad_batch.reshape(count, length, -1)
-    out = np.empty((series_len, blocks.shape[-1])) if out is None else out
-    out.fill(0.0)
+    out = np.zeros((series_len, blocks.shape[-1]))
     if count < length:
         for j in range(count):
             out[j : j + length] += blocks[j]
@@ -129,8 +130,8 @@ def reconstruct_series(params: ModelParams, series: SeriesMatrix, cfg: DetectorC
     near the edges by fewer windows).
     """
     preds = nn_core.forward(params, window_batch(series, cfg))
-    total = _scatter_windows(preds, series.length, cfg)
-    cover = _scatter_windows(np.ones_like(preds), series.length, cfg)
+    total = scatter_windows(preds, series.length, cfg)
+    cover = scatter_windows(np.ones_like(preds), series.length, cfg)
     return series.with_values(total / cover)
 
 
@@ -156,7 +157,7 @@ def series_objective_grad(params: ModelParams, series: SeriesMatrix, cfg: Detect
     the per-window input gradients.
     """
     gx = nn_core.grad_x(params, window_batch(series, cfg))
-    return _scatter_windows(gx, series.length, cfg)
+    return scatter_windows(gx, series.length, cfg)
 
 
 def save_detector(params: ModelParams, cfg: DetectorConfig, path: str | Path) -> None:

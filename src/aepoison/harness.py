@@ -129,7 +129,7 @@ class CellConfig:
             while anchor + self.attack_duration > self.signal_length and anchor >= self.period:
                 anchor -= self.period
         else:
-            anchor = int(self.attack_location)
+            anchor = index(self.attack_location)  # a TypeError unless an integer
         if not 0 <= anchor <= self.signal_length - self.attack_duration:
             raise ValueError(f"attack rows [{anchor}, {anchor + self.attack_duration}) leave [0, {self.signal_length})")
         return AttackSpec(
@@ -282,9 +282,9 @@ class GridSpec:
     def cells(self) -> list[CellConfig]:
         names = sorted(self.axes)
         out = []
-        for index, combo in enumerate(itertools.product(*(self.axes[n] for n in names))):
+        for i, combo in enumerate(itertools.product(*(self.axes[n] for n in names))):
             overrides = dict(zip(names, combo))
-            cell_seed = overrides.pop("seed", self.seed * _SEED_STRIDE + index)
+            cell_seed = overrides.pop("seed", self.seed * _SEED_STRIDE + i)
             out.append(replace(self.base, seed=cell_seed, **overrides))
         return out
 
@@ -403,33 +403,22 @@ def export(records: Sequence[MetricsRecord], out_dir: str | Path) -> list[Path]:
     json_path.write_text(json.dumps([r.to_json_dict() for r in records], indent=2))
     written = [_write_csv(out_path / "records.csv", cell_keys + names, rows), json_path]
 
-    # plot data: poison points vs magnitude, one series per training size
-    points: dict[tuple[int, float], list[int]] = {}
-    for rec in records:
-        if rec.success and rec.error is None:
-            key = (rec.cell.get("training_set_size"), rec.cell.get("attack_magnitude"))
-            points.setdefault(key, []).append(rec.poison_point_count)
-    header = ["training_set_size", "attack_magnitude", "mean_poison_points"]
-    rows = ([size, mag, float(np.mean(pts))] for (size, mag), pts in sorted(points.items()))
-    written.append(_write_csv(out_path / "plot_points_vs_magnitude.csv", header, rows))
-
-    # plot data: largest successful magnitude per (algorithm, training size)
-    best: dict[tuple[str, int], float] = {}
-    for rec in records:
-        if rec.success and rec.engaged and rec.error is None:
-            key = (rec.cell.get("algorithm"), rec.cell.get("training_set_size"))
-            best[key] = max(best.get(key, 0.0), rec.cell.get("attack_magnitude", 0.0))
-    header = ["algorithm", "training_set_size", "largest_successful_magnitude"]
-    rows = ([algo, size, mag] for (algo, size), mag in sorted(best.items()))
-    written.append(_write_csv(out_path / "plot_max_magnitude_vs_training_size.csv", header, rows))
-
-    # plot data: iteration counts per algorithm and magnitude
-    iters: dict[tuple[str, float], list[int]] = {}
-    for rec in records:
-        if rec.error is None:
-            key = (rec.cell.get("algorithm"), rec.cell.get("attack_magnitude"))
-            iters.setdefault(key, []).append(rec.optimization_iterations)
-    header = ["algorithm", "attack_magnitude", "mean_iterations"]
-    rows = ([algo, mag, float(np.mean(values))] for (algo, mag), values in sorted(iters.items()))
-    written.append(_write_csv(out_path / "plot_iterations_comparison.csv", header, rows))
+    # plot data, one row per pair of cell values (a group keeps its first key,
+    # so -0.0 and 0.0 are one group): file, the pair, the value column, which
+    # records count, each one's value and the group's rule (an errored
+    # record's success is False)
+    tables = (
+        ("plot_points_vs_magnitude.csv", ("training_set_size", "attack_magnitude"), "mean_poison_points",
+         lambda r: r.success, lambda r: r.poison_point_count, lambda v: float(np.mean(v))),
+        ("plot_max_magnitude_vs_training_size.csv", ("algorithm", "training_set_size"), "largest_successful_magnitude",
+         lambda r: r.success and r.engaged, lambda r: r.cell.get("attack_magnitude", 0.0), lambda m: max(0.0, *m)),
+        ("plot_iterations_comparison.csv", ("algorithm", "attack_magnitude"), "mean_iterations",
+         lambda r: r.error is None, lambda r: r.optimization_iterations, lambda v: float(np.mean(v))),
+    )
+    for name, pair, column, counts, value, rule in tables:
+        groups: dict[tuple, list] = {}
+        for rec in filter(counts, records):
+            groups.setdefault(tuple(rec.cell.get(k) for k in pair), []).append(value(rec))
+        rows = ([*key, rule(values)] for key, values in sorted(groups.items()))
+        written.append(_write_csv(out_path / name, [*pair, column], rows))
     return written

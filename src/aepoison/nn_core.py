@@ -16,9 +16,10 @@ each layer's input is a (width + 1, rows) array whose last row is ones, so
 one matmul with the layer's [W; b] view gives its output biases included,
 and one matmul with its delta gives its weight and bias gradients at once.
 A trajectory records the vector after every step as a row of one read-only
-block, so the training process can be reversed step by step; a reversal
-linearizes a block of checkpoints with K-stacked matmuls, then runs each
-tangent pass alone as 2-D np.dot calls into buffers the block made once.
+block, so the training process can be reversed step by step: linearizations
+walks its checkpoints newest first, REVERSE_BLOCK rows per K-stacked pass,
+and each tangent pass (hvp_both) then runs alone as 2-D np.dot calls into
+buffers its pass made once.
 
 Parameter vector layout (relied on by trajectory rollback and the HVPs):
 layer-major, weights then bias, weights raveled row-major (in_dim x out_dim),
@@ -32,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from math import inf, isfinite
 from operator import index
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "grad_x",
     "Linearization",
     "linearize",
+    "linearizations",
     "hvp_both",
     "train",
 ]
@@ -346,6 +348,7 @@ def grad_x(params: ModelParams, batch: np.ndarray) -> np.ndarray:
 # (output gradient times f''); plus the hvp_both buffers (a _Tangent) that
 # all linearizations of one block share.
 Linearization = namedtuple("Linearization", "config ws wts ins slopes deltas dts curvs tangent")
+REVERSE_BLOCK = 16  # checkpoint rows per stacked pass of linearizations
 
 
 class _Tangent:
@@ -392,13 +395,24 @@ def linearize(params: ModelParams, batch: np.ndarray) -> Linearization:
     return _linearize(params.config, params.vector[None], _batch(params.config, batch))[0]
 
 
+def linearizations(cfg: ModelConfig, checkpoints: np.ndarray, batch: np.ndarray) -> Iterator[Linearization]:
+    """The Linearization at each row of a (T, P) checkpoint block on a batch,
+    newest row first, as a reversal walks a trajectory: one stacked pass per
+    REVERSE_BLOCK rows, counted from the newest, whose linearizations share
+    one set of hvp_both buffers."""
+    x = _batch(cfg, batch)
+    for end in range(len(checkpoints), 0, -REVERSE_BLOCK):
+        yield from reversed(_linearize(cfg, checkpoints[max(end - REVERSE_BLOCK, 0) : end], x))
+
+
 def hvp_both(lin: Linearization, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact ((d2L/dw dw) v, (d2L/dx dw) v) in one tangent pass.
 
     The tangent direction v lives in parameter space; the second result is
     the derivative of <grad_w, v> with respect to the batch entries. Both are
     buffers of ``lin.tangent``: the next call on ``lin``, or on another
-    linearization of its block, overwrites them. Each product is one model's
+    linearization from the same stacked pass (the same REVERSE_BLOCK rows of
+    :func:`linearizations`), overwrites them. Each product is one model's
     2-D np.dot into a buffer; a new direction array is checked and viewed once.
     """
     cfg, ws, wts, ins, slopes, deltas, dts, curvs, t = lin
@@ -452,7 +466,8 @@ def train(
     seed lr * 2 / size makes it write lr * grad_w (bit for bit when lr is a
     power of two). A trajectory is one block of max_epochs + 1 rows, each
     epoch copying the vector into its own row; the rows the fit wrote are
-    returned read-only.
+    returned as a read-only view of it (an early stop keeps the whole block
+    allocated, but never touches the pages of the rows it did not write).
     """
     model_cfg = params.config
     x = _batch(model_cfg, data)
@@ -482,7 +497,7 @@ def train(
             if not np.logical_and.reduce(np.isfinite(theta, out=finite)):
                 raise TrainingDiverged(f"loss diverged at step {steps}")
     if checkpoints is not None:
-        checkpoints = checkpoints[: steps + 1].copy()
+        checkpoints = checkpoints[: steps + 1]
         checkpoints.setflags(write=False)
     trajectory = TrainTrajectory(checkpoints, cfg.learning_rate) if checkpoints is not None else None
     theta.setflags(write=False)

@@ -28,7 +28,7 @@ import numpy as np
 from . import nn_core
 from .detector import (
     DetectorConfig,
-    _scatter_windows,
+    scatter_windows,
     score,
     series_loss,
     series_objective_grad,
@@ -57,7 +57,6 @@ _TERMINATIONS = ("goal-met", "lambda-floor", "zero-gradient", "iter-budget", "ov
 DECAY = 0.9  # step-rate decay after a rejected step
 LAMBDA_EPS = 1e-5  # floor of the adversarial learning rate
 INTERP_EPS = 1e-7  # floor of an interp step
-REVERSE_BLOCK = 16  # checkpoints get_poison_grad linearizes in one stacked pass
 
 
 @dataclass(frozen=True)
@@ -298,9 +297,10 @@ def get_poison_grad(
     reverse step, at the trajectory's own learning rate, accumulates the
     poison's influence through that step's weight update via one mixed and
     one weight-space Hessian-vector product at the recorded pre-step weights,
-    linearized REVERSE_BLOCK checkpoints at a time. Both are Hessians of the
-    loss on the candidate's windows alone, not of the whole training loss the
-    fit descended (the adjoint of the unrolled fit is ROADMAP item 1).
+    whose linearizations nn_core.linearizations yields newest first. Both are
+    Hessians of the loss on the candidate's windows alone, not of the whole
+    training loss the fit descended (the adjoint of the unrolled fit is
+    ROADMAP item 1).
     """
     alpha = trajectory.learning_rate
     model_cfg = detector_cfg.model
@@ -309,27 +309,25 @@ def get_poison_grad(
 
     cps, series_len = trajectory.checkpoints, poison.series.length
     dw = nn_core.grad_w(ModelParams(model_cfg, cps[-1]), atk_batch)
-    dyc = np.zeros_like(poison.values)
-    r_gy, dw_abs = np.empty_like(dyc), np.empty_like(dw)
-    # dw and dyc are owned here and updated in place, as are each step's
-    # scatter r_gy and |dw|; step t reverses the update made from checkpoint
-    # t - 1. The reverse recursion multiplies dw by (I - alpha*H) each step;
-    # when training ran at a rate where some |1 - alpha*h| > 1 this product
-    # grows exponentially. Rescaling dw and dyc together is lossless downstream
-    # (the poison update uses only the normalized direction), so cap the
-    # magnitude instead of overflowing.
+    dyc, dw_abs = np.zeros_like(poison.values), np.empty_like(dw)
+    # dw and dyc are owned here and updated in place, as are each step's new
+    # scatter r_gy and its |dw| buffer; step t reverses the update made from
+    # checkpoint t - 1. The reverse recursion multiplies dw by (I - alpha*H)
+    # each step; when training ran at a rate where some |1 - alpha*h| > 1 this
+    # product grows exponentially. Rescaling dw and dyc together is lossless
+    # downstream (the poison update uses only the normalized direction), so
+    # cap the magnitude instead of overflowing.
     with np.errstate(over="ignore", invalid="ignore"):
-        for end in range(trajectory.steps, 0, -REVERSE_BLOCK):
-            for lin in reversed(nn_core._linearize(model_cfg, cps[max(end - REVERSE_BLOCK, 0) : end], pois_batch)):
-                r_gw, r_gx = nn_core.hvp_both(lin, dw)
-                _scatter_windows(r_gx, series_len, detector_cfg, r_gy)
-                r_gy *= alpha
-                dyc -= r_gy
-                r_gw *= alpha
-                dw -= r_gw
-                peak = float(np.maximum.reduce(np.abs(dw, out=dw_abs), axis=None))  # np.max without its wrapper
-                if peak > 1e50:
-                    dw, dyc = dw / peak, dyc / peak
+        for lin in nn_core.linearizations(model_cfg, cps[:-1], pois_batch):
+            r_gw, r_gx = nn_core.hvp_both(lin, dw)
+            r_gy = scatter_windows(r_gx, series_len, detector_cfg)
+            r_gy *= alpha
+            dyc -= r_gy
+            r_gw *= alpha
+            dw -= r_gw
+            peak = float(np.maximum.reduce(np.abs(dw, out=dw_abs), axis=None))  # np.max without its wrapper
+            if peak > 1e50:
+                dw, dyc = dw / peak, dyc / peak
     if not np.isfinite(dyc).all():
         raise FloatingPointError("training reversal produced a non-finite poison gradient")
     return dyc
@@ -371,16 +369,8 @@ class _RunState:
         """
         while result.alerts_val > 0 and sum(1 for p in self.points if p.kind == "clean-pad") < len(self.data.train):
             idx = int(self.pad_rng.integers(len(self.data.train)))
-            seq = self.data.train[idx]
-            self.points.append(
-                PoisonPoint(
-                    seq.with_values(seq.values),
-                    iteration_born=len(self.log),
-                    span=(0, seq.length),
-                    kind="clean-pad",
-                    source=f"train[{idx}]",
-                )
-            )
+            seq, born = self.data.train[idx], len(self.log)
+            self.points.append(PoisonPoint(seq, born, span=(0, seq.length), kind="clean-pad", source=f"train[{idx}]"))
             result = train_test(self, candidate)
         return result
 

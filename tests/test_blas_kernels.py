@@ -1,5 +1,5 @@
-"""The bit-exact training and reversal checks, rerun under each OpenBLAS kernel
-and at numpy's baseline SIMD level.
+"""The bit-exact training and reversal checks (the tests marked ``bit_exact``),
+rerun under each OpenBLAS kernel and at numpy's baseline SIMD level.
 
 Training updates one flat vector in place and writes every epoch into one set
 of feature-major work buffers with ``out=``, each layer one matmul of its
@@ -31,19 +31,6 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 import aepoison
 
 TESTS = Path(__file__).resolve().parent
-CHECKS = (
-    "tests/test_nn_core.py::TestGradWBuffers",
-    "tests/test_nn_core.py::TestTrain::test_matches_plain_gradient_descent_loop_bit_exact",
-    "tests/test_nn_core.py::TestTrain::test_single_seq_model_matches_plain_loop_bit_exact",
-    "tests/test_nn_core.py::TestTrain::test_single_seq_folded_rate_stays_within_rounding_of_lr_times_grad_w",
-    "tests/test_nn_core.py::TestTrain::test_multi_seq_shape_matches_plain_loop_bit_exact",
-    "tests/test_nn_core.py::TestTrain::test_diverges_at_the_step_of_an_isfinite_reference_loop",
-    "tests/test_nn_core.py::TestLinearize",
-    "tests/test_poisoning.py::TestGetPoisonGrad::test_matches_public_reference_loop_bit_exact",
-    "tests/test_poisoning.py::TestGetPoisonGrad::test_any_count_of_checkpoint_blocks_matches_reference_loop",
-    "tests/test_poisoning.py::TestGetPoisonGrad::test_single_window_detector_matches_reference_loop_bit_exact",
-    "tests/test_poisoning.py::TestGetPoisonGrad::test_rescaled_reversal_stays_parallel_to_the_unrescaled_loop",
-)
 # CPU flags each kernel needs, as /proc/cpuinfo names them (pni is SSE3)
 KERNEL_FLAGS = {
     "Prescott": {"sse2", "pni"},
@@ -96,8 +83,8 @@ def child_env(coretype: str) -> dict:
 
 
 def run_checks(coretype: str, **extra_env: str) -> None:
-    """Run CHECKS in a child under the ``coretype`` kernel, with ``extra_env``
-    added to the child's environment only."""
+    """Run the ``bit_exact`` tests in a child under the ``coretype`` kernel,
+    with ``extra_env`` added to the child's environment only."""
     missing = KERNEL_FLAGS[coretype] - cpu_flags()
     if missing:
         pytest.skip(f"CPU lacks {sorted(missing)} for the {coretype} kernel")
@@ -113,7 +100,7 @@ def run_checks(coretype: str, **extra_env: str) -> None:
         ).stdout.split()
         assert active == [], f"numpy still dispatches to {active}"
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *CHECKS],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-m", "bit_exact", str(TESTS)],
         cwd=TESTS.parent,
         env=env,
         capture_output=True,

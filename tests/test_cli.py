@@ -274,6 +274,7 @@ def test_non_integer_config_count_is_usage_error(tmp_path):
         ({"period": 20.0}, {}),
         ({"attack_duration": 7.5}, {}),
         ({"subsequence_length": 2.0}, {}),
+        ({"attack_location": 30.5}, {}),
         ({}, {"budget": 1.5}),
         ({}, {"seed": 0.5}),
     ]

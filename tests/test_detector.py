@@ -7,10 +7,10 @@ from aepoison import nn_core
 from aepoison.detector import (
     AlertReport,
     DetectorConfig,
-    _scatter_windows,
     load_detector,
     reconstruct_series,
     save_detector,
+    scatter_windows,
     score,
     series_loss,
     series_objective_grad,
@@ -217,7 +217,7 @@ class TestScatterWindows:
         expected = np.zeros((rows, features))
         for k in range(count):
             expected[k : k + length] += grad_batch[k].reshape(length, features)
-        got = _scatter_windows(grad_batch, rows, dcfg)
+        got = scatter_windows(grad_batch, rows, dcfg)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     # (30, 2, 40) and (100, 1, 100) have fewer windows than window rows
@@ -230,6 +230,15 @@ class TestScatterWindows:
     @pytest.mark.parametrize("length,features,rows", CASES)
     def test_signed_zeros_match_loop_reference_bit_for_bit(self, length, features, rows):
         self.check_against_loop(length, features, rows, signed_zeros=True)
+
+    # the windows of a 10-row, 2-feature series under 3-row windows are (8, 6)
+    @pytest.mark.parametrize("shape,rows", [((8, 6), 11), ((8, 6), 9), ((8, 3), 10), ((8, 9), 10), ((48,), 10)])
+    def test_batch_that_does_not_window_the_series_is_refused(self, shape, rows):
+        # a longer series would keep zero rows, a wider window another feature count
+        dcfg = DetectorConfig(model=ModelConfig(input_size=6, code_size=3), window_length=3, threshold=0.2)
+        assert scatter_windows(np.ones((8, 6)), 10, dcfg).shape == (10, 2)
+        with pytest.raises(ValueError, match="windows"):
+            scatter_windows(np.ones(shape), rows, dcfg)
 
 
 class TestDetectorCheckpoint:

@@ -446,6 +446,63 @@ class TestExport:
         assert lines == ["algorithm,training_set_size,largest_successful_magnitude", "interp,4,0.3"]
         assert max_poisonable_magnitude(records) == 0.1
 
+    def test_plot_tables_pinned_line_by_line(self, tmp_path):
+        # 96 records over two algorithms, training sizes 2, 4 and 8 (size 8 at
+        # magnitudes -0.0 and 0.0 only, -0.0 first) and five outcomes: engaged
+        # and unengaged successes, engaged failures, errors, engaged successes.
+        # A group keeps its first key (-0.0 == 0.0), the largest-magnitude
+        # table floors at 0.0 and no table reads an errored record.
+        records = []
+        for i in range(96):
+            size = (2, 4, 8)[i // 2 % 3]
+            mags = (-0.0, 0.0) if size == 8 else (0.0, -0.0, 0.1, 0.3)
+            cell = {
+                "algorithm": ("interp", "backgrad")[i % 2],
+                "training_set_size": size,
+                "attack_magnitude": mags[i // 6 % len(mags)],
+            }
+            outcome = (
+                dict(success=True, baseline_attack_alerts=2, poison_point_count=i % 7, optimization_iterations=i % 13),
+                dict(success=True),
+                dict(baseline_attack_alerts=3, poison_point_count=i % 4, optimization_iterations=i % 9),
+                dict(error="RuntimeError: boom"),
+                dict(success=True, baseline_attack_alerts=1, poison_point_count=i % 5 + 1, optimization_iterations=i % 17),
+            )[i % 5]
+            records.append(MetricsRecord(cell=cell, repetition=0, wall_time_s=0.25, **outcome))
+        export(records, tmp_path / "exp")
+
+        def lines(name):
+            return (tmp_path / "exp" / name).read_text().splitlines()
+
+        assert lines("plot_points_vs_magnitude.csv") == [
+            "training_set_size,attack_magnitude,mean_poison_points",
+            "2,0.0,2.909090909090909",
+            "2,0.1,2.0",
+            "2,0.3,2.75",
+            "4,-0.0,2.111111111111111",
+            "4,0.1,2.75",
+            "4,0.3,3.8",
+            "8,-0.0,2.7",
+        ]
+        assert lines("plot_max_magnitude_vs_training_size.csv") == [
+            "algorithm,training_set_size,largest_successful_magnitude",
+            "backgrad,2,0.3",
+            "backgrad,4,0.3",
+            "backgrad,8,0.0",
+            "interp,2,0.3",
+            "interp,4,0.3",
+            "interp,8,0.0",
+        ]
+        assert lines("plot_iterations_comparison.csv") == [
+            "algorithm,attack_magnitude,mean_iterations",
+            "backgrad,0.0,4.884615384615385",
+            "backgrad,0.1,3.5",
+            "backgrad,0.3,2.1666666666666665",
+            "interp,0.0,3.6153846153846154",
+            "interp,0.1,7.0",
+            "interp,0.3,6.166666666666667",
+        ]
+
     def test_records_keep_their_column_order(self, tmp_path):
         # records.csv and records.json are published formats: cell keys sorted, then the record's fields in order
         record = MetricsRecord(cell={"seed": 3, "algorithm": "interp"}, repetition=1, wall_time_s=0.5)

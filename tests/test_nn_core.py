@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -14,11 +15,11 @@ from aepoison.nn_core import (
     grad_x,
     hvp_both,
     init_params,
+    REVERSE_BLOCK,
     linearize,
     loss,
     train,
 )
-from aepoison.poisoning import REVERSE_BLOCK
 
 
 def small_cfg(**kw):
@@ -221,6 +222,7 @@ def allocating_grad_w(params, x, seed=None):
     return np.concatenate(grads)
 
 
+@pytest.mark.bit_exact
 class TestGradWBuffers:
     @pytest.mark.parametrize("input_size,code_size,rows", [(4, 2, 990), (4, 2, 1038), (4, 2, 131), (100, 50, 16)])
     def test_matches_allocating_reference_bit_exact(self, input_size, code_size, rows):
@@ -285,6 +287,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.bit_exact
 class TestLinearize:
     # id: (input_size, code_size, inflation_factor, rows). MULTI_SEQ poison
     # and training rows and SINGLE_SEQ; then shapes that give products a
@@ -338,6 +341,21 @@ class TestLinearize:
             got = hvp_both(lin, v)
             assert all(same_bits(g, e) for g, e in zip(got, expected))
             v = got[0]
+
+    @pytest.mark.parametrize("rows", [0, 1, REVERSE_BLOCK, REVERSE_BLOCK + 1, 2 * REVERSE_BLOCK + 3])
+    def test_walk_yields_every_row_newest_first_one_stacked_pass_per_block(self, rows):
+        # as a reversal walks a fit of `rows` steps: every checkpoint but the last
+        cfg, x, cps = self.trajectory(4, 2, 2, 7, rows)
+        lins = list(nn_core.linearizations(cfg, cps[:-1], x))
+        assert len(lins) == rows
+        # blocks of REVERSE_BLOCK rows counted from the newest share one pass's buffers
+        tangents = [lin.tangent for lin in lins]
+        assert [tangents.index(t) for t in tangents] == [j - j % REVERSE_BLOCK for j in range(rows)]
+        for lin, vec in zip(lins, cps[:-1][::-1]):
+            p = ModelParams(cfg, vec)
+            assert all(same_bits(w, ref[:-1]) for w, ref in zip(lin.ws, p.layers))
+            for got, ref in zip((lin.ins, lin.slopes, lin.deltas, lin.curvs), allocating_state(p, x)):
+                assert all(same_bits(g, r) for g, r in zip(got, ref) if r is not None)
 
 
 class TestHvp:
@@ -428,6 +446,7 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(p, self.batch(), TrainConfig(50.0, 2000, stop_loss=1e-12))
 
+    @pytest.mark.bit_exact
     @pytest.mark.parametrize("scale,lr,check", [(1e-50, 1e200, "weights"), (1.0, 1e20, "loss")])
     def test_diverges_at_the_step_of_an_isfinite_reference_loop(self, scale, lr, check):
         # tiny inputs and a huge step: the weights overflow at step 2 while the
@@ -465,6 +484,7 @@ class TestTrain:
         b, _, _ = train(init_params(small_cfg(init_seed=2)), self.batch(), TrainConfig(0.3, 200, 1e-9))
         assert np.array_equal(a.flatten(), b.flatten())
 
+    @pytest.mark.bit_exact
     def test_matches_plain_gradient_descent_loop_bit_exact(self):
         x = self.batch()
         p = init_params(small_cfg(init_seed=1))
@@ -499,6 +519,22 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(traj.checkpoints, ref))
         assert not any(c.flags.writeable for c in traj.checkpoints)
 
+    def test_recorded_fit_run_to_max_peaks_below_one_and_a_half_blocks(self):
+        # the trajectory is a read-only view of the rows the fit wrote, not a
+        # copy of them: a copy would hold the block twice at its peak
+        cfg = small_cfg(init_seed=1)
+        x = np.sin(np.linspace(0, 20, 48 * 4)).reshape(48, 4) * 0.8
+        train_cfg = TrainConfig(0.3, 3000, 1e-300, record_trajectory=True)
+        block, params = (train_cfg.max_epochs + 1) * cfg.num_params * 8, init_params(cfg)
+        tracemalloc.start()
+        try:
+            _, traj, _ = train(params, x, train_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps == 3000 and not traj.checkpoints.flags.writeable
+        assert peak < 1.5 * block, f"peak {peak / block:.2f} blocks"
+
     @staticmethod
     def single_seq_fit(lr, epochs):
         # the 60,550-parameter SINGLE_SEQ shape: one window of 100 points
@@ -506,6 +542,7 @@ class TestTrain:
         x = np.sin(np.linspace(0, 16 * np.pi, 1600)).reshape(16, 100) * 0.8
         return cfg, x, train(init_params(cfg), x, TrainConfig(lr, epochs, 1e-12, record_trajectory=True))
 
+    @pytest.mark.bit_exact
     def test_single_seq_model_matches_plain_loop_bit_exact(self):
         # the fit seeds its backward pass with lr * 2 / size, so the reference
         # is a plain allocating loop whose backward takes that seed too
@@ -521,6 +558,7 @@ class TestTrain:
         assert np.array_equal(out.flatten(), ref[-1])
         assert final_loss == loss(p, x)
 
+    @pytest.mark.bit_exact
     def test_single_seq_folded_rate_stays_within_rounding_of_lr_times_grad_w(self):
         # 0.45 is no power of two, so lr * grad_w and the folded seed round
         # differently; after 20 epochs they still agree to 1e-12
@@ -532,6 +570,7 @@ class TestTrain:
         assert traj.steps == epochs
         assert np.abs(out.flatten() - p.flatten()).max() <= 1e-12
 
+    @pytest.mark.bit_exact
     def test_multi_seq_shape_matches_plain_loop_bit_exact(self):
         # the MULTI_SEQ shape: 4-8-2-8-4 model, 990x4 window batch
         cfg = ModelConfig(input_size=4, code_size=2, init_seed=0, init_scale=0.5)

@@ -7,7 +7,7 @@ import pytest
 from test_acceptance import MULTI_SEQ
 
 from aepoison import nn_core, poisoning
-from aepoison.detector import DetectorConfig, _scatter_windows, score, series_loss, window_batch
+from aepoison.detector import DetectorConfig, scatter_windows, score, series_loss, window_batch
 from aepoison.harness import build_experiment
 from aepoison.nn_core import ModelConfig, ModelParams, TrainConfig
 from aepoison.poisoning import (
@@ -286,14 +286,16 @@ class TestGetPoisonGrad:
         assert peak <= 1e50  # get_poison_grad would rescale
         return args, expected
 
+    @pytest.mark.bit_exact
     def test_matches_public_reference_loop_bit_exact(self):
         args, expected = self.reversal_and_reference_loop(150)
         got = get_poison_grad(*args)
         assert np.any(got != 0.0)
         assert np.array_equal(got, expected)
 
+    @pytest.mark.bit_exact
     @pytest.mark.parametrize(
-        "steps", [0, 1, poisoning.REVERSE_BLOCK - 1, poisoning.REVERSE_BLOCK, poisoning.REVERSE_BLOCK + 1]
+        "steps", [0, 1, nn_core.REVERSE_BLOCK - 1, nn_core.REVERSE_BLOCK, nn_core.REVERSE_BLOCK + 1]
     )
     def test_any_count_of_checkpoint_blocks_matches_reference_loop(self, steps):
         args, expected = self.reversal_and_reference_loop(steps)
@@ -301,7 +303,8 @@ class TestGetPoisonGrad:
         assert np.any(got != 0.0) or steps == 0
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("steps", [1, poisoning.REVERSE_BLOCK + 1, 150])
+    @pytest.mark.bit_exact
+    @pytest.mark.parametrize("steps", [1, nn_core.REVERSE_BLOCK + 1, 150])
     def test_single_window_detector_matches_reference_loop_bit_exact(self, steps):
         # one window per sequence: the count < window_length scatter branch
         args, expected = self.single_window_reversal_and_reference_loop(steps)
@@ -310,6 +313,7 @@ class TestGetPoisonGrad:
         assert np.any(got != 0.0)
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.bit_exact
     def test_rescaled_reversal_stays_parallel_to_the_unrescaled_loop(self):
         # 40 reverse steps at a rate of 50 through one repeated checkpoint:
         # |dw| passes 1e50, so get_poison_grad divides dw and dyc by their
@@ -325,7 +329,7 @@ class TestGetPoisonGrad:
         cos = np.vdot(got, expected) / (np.linalg.norm(got) * np.linalg.norm(expected))
         assert cos == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("steps", [0, 1, poisoning.REVERSE_BLOCK, 2 * poisoning.REVERSE_BLOCK + 3])
+    @pytest.mark.parametrize("steps", [0, 1, nn_core.REVERSE_BLOCK, 2 * nn_core.REVERSE_BLOCK + 3])
     def test_one_hvp_both_call_per_reverse_step(self, steps, monkeypatch):
         args, _ = self.reversal_and_reference_loop(steps)
         calls = []
@@ -365,7 +369,7 @@ def reference_reversal(traj, attacked, poison, dcfg):
     dyc, peak = np.zeros_like(poison.values), 0.0
     for t in range(traj.steps, 0, -1):
         r_gw, r_gx = nn_core.hvp_both(nn_core.linearize(ModelParams(cfg, cps[t - 1]), pois_batch), dw)
-        dyc = dyc - lr * _scatter_windows(r_gx, poison.series.length, dcfg)
+        dyc = dyc - lr * scatter_windows(r_gx, poison.series.length, dcfg)
         dw = dw - lr * r_gw
         peak = max(peak, float(np.max(np.abs(dw))))
     return dyc, peak
