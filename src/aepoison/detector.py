@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import index
 from pathlib import Path
 
 import numpy as np
 
 from . import nn_core
-from .nn_core import ModelConfig, ModelParams
+from .nn_core import ModelConfig, ModelParams, integer
 from .timeseries import SeriesMatrix, window
 
 __all__ = [
@@ -47,7 +46,7 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.threshold < np.inf:
             raise ValueError("threshold must be finite and > 0")
-        if index(self.window_length) < 1:
+        if integer(self.window_length) < 1:
             raise ValueError(f"window length must be >= 1, got {self.window_length}")
         if self.model.input_size % self.window_length != 0:
             raise ValueError(

@@ -25,14 +25,13 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
-from operator import index
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .detector import DetectorConfig
-from .nn_core import ModelConfig, TrainConfig
+from .nn_core import ModelConfig, TrainConfig, integer
 from .poisoning import ExperimentData, PoisonConfig, PoisonResult, poison_span, run_pipeline
 from .signals import AttackSpec, SignalSpec, anchor_index, generate, inject_attack
 
@@ -94,7 +93,7 @@ class CellConfig:
 
     def __post_init__(self) -> None:
         for name in (f.name for f in dataclasses.fields(self) if f.type == "int"):
-            index(getattr(self, name))  # a TypeError unless an integer
+            integer(getattr(self, name))  # a TypeError unless an integer
         if self.algorithm not in ("interp", "backgrad"):
             raise ValueError(f"algorithm must be interp or backgrad, got {self.algorithm!r}")
         if self.training_set_size < 1:
@@ -129,7 +128,7 @@ class CellConfig:
             while anchor + self.attack_duration > self.signal_length and anchor >= self.period:
                 anchor -= self.period
         else:
-            anchor = index(self.attack_location)  # a TypeError unless an integer
+            anchor = integer(self.attack_location)  # a TypeError unless an integer
         if not 0 <= anchor <= self.signal_length - self.attack_duration:
             raise ValueError(f"attack rows [{anchor}, {anchor + self.attack_duration}) leave [0, {self.signal_length})")
         return AttackSpec(
@@ -258,7 +257,7 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        index(self.seed)  # a TypeError unless an integer, as is the budget below
+        integer(self.seed)  # a TypeError unless an integer, as is the budget below
         if not isinstance(self.axes, Mapping):
             raise TypeError(f"axes must map axis names to value lists, got {type(self.axes).__name__}")
         axes = {str(k): list(v) for k, v in self.axes.items()}
@@ -269,7 +268,7 @@ class GridSpec:
         for name, values in axes.items():
             if not values:
                 raise ValueError(f"axis {name!r} is empty")
-        if self.cell_count() > index(self.budget):
+        if self.cell_count() > integer(self.budget):
             raise ValueError(f"{self.cell_count()} cells exceed budget {self.budget}")
         self.cells()  # a bad axis value is refused here, as a bad base value is
 

@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 __all__ = [
+    "integer",
     "ModelConfig",
     "ModelParams",
     "TrainConfig",
@@ -72,6 +73,13 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite during gradient descent."""
 
 
+def integer(value: int) -> int:
+    """operator.index(value), which refuses a bool too: a config count or seed."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return index(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Undercomplete autoencoder with layers (in, f*in, code, f*in, in): a
@@ -87,14 +95,14 @@ class ModelConfig:
     init_scale: float = 0.1
 
     def __post_init__(self) -> None:
-        index(self.init_seed)  # a TypeError unless an integer, as are the sizes below
-        if index(self.input_size) < 2:
+        integer(self.init_seed)  # a TypeError unless an integer, as are the sizes below
+        if integer(self.input_size) < 2:
             raise ValueError("input_size must be >= 2")
-        if not (1 <= index(self.code_size) < self.input_size):
+        if not (1 <= integer(self.code_size) < self.input_size):
             raise ValueError(
                 f"code_size must satisfy 1 <= code < input_size, got {self.code_size} vs {self.input_size}"
             )
-        if index(self.inflation_factor) < 1:
+        if integer(self.inflation_factor) < 1:
             raise ValueError("inflation_factor must be >= 1")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; have {sorted(_ACTIVATIONS)}")
@@ -126,6 +134,14 @@ class ModelConfig:
 _Layers = Sequence[np.ndarray]
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def _unflatten(cfg: ModelConfig, vec: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-layer (in + 1, out) [W; b] views into a flat vector of
     cfg.num_params entries, or (K, in + 1, out) views into each row of a
@@ -149,14 +165,11 @@ class ModelParams:
     layers: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64)
+        vec = _read_only(self.vector)
         if vec.shape != (self.config.num_params,):
             raise ValueError(f"expected {self.config.num_params} parameters, got {vec.shape}")
         if not np.isfinite(vec).all():
             raise ValueError("parameters contain non-finite values")
-        if vec.flags.writeable:
-            vec = vec.copy()
-            vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "layers", _unflatten(self.config, vec))
 
@@ -174,7 +187,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.learning_rate < inf:
             raise ValueError("learning rate must be finite and >= 0")
-        if index(self.max_epochs) < 0:
+        if integer(self.max_epochs) < 0:
             raise ValueError("max_epochs must be >= 0")
         if not 0 < self.stop_loss < inf:
             raise ValueError("stop_loss must be finite and > 0")
@@ -182,11 +195,14 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainTrajectory:
-    """Checkpoints w_0 .. w_T as the rows of one read-only (T+1, P) block,
-    plus the step size used."""
+    """Checkpoints w_0 .. w_T as the rows of one read-only (T+1, P) block (a
+    writable one is copied, train's read-only view kept), plus the step size."""
 
     checkpoints: np.ndarray
     learning_rate: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "checkpoints", _read_only(self.checkpoints))
 
     @property
     def steps(self) -> int:

@@ -18,8 +18,8 @@ counts on validation data, the attack, and the poison inputs themselves
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import asdict, dataclass, field, replace
-from operator import index
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +34,7 @@ from .detector import (
     series_objective_grad,
     window_batch,
 )
-from .nn_core import ModelParams, TrainConfig, TrainTrajectory
+from .nn_core import ModelParams, TrainConfig, TrainTrajectory, integer
 from .timeseries import SeriesMatrix
 
 __all__ = [
@@ -57,6 +57,7 @@ _TERMINATIONS = ("goal-met", "lambda-floor", "zero-gradient", "iter-budget", "ov
 DECAY = 0.9  # step-rate decay after a rejected step
 LAMBDA_EPS = 1e-5  # floor of the adversarial learning rate
 INTERP_EPS = 1e-7  # floor of an interp step
+_REVERSALS = weakref.WeakKeyDictionary()  # trajectory -> (get_poison_grad's other arguments, its gradient)
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class PoisonConfig:
     def __post_init__(self) -> None:
         if not LAMBDA_EPS < self.adv_learning_rate < np.inf:
             raise ValueError(f"adv_learning_rate must be finite and exceed {LAMBDA_EPS}")
-        if index(self.max_iters) < 1:
+        if integer(self.max_iters) < 1:
             raise ValueError("max_iters must be >= 1")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}")
@@ -300,8 +301,13 @@ def get_poison_grad(
     whose linearizations nn_core.linearizations yields newest first. Both are
     Hessians of the loss on the candidate's windows alone, not of the whole
     training loss the fit descended (the adjoint of the unrolled fit is
-    ROADMAP item 1).
+    ROADMAP item 1). The gradient is read-only; the trajectory's last one is
+    returned again for the same four (immutable) objects, as after a
+    backgrad rollback that commits nothing. The memo keeps no trajectory alive.
     """
+    args, last = (attack_series, poison, detector_cfg), _REVERSALS.get(trajectory)
+    if last is not None and all(a is b for a, b in zip(last[0], args)):
+        return last[1]
     alpha = trajectory.learning_rate
     model_cfg = detector_cfg.model
     pois_batch = window_batch(poison.series, detector_cfg)
@@ -330,6 +336,8 @@ def get_poison_grad(
                 dw, dyc = dw / peak, dyc / peak
     if not np.isfinite(dyc).all():
         raise FloatingPointError("training reversal produced a non-finite poison gradient")
+    dyc.setflags(write=False)
+    _REVERSALS[trajectory] = (args, dyc)
     return dyc
 
 

@@ -275,8 +275,11 @@ def test_non_integer_config_count_is_usage_error(tmp_path):
         ({"attack_duration": 7.5}, {}),
         ({"subsequence_length": 2.0}, {}),
         ({"attack_location": 30.5}, {}),
+        ({"training_set_size": True}, {}),
+        ({"attack_location": True}, {}),
         ({}, {"budget": 1.5}),
         ({}, {"seed": 0.5}),
+        ({}, {"seed": False}),
     ]
     for i, (extra, top) in enumerate(refused):
         grid_json = tmp_path / f"grid{i}.json"

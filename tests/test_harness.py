@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aepoison import harness, nn_core, poisoning
+from aepoison.detector import DetectorConfig
 from aepoison.harness import (
     CellConfig,
     GridSpec,
@@ -16,6 +17,9 @@ from aepoison.harness import (
     run_cell,
     run_grid,
 )
+from aepoison.nn_core import ModelConfig
+from aepoison.poisoning import PoisonConfig
+from aepoison.signals import AttackSpec, SignalSpec
 
 
 def fast_cell(**kw):
@@ -45,6 +49,28 @@ def attacked_rows(data):
     rows = np.flatnonzero((data.attack.values != data.clean.values).any(axis=1))
     assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
     return int(rows[0]), int(rows[-1]) + 1
+
+
+@pytest.mark.parametrize(
+    "build, kwargs",
+    [
+        (fast_cell, {"attack_location": True}),
+        (fast_cell, {"training_set_size": True}),
+        (fast_cell, {"seed": False}),
+        (GridSpec, {"axes": {"seed": [0]}, "budget": True}),
+        (GridSpec, {"axes": {"seed": [0]}, "seed": False}),
+        (SignalSpec, {"period": True}),
+        (SignalSpec, {"seed": False}),
+        (AttackSpec, {"location": 5, "magnitude": 0.1, "duration": True}),
+        (DetectorConfig, {"model": ModelConfig(4, 2), "window_length": True}),
+        (PoisonConfig, {"max_iters": True}),
+    ],
+    ids=lambda arg: getattr(arg, "__name__", None),
+)
+def test_bool_is_refused_where_an_integer_is_expected(build, kwargs):
+    # bool is an int subclass, so operator.index alone would take it
+    with pytest.raises(TypeError, match="integer"):
+        build(**kwargs)
 
 
 class TestCellConfig:

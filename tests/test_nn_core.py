@@ -9,6 +9,7 @@ from aepoison.nn_core import (
     ModelConfig,
     ModelParams,
     TrainConfig,
+    TrainTrajectory,
     TrainingDiverged,
     forward,
     grad_w,
@@ -16,6 +17,7 @@ from aepoison.nn_core import (
     hvp_both,
     init_params,
     REVERSE_BLOCK,
+    integer,
     linearize,
     loss,
     train,
@@ -122,6 +124,40 @@ class TestModelParams:
     def test_read_only_input_is_kept(self):
         p = init_params(small_cfg())
         assert ModelParams(p.config, p.flatten()).flatten() is p.flatten()
+
+
+class TestTrainTrajectory:
+    def test_writable_block_is_copied_and_stored_read_only(self):
+        cps = np.arange(12.0).reshape(3, 4)
+        traj = TrainTrajectory(cps, 0.1)
+        cps[:] = 7.0
+        assert np.array_equal(traj.checkpoints, np.arange(12.0).reshape(3, 4))
+        assert not traj.checkpoints.flags.writeable and traj.steps == 2
+
+    def test_read_only_block_is_kept(self):
+        x = np.linspace(-1.0, 1.0, 24).reshape(6, 4)
+        _, traj, _ = train(init_params(small_cfg()), x, TrainConfig(0.1, 5, 1e-12, record_trajectory=True))
+        assert TrainTrajectory(traj.checkpoints, traj.learning_rate).checkpoints is traj.checkpoints
+
+
+class TestInteger:
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2"])
+    def test_non_integer_and_bool_are_refused(self, value):
+        with pytest.raises(TypeError, match="integer"):
+            integer(value)
+
+    @pytest.mark.parametrize("value", [0, -3, np.int64(7)])
+    def test_integer_is_returned_as_int(self, value):
+        assert integer(value) == value and type(integer(value)) is int
+
+    @pytest.mark.parametrize("field", ["input_size", "code_size", "inflation_factor", "init_seed"])
+    def test_model_config_refuses_bool(self, field):
+        with pytest.raises(TypeError, match="integer"):
+            small_cfg(**{field: True})
+
+    def test_train_config_refuses_bool(self):
+        with pytest.raises(TypeError, match="integer"):
+            TrainConfig(0.1, True)
 
 
 class TestForwardAndLoss:

@@ -1,3 +1,4 @@
+import gc
 import json
 import weakref
 from dataclasses import replace
@@ -329,15 +330,55 @@ class TestGetPoisonGrad:
         cos = np.vdot(got, expected) / (np.linalg.norm(got) * np.linalg.norm(expected))
         assert cos == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("steps", [0, 1, nn_core.REVERSE_BLOCK, 2 * nn_core.REVERSE_BLOCK + 3])
-    def test_one_hvp_both_call_per_reverse_step(self, steps, monkeypatch):
-        args, _ = self.reversal_and_reference_loop(steps)
+    @staticmethod
+    def counted_hvp_both(monkeypatch):
+        """The linearization of every nn_core.hvp_both call the test makes."""
         calls = []
         hvp_both = nn_core.hvp_both
         monkeypatch.setattr(nn_core, "hvp_both", lambda lin, v: calls.append(lin) or hvp_both(lin, v))
+        return calls
+
+    @pytest.mark.parametrize("steps", [0, 1, nn_core.REVERSE_BLOCK, 2 * nn_core.REVERSE_BLOCK + 3])
+    def test_one_hvp_both_call_per_reverse_step(self, steps, monkeypatch):
+        args, _ = self.reversal_and_reference_loop(steps)
+        calls = self.counted_hvp_both(monkeypatch)
         get_poison_grad(*args)
         assert len(calls) == steps == args[0].steps
         assert len({id(lin) for lin in calls}) == steps
+
+    def test_same_arguments_again_return_the_last_gradient_without_reversing(self, monkeypatch):
+        args, expected = self.reversal_and_reference_loop(nn_core.REVERSE_BLOCK + 1)
+        first = get_poison_grad(*args)
+        calls = self.counted_hvp_both(monkeypatch)
+        again = get_poison_grad(*args)
+        assert again is first and not calls
+        assert again.tobytes() == expected.tobytes()
+        assert not again.flags.writeable
+
+    def test_equal_but_distinct_arguments_reverse_again(self, monkeypatch):
+        (traj, attacked, poison, dcfg), _ = self.reversal_and_reference_loop(5)
+        first = get_poison_grad(traj, attacked, poison, dcfg)
+        calls = self.counted_hvp_both(monkeypatch)
+        twins = [
+            (traj, attacked, PoisonPoint(poison.series, span=poison.span), dcfg),
+            (nn_core.TrainTrajectory(traj.checkpoints, traj.learning_rate), attacked, poison, dcfg),
+            (traj, attacked.with_values(attacked.values), poison, dcfg),
+            (traj, attacked, poison, replace(dcfg)),
+        ]
+        for args in twins:
+            get_poison_grad(traj, attacked, poison, dcfg)  # the memo holds these objects again
+            calls.clear()
+            got = get_poison_grad(*args)
+            assert len(calls) == 5
+            assert got is not first and got.tobytes() == first.tobytes()
+
+    def test_memo_keeps_no_trajectory_alive(self):
+        args, _ = self.reversal_and_reference_loop(3)
+        get_poison_grad(*args)
+        ref = weakref.ref(args[0])
+        del args
+        gc.collect()
+        assert ref() is None
 
     def test_no_training_steps_gives_zero_gradient(self):
         dcfg = tiny_detector()
@@ -579,6 +620,33 @@ class TestPoisonBackgrad:
         assert all(l <= pcfg.adv_learning_rate + 1e-15 for l in lams)
         if r.termination != "lambda-floor":
             assert all(l > LAMBDA_EPS for l in lams)
+
+    def test_reusing_a_reversal_changes_no_output(self, monkeypatch):
+        # after the first rollback has committed the last good poison, a
+        # rollback commits nothing and the next iteration reverses the same
+        # fit for the same candidate; a memo that never hits gives the same run
+        data, dcfg, tcfg = self.backgrad_setup(size=4, magnitude=0.3)
+        pcfg = PoisonConfig(seed=2, max_iters=6)
+        calls = TestGetPoisonGrad.counted_hvp_both(monkeypatch)
+
+        def run():
+            calls.clear()
+            r = run_pipeline(data, "backgrad", pcfg, detector_cfg=dcfg, train_cfg=tcfg)[1]
+            points = [p.values.tobytes() for p in r.points]
+            return r.to_json_dict(), r.final_params.flatten().tobytes(), points, len(calls)
+
+        reused = run()
+        actions = [e["action"] for e in reused[0]["iteration_log"]]
+        assert actions[1:3] == ["candidate alerts; committed last good poison"] * 2
+
+        class Forgetful(dict):
+            def get(self, key, default=None):
+                return default
+
+        monkeypatch.setattr(poisoning, "_REVERSALS", Forgetful())
+        recomputed = run()
+        assert reused[:3] == recomputed[:3]
+        assert reused[3] < recomputed[3]
 
     def test_zero_gradient_ends_the_run_as_zero_gradient(self, monkeypatch):
         # a vanishing gradient is its own stop, not the step-size floor
